@@ -236,6 +236,25 @@ def test_kahler_warns_on_inconsistent_base():
     assert report.warnings
 
 
+
+@given(st.integers(0, 30), st.data())
+def test_kahler_iii_reduces_to_balanced_h2(n, draws):
+    """For any valid partition, (iii) holds exactly when dim H^2 = dim H^4 >= N."""
+    n_classes = draws.draw(st.integers(1, n)) if n else 0
+    assignment = list(range(1, n_classes + 1)) + [
+        draws.draw(st.integers(1, n_classes)) for _ in range(n - n_classes)]
+    assignment = draws.draw(st.permutations(assignment))
+    classes = [[j + 1 for j, k in enumerate(assignment) if k == c]
+               for c in range(1, n_classes + 1)]
+    data = ConifoldData.from_classes(base_space(1, 3, n_classes), n, classes)
+    dims = draws.draw(st.lists(st.integers(0, n_classes + 3), min_size=7, max_size=7))
+    if draws.draw(st.booleans()):
+        dims[4] = dims[2]
+    h0, _, h2, _, h4, _, h6 = dims
+    report = check_kahler_package(GradedSpace(tuple(dims)), data)
+    assert report.pairing_nondegenerate == (h2 == h4 and h2 >= n_classes)
+    assert report.passed == (h0 == h6 and report.pairing_nondegenerate)
+
 # -- GradedSpace validation -------------------------------------------------------
 
 def test_graded_space_validation():
