@@ -71,7 +71,7 @@ def main():
 
     banner("5. cohomology for a sample incidence (n=125 on one 4-cycle class)")
     base = GradedSpace((1, 0, 1, 100, 2, 0, 1))
-    data = ConifoldData.from_classes(base, 125, [list(range(1, 126))])
+    data = ConifoldData(base, 125, [list(range(1, 126))])
     print(cohomology_report_text(cohomology_report(data)))
 
     banner("6. transition graph")

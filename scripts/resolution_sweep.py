@@ -11,10 +11,10 @@ from gsvkit import ConifoldData, GradedSpace, build_transition_graph
 
 def conifold(n_classes):
     if n_classes == 0:
-        return ConifoldData.from_classes(GradedSpace((1, 0, 1, 2, 1, 0, 1)), 0, [])
+        return ConifoldData(GradedSpace((1, 0, 1, 2, 1, 0, 1)), 0, [])
     base = GradedSpace((1, 0, 1, 2, 1 + n_classes, 0, 1))
     classes = [[k] for k in range(1, n_classes + 1)]
-    return ConifoldData.from_classes(base, n_classes, classes)
+    return ConifoldData(base, n_classes, classes)
 
 
 def main():

@@ -6,10 +6,9 @@ cohomology with the class-collapse refinement -> small resolutions and the
 defo/exoflop/flop transition graph.
 """
 
-from .cohomology import (ConifoldData, GradedSpace, KahlerReport, PairingMatrix,
-                         antenna_classes, check_kahler_package, cohomology_of_closure,
-                         cohomology_report, euler_characteristic, mayer_vietoris,
-                         pairing_matrix, points, spheres)
+from .cohomology import (ConifoldData, GradedSpace, KahlerReport, check_kahler_package,
+                         cohomology_of_closure, cohomology_report, mayer_vietoris,
+                         points, spheres)
 from .cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial
 from .errors import (BranchPointError, DegreeUndefinedError, ExactnessError, GsvError,
                      GsvInputError, IncompleteResultError, MalformedIncidenceError,
@@ -17,8 +16,7 @@ from .errors import (BranchPointError, DegreeUndefinedError, ExactnessError, Gsv
                      ResourceLimitError, WrongModelError)
 from .exocurves import (Atlas, Chart, Model, Transition, build_comparison_p151,
                         build_exocurve, compactify, deficit_angle, transition)
-from .poly import (DEFAULT_VARIABLES, MomentMap, Polynomial, parse_polynomial,
-                   parse_scalar, superpotential)
+from .poly import DEFAULT_VARIABLES, Polynomial, parse_polynomial, parse_scalar
 from .resolutions import (ResolutionChoice, TransitionGraph, build_transition_graph,
                           enumerate_small_resolutions, flop, naive_resolution_count)
 from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularRay, SingularityClass,

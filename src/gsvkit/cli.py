@@ -58,7 +58,11 @@ def _emit(args, text: str, json_obj) -> None:
 
 def _read_polynomial_argument(arg: str) -> str:
     path = Path(arg)
-    if path.exists():
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. an inline expression too long to be a file name
+        is_file = False
+    if is_file:
         return path.read_text(encoding="utf-8").strip()
     return arg
 
@@ -99,10 +103,20 @@ def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
         coords = tuple(parse_scalar(c, field) for c in entry["coords"])
         cls = SingularityClass(Kind(entry["class"]), entry.get("corank"))
         rays.append(SingularRay(coords, cls))
+    transversal, isolated = obj["transversal"], bool(obj["isolated"])
+    if (transversal is True and rays) or (transversal is False and not rays):
+        raise GsvInputError(
+            f"report flag transversal: {json.dumps(transversal)} disagrees with "
+            f"its {len(rays)} singular rays")
+    non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
+    if isolated != (non_nodes == 0):
+        raise GsvInputError(
+            f"report flag isolated: {json.dumps(isolated)} disagrees with its rays "
+            f"({non_nodes} of {len(rays)} are not nodes)")
     return TransversalityReport(
-        transversal=obj["transversal"],
+        transversal=transversal,
         rays=tuple(rays),
-        isolated=bool(obj["isolated"]),
+        isolated=isolated,
         source=str(obj.get("source", "file")),
         complete=bool(obj["complete"]),
     )

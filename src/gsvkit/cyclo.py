@@ -14,25 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Union
 
 Scalar = Union[int, Fraction, "Cyclo"]
-
-
-def _exact_poly_div(num: Sequence[Fraction], den: Sequence[Fraction]) -> list[Fraction]:
-    """Divide in Q[x] (coefficients low-to-high); the remainder must vanish."""
-    work = list(num)
-    dn = len(den) - 1
-    out = [Fraction(0)] * (len(work) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        c = work[i + dn] / den[-1]
-        out[i] = c
-        if c:
-            for j in range(dn + 1):
-                work[i + j] -= c * den[j]
-    if any(work[:dn]):
-        raise ArithmeticError("polynomial division left a remainder")
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -46,7 +30,9 @@ def cyclotomic_polynomial(k: int) -> tuple[Fraction, ...]:
     poly[0], poly[k] = Fraction(-1), Fraction(1)
     for d in range(1, k):
         if k % d == 0:
-            poly = _exact_poly_div(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
+            if rem:
+                raise ArithmeticError("polynomial division left a remainder")
     return tuple(poly)
 
 

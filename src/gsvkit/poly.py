@@ -362,47 +362,3 @@ def parse_scalar(text: str, field: CyclotomicField | None = None) -> Cyclo:
     """Parse a bare coefficient-domain value such as '1/2', '-zeta^3', '1 + zeta'."""
     poly = parse_polynomial(text, field, variables=())
     return poly.terms.get((), (field or CyclotomicField(5)).zero)
-
-
-# -- the moment map and the superpotential -------------------------------------
-
-def superpotential(g: Polynomial) -> Polynomial:
-    """p * g over the variable tuple extended by p.
-
-    Its gradient stacks (p * dg/ds_i, g), so the joint zero locus splits into
-    {g = 0, p * dg = 0} exactly as the ground-state construction needs.
-    """
-    if "p" in g.variables:
-        raise GsvInputError("polynomial already involves p")
-    variables = g.variables + ("p",)
-    terms = {exp + (1,): coeff for exp, coeff in g.terms.items()}
-    return Polynomial(g.field, variables, terms)
-
-
-@dataclass(frozen=True)
-class MomentMap:
-    """U(1) charge data and moment level for the (s0..s4; p) field space.
-
-    The weights are pinned to (+1,...,+1; -5); only the sign of the level
-    enters the geometry downstream.
-    """
-
-    level: Fraction
-    s_weights: Tuple[int, ...] = (1, 1, 1, 1, 1)
-    p_weight: int = -5
-
-    def __post_init__(self):
-        object.__setattr__(self, "level", Fraction(self.level))
-        if self.s_weights != (1, 1, 1, 1, 1) or self.p_weight != -5:
-            raise GsvInputError("moment-map weights are fixed to (1,1,1,1,1; -5)")
-
-    @property
-    def sheet(self) -> int:
-        if self.level > 0:
-            return 1
-        if self.level < 0:
-            return -1
-        return 0
-
-    def defining_expression(self) -> str:
-        return "|s0|^2 + |s1|^2 + |s2|^2 + |s3|^2 + |s4|^2 - 5*|p|^2 - r"

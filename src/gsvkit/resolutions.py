@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
-from .errors import GsvInputError, MalformedIncidenceError, ResourceLimitError
+from .errors import GsvInputError, ResourceLimitError
 
 MAX_CLASSES = 20
 
@@ -38,9 +38,6 @@ class ResolutionChoice:
 
 def enumerate_small_resolutions(data: ConifoldData) -> List[ResolutionChoice]:
     """All 2^N compatible resolutions, in binary order."""
-    data.validate()
-    if data.n > 0 and data.n_classes == 0:
-        raise MalformedIncidenceError("nodes present but no 4-cycle classes")
     n_classes = data.n_classes
     if n_classes > MAX_CLASSES:
         raise ResourceLimitError(
@@ -54,7 +51,6 @@ def enumerate_small_resolutions(data: ConifoldData) -> List[ResolutionChoice]:
 
 def naive_resolution_count(data: ConifoldData) -> int:
     """The per-node count 2^n that ignores the compatibility constraint."""
-    data.validate()
     return 2 ** data.n
 
 
@@ -138,7 +134,6 @@ def build_transition_graph(data: ConifoldData,
     the union to every resolution, and flop edges between resolutions at
     Hamming distance one.
     """
-    data.validate()
     if data.n == 0:
         vertex = Vertex("M_flat=V_bar", "deformation",
                         dims=smooth_dims.dims if smooth_dims else None)

@@ -283,7 +283,6 @@ def verify_transversal(g: Polynomial, source: CandidateSource,
     certificate (transversal), or no rays and no certificate (inconclusive;
     never silently reported as transversal).
     """
-    _require_quintic(g)
     rays = find_singular_rays(g, source, jobs=jobs)
     isolated = all(r.classification.kind is Kind.NODE for r in rays)
     name = source.name

@@ -103,8 +103,8 @@ def build_ground_state_variety(report: TransversalityReport, sheet) -> Stratifie
     if not report.complete or report.transversal is None:
         raise IncompleteResultError(
             "transversality search was inconclusive; cannot stratify")
-    if report.rays and not report.isolated:
-        bad = [r for r in report.rays if r.classification.kind is not Kind.NODE]
+    bad = [r for r in report.rays if r.classification.kind is not Kind.NODE]
+    if bad:
         raise NonIsolatedError(
             f"{len(bad)} singular rays are not certified isolated nodes")
 

@@ -48,7 +48,7 @@ def random_conifold(rng, max_nodes=50):
                for c in range(1, n_classes + 1)]
     b2 = rng.randint(1, 8)
     base = GradedSpace((1, 0, b2, rng.randint(0, 250), b2 + n_classes, 0, 1))
-    return ConifoldData.from_classes(base, n, classes)
+    return ConifoldData(base, n, classes)
 
 
 def test_criterion_1_transversal_case():
@@ -199,11 +199,12 @@ def test_criterion_5_compactification():
 
 def _closure_oracle(data):
     """Independent recount: raw long-exact-sequence totals, then collapse the
-    degree-2 sphere block by the number of distinct incidence rows."""
+    degree-2 sphere block by the number of distinct class labels of the nodes."""
     dims = [data.base.dims[0] + data.n - data.n,
             data.base.dims[1]]
     dims += [data.base.dims[q] + spheres(data.n).dims[q] for q in range(2, 7)]
-    dims[2] -= data.n - len(set(data.incidence))
+    label = {j: k for k, members in enumerate(data.classes) for j in members}
+    dims[2] -= data.n - len({label[j] for j in range(1, data.n + 1)})
     return tuple(dims)
 
 
@@ -248,7 +249,7 @@ def test_criterion_8_kahler_package():
         assert report.h2_equals_h4
         assert report.pairing_nondegenerate
         assert report.passed and not report.warnings
-    violating = ConifoldData.from_classes(
+    violating = ConifoldData(
         GradedSpace((1, 0, 1, 10, 2, 0, 1)), 4, [[1, 2, 3, 4]])
     report = check_kahler_package(GradedSpace((1, 0, 3, 10, 2, 0, 1)), violating)
     assert not report.h2_equals_h4
@@ -260,10 +261,10 @@ def test_criterion_9_resolutions():
     start = time.perf_counter()
     for n_classes in range(0, 11):
         if n_classes == 0:
-            data = ConifoldData.from_classes(GradedSpace((1, 0, 1, 2, 1, 0, 1)), 0, [])
+            data = ConifoldData(GradedSpace((1, 0, 1, 2, 1, 0, 1)), 0, [])
         else:
             base = GradedSpace((1, 0, 1, 2, 1 + n_classes, 0, 1))
-            data = ConifoldData.from_classes(
+            data = ConifoldData(
                 base, n_classes, [[k] for k in range(1, n_classes + 1)])
         assert len(enumerate_small_resolutions(data)) == 2 ** n_classes
 
@@ -275,7 +276,7 @@ def test_criterion_9_resolutions():
         assert flop(flop(choice, k), k) == choice
 
     base = GradedSpace((1, 0, 1, 2, 2, 0, 1))
-    data = ConifoldData.from_classes(base, 3, [[1, 2, 3]])
+    data = ConifoldData(base, 3, [[1, 2, 3]])
     graph = build_transition_graph(data)
     assert graph.vertex_names() == ("M_flat", "V_bar", "M_nat_1", "M_nat_2")
     assert {(e.source, e.target, e.label) for e in graph.edges} == {

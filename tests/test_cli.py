@@ -42,6 +42,14 @@ def test_analyze_reads_files(capsys, tmp_path):
     assert code == 0 and "transversal" in out
 
 
+def test_analyze_long_inline_polynomial(capsys):
+    padded = FERMAT.replace("+", " " * 60 + "+ ")
+    assert len(padded) > 255  # longer than a file name may be
+    code, out, _ = run(capsys, "analyze", padded)
+    assert code == 0
+    assert out.startswith("transversal")
+
+
 def test_analyze_dwork_reports_125_nodes(capsys):
     code, out, _ = run(capsys, "analyze", DWORK)
     assert code == 0
@@ -112,6 +120,25 @@ def test_stratify_incomplete_report_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
     assert code == 2
     assert "inconclusive" in err
+
+
+NON_NODE_RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "non_node", "corank": 1}
+
+
+@pytest.mark.parametrize("report", [
+    {"transversal": True, "rays": [NON_NODE_RAY], "isolated": True, "complete": True},
+    {"transversal": True, "rays": [NON_NODE_RAY], "isolated": False, "complete": True},
+    {"transversal": False, "rays": [], "isolated": True, "complete": True},
+    {"transversal": False, "rays": [NON_NODE_RAY], "isolated": True, "complete": True},
+], ids=["transversal-with-rays", "transversal-with-non-node", "rays-missing",
+        "isolated-with-non-node"])
+def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError" in err and "disagrees" in err
 
 
 def test_cohomology_command(capsys, conifold_file):

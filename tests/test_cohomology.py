@@ -1,14 +1,13 @@
-"""Mayer-Vietoris engine, antenna classes, pairing, and the Kahler check."""
+"""Mayer-Vietoris engine, the node partition, and the Kahler check."""
 
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gsvkit.cohomology import (ConifoldData, GradedSpace, antenna_classes,
-                               check_kahler_package, cohomology_of_closure,
-                               cohomology_report, euler_characteristic,
-                               mayer_vietoris, pairing_matrix, points, spheres)
+from gsvkit.cohomology import (ConifoldData, GradedSpace, check_kahler_package,
+                               cohomology_of_closure, cohomology_report,
+                               mayer_vietoris, points, spheres)
 from gsvkit.errors import ExactnessError, GsvInputError, MalformedIncidenceError
 
 
@@ -18,8 +17,7 @@ def base_space(b2=1, b3=103, n_classes=1):
 
 
 def single_class_data(n, b2=1, b3=103):
-    return ConifoldData.from_classes(base_space(b2, b3, 1), n,
-                                     [list(range(1, n + 1))])
+    return ConifoldData(base_space(b2, b3, 1), n, [list(range(1, n + 1))])
 
 
 # -- independent oracles ---------------------------------------------------------
@@ -42,11 +40,12 @@ def raw_mv_oracle(piece_a, piece_b, n):
 
 
 def closure_oracle(data):
-    """Raw count followed by row collapse of the pairing matrix."""
+    """Raw count followed by collapsing the sphere classes of each 4-cycle class."""
     raw = raw_mv_oracle(data.base, spheres(data.n), data.n)
-    distinct_rows = len(set(data.incidence))
+    label = {j: k for k, members in enumerate(data.classes) for j in members}
+    distinct_labels = len({label[j] for j in range(1, data.n + 1)})
     out = list(raw)
-    out[2] -= data.n - distinct_rows
+    out[2] -= data.n - distinct_labels
     return tuple(out)
 
 
@@ -93,54 +92,28 @@ def test_refined_requires_sphere_configuration():
         mayer_vietoris(data.base, spheres(3), points(2), mode="refined", data=data)
 
 
-# -- antenna classes and pairing -----------------------------------------------
-
-def test_antenna_classes_example():
-    data = ConifoldData.from_classes(base_space(n_classes=2), 3, [[1, 2], [3]])
-    assert antenna_classes(data) == ((1, 2), (3,))
-
-
-def test_antenna_classes_single():
-    data = single_class_data(1)
-    assert antenna_classes(data) == ((1,),)
-
+# -- the node partition ----------------------------------------------------------
 
 def test_malformed_incidence():
     base = base_space()
     with pytest.raises(MalformedIncidenceError):
-        ConifoldData(base, 2, ((1,), (0,)), 1).validate()  # row sum 0
+        ConifoldData(base, 2, [[1, 1], [2]])  # node listed twice
     with pytest.raises(MalformedIncidenceError):
-        ConifoldData(base, 2, ((1, 1), (1, 0)), 2).validate()  # row sum 2
+        ConifoldData(base, 2, [[1, 2], []])  # empty class
     with pytest.raises(MalformedIncidenceError):
-        ConifoldData(base, 2, ((1, 0), (1, 0)), 2).validate()  # empty column
+        ConifoldData(base, 2, [[1, 2], [2]])  # node in two classes
     with pytest.raises(MalformedIncidenceError):
-        ConifoldData.from_classes(base, 2, [[1, 2], [2]])  # node in two classes
+        ConifoldData(base, 2, [[1]])  # node 2 unassigned
     with pytest.raises(MalformedIncidenceError):
-        ConifoldData.from_classes(base, 2, [[1]])  # node 2 unassigned
-
-
-def test_pairing_matrix_example():
-    data = ConifoldData.from_classes(base_space(n_classes=2), 3, [[1, 2], [3]])
-    pm = pairing_matrix(data)
-    assert pm.entries == ((1, 0), (1, 0), (0, 1))
-    collapsed = pm.collapse_classes(data)
-    assert collapsed.entries == ((1, 0), (0, 1))
-    assert collapsed.is_identity()
-    assert collapsed.rank() == 2
-
-
-def test_pairing_matrix_trivial():
-    data = single_class_data(1)
-    assert pairing_matrix(data).entries == ((1,),)
-
-
-def test_rows_within_class_are_identical():
-    data = ConifoldData.from_classes(base_space(n_classes=3), 7,
-                                     [[1, 4], [2, 5, 6], [3, 7]])
-    pm = pairing_matrix(data)
-    for members in antenna_classes(data):
-        rows = {pm.entries[j - 1] for j in members}
-        assert len(rows) == 1
+        ConifoldData(base, 2, [[1], [2, 3]])  # index outside 1..n
+    with pytest.raises(MalformedIncidenceError):
+        ConifoldData(base, 2, [[0, 1], [2]])  # index outside 1..n
+    with pytest.raises(MalformedIncidenceError):
+        ConifoldData(base, -1, [])  # negative node count
+    with pytest.raises(MalformedIncidenceError):
+        ConifoldData(base, 2, [1, 2])  # classes must be lists
+    with pytest.raises(MalformedIncidenceError):
+        ConifoldData(base, 2, [["1", "2"]])  # of integers
 
 
 # -- closure cohomology -----------------------------------------------------------
@@ -154,13 +127,13 @@ def test_closure_single_class_example():
 
 def test_closure_n0_identity():
     base = GradedSpace((1, 0, 1, 204, 1, 0, 1))
-    data = ConifoldData.from_classes(base, 0, [])
+    data = ConifoldData(base, 0, [])
     assert cohomology_of_closure(data).dims == base.dims
 
 
 def test_closure_two_classes():
     base = GradedSpace((1, 0, 1, 103, 3, 0, 1))  # N = 2 consistent base
-    data = ConifoldData.from_classes(base, 5, [[1, 2, 3], [4, 5]])
+    data = ConifoldData(base, 5, [[1, 2, 3], [4, 5]])
     result = cohomology_of_closure(data)
     assert result.dims == (1, 0, 3, 103, 3, 0, 1)
     assert result.dims == closure_oracle(data)
@@ -170,7 +143,7 @@ def test_closure_propagates_hodge():
     base = GradedSpace((1, 0, 1, 4, 2, 0, 1),
                        hodge={(0, 0): 1, (1, 1): 1, (2, 2): 2, (3, 3): 1,
                               (2, 1): 2, (1, 2): 2})
-    data = ConifoldData.from_classes(base, 4, [[1, 2, 3, 4]])
+    data = ConifoldData(base, 4, [[1, 2, 3, 4]])
     result = cohomology_of_closure(data)
     assert result.hodge[(1, 1)] == 2
     assert result.dims[2] == sum(v for (p, q), v in result.hodge.items() if p + q == 2)
@@ -187,7 +160,7 @@ def test_randomized_closure_against_oracle():
         classes = [[j + 1 for j, k in enumerate(assignment) if k == c]
                    for c in range(1, n_classes + 1)]
         base = base_space(rng.randint(1, 9), rng.randint(0, 200), n_classes)
-        data = ConifoldData.from_classes(base, n, classes)
+        data = ConifoldData(base, n, classes)
         result = cohomology_of_closure(data)
         assert result.dims == closure_oracle(data)
         assert result.dims[2] == base.dims[2] + n_classes
@@ -195,14 +168,6 @@ def test_randomized_closure_against_oracle():
         raw = mayer_vietoris(base, spheres(n), points(n), mode="raw")
         assert raw.euler() == base.euler() + n
         assert result.euler() == base.euler() + n_classes
-
-
-# -- euler characteristic --------------------------------------------------------
-
-def test_euler_examples():
-    assert euler_characteristic(GradedSpace((1, 0, 1, 204, 1, 0, 1))) == -200
-    assert euler_characteristic(points(1)) == 1
-    assert euler_characteristic(spheres(1)) == 2
 
 
 # -- Kahler package ----------------------------------------------------------------
@@ -224,14 +189,14 @@ def test_kahler_fails_on_unbalanced_h2():
 
 def test_kahler_smooth_base():
     base = GradedSpace((1, 0, 1, 204, 1, 0, 1))
-    data = ConifoldData.from_classes(base, 0, [])
+    data = ConifoldData(base, 0, [])
     report = check_kahler_package(cohomology_of_closure(data), data)
     assert report.passed
 
 
 def test_kahler_warns_on_inconsistent_base():
     base = GradedSpace((1, 0, 1, 10, 5, 0, 1))  # H^4 != H^2 + N
-    data = ConifoldData.from_classes(base, 2, [[1, 2]])
+    data = ConifoldData(base, 2, [[1, 2]])
     report = check_kahler_package(cohomology_of_closure(data), data)
     assert report.warnings
 
@@ -246,7 +211,7 @@ def test_kahler_iii_reduces_to_balanced_h2(n, draws):
     assignment = draws.draw(st.permutations(assignment))
     classes = [[j + 1 for j, k in enumerate(assignment) if k == c]
                for c in range(1, n_classes + 1)]
-    data = ConifoldData.from_classes(base_space(1, 3, n_classes), n, classes)
+    data = ConifoldData(base_space(1, 3, n_classes), n, classes)
     dims = draws.draw(st.lists(st.integers(0, n_classes + 3), min_size=7, max_size=7))
     if draws.draw(st.booleans()):
         dims[4] = dims[2]
@@ -271,7 +236,9 @@ def test_graded_space_validation():
 
 
 def test_conifold_json_roundtrip():
-    data = ConifoldData.from_classes(base_space(n_classes=2), 3, [[1, 2], [3]])
+    data = ConifoldData(base_space(n_classes=2), 3, [[3], [2, 1]])
+    assert data.classes == ((3,), (1, 2))  # members ascending, class order kept
+    assert data.n_classes == 2
     obj = data.to_json_dict()
     back = ConifoldData.from_json_dict(obj)
     assert back == data
@@ -281,7 +248,7 @@ def test_conifold_json_roundtrip_with_hodge():
     base = GradedSpace((1, 0, 1, 4, 2, 0, 1),
                        hodge={(0, 0): 1, (1, 1): 1, (2, 2): 2, (3, 3): 1,
                               (2, 1): 2, (1, 2): 2})
-    data = ConifoldData.from_classes(base, 2, [[1, 2]])
+    data = ConifoldData(base, 2, [[1, 2]])
     back = ConifoldData.from_json_dict(data.to_json_dict())
     assert back == data
     assert back.base.hodge[(2, 2)] == 2
@@ -294,7 +261,7 @@ def test_report_discrepancy(n, draws):
         draws.draw(st.integers(1, n_classes)) for _ in range(n - n_classes)]
     classes = [[j + 1 for j, k in enumerate(assignment) if k == c]
                for c in range(1, n_classes + 1)]
-    data = ConifoldData.from_classes(base_space(2, 11, n_classes), n, classes)
+    data = ConifoldData(base_space(2, 11, n_classes), n, classes)
     report = cohomology_report(data)
     assert report["discrepancy"] == n - n_classes
     assert report["euler_raw"] == report["euler_base"] + n

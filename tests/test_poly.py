@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsvkit.cyclo import CyclotomicField
-from gsvkit.errors import DegreeUndefinedError, GsvInputError, PolynomialParseError
-from gsvkit.poly import (DEFAULT_VARIABLES, MomentMap, Polynomial, parse_polynomial,
-                         parse_scalar, superpotential)
+from gsvkit.errors import DegreeUndefinedError, PolynomialParseError
+from gsvkit.poly import DEFAULT_VARIABLES, Polynomial, parse_polynomial, parse_scalar
 
 K5 = CyclotomicField(5)
 
@@ -118,27 +117,6 @@ def test_hessian_examples():
     assert hf[0][0].evaluate(pt) == K5.element(20)
     assert all(hf[i][j].evaluate(pt).is_zero()
                for i in range(5) for j in range(5) if (i, j) != (0, 0))
-
-
-def test_superpotential_gradient_structure():
-    g = parse_polynomial(DWORK, K5)
-    w = superpotential(g)
-    assert w.variables == DEFAULT_VARIABLES + ("p",)
-    grads = w.gradient()
-    # d/dp recovers g; d/ds_i recovers p * dg/ds_i
-    assert grads[5].terms == {e + (0,): c for e, c in g.terms.items()}
-    for i in range(5):
-        assert grads[i].terms == {e + (1,): c for e, c in g.partial(i).terms.items()}
-
-
-def test_moment_map():
-    mm = MomentMap(Fraction(3, 2))
-    assert mm.sheet == 1
-    assert MomentMap(-1).sheet == -1
-    assert MomentMap(0).sheet == 0
-    assert "5*|p|^2" in mm.defining_expression()
-    with pytest.raises(GsvInputError):
-        MomentMap(1, s_weights=(1, 1, 1, 1, 2))
 
 
 # -- randomized properties ------------------------------------------------------

@@ -17,11 +17,11 @@ def data_with_classes(n_classes, nodes_per_class=1, b3=10):
     classes = [list(range(k * nodes_per_class + 1, (k + 1) * nodes_per_class + 1))
                for k in range(n_classes)]
     base = GradedSpace((1, 0, 1, b3, 1 + n_classes, 0, 1))
-    return ConifoldData.from_classes(base, n, classes)
+    return ConifoldData(base, n, classes)
 
 
 def smooth_data():
-    return ConifoldData.from_classes(GradedSpace((1, 0, 1, 204, 1, 0, 1)), 0, [])
+    return ConifoldData(GradedSpace((1, 0, 1, 204, 1, 0, 1)), 0, [])
 
 
 def test_counts():
@@ -44,9 +44,8 @@ def test_resource_bound():
 
 def test_zero_classes_with_nodes_rejected():
     base = GradedSpace((1, 0, 1, 10, 1, 0, 1))
-    bad = ConifoldData(base, 2, ((), ()), 0)
     with pytest.raises(MalformedIncidenceError):
-        enumerate_small_resolutions(bad)
+        ConifoldData(base, 2, ())
 
 
 def test_flop_examples():

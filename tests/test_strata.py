@@ -54,6 +54,10 @@ def test_non_isolated_report_rejected():
     report = nodal_report(1, SingularityClass(Kind.NON_NODE, corank=4))
     with pytest.raises(NonIsolatedError):
         build_ground_state_variety(report, "pos")
+    # the rays' kinds decide, not the report's isolated flag
+    flagged = TransversalityReport(False, report.rays, True, "test", True)
+    with pytest.raises(NonIsolatedError):
+        build_ground_state_variety(flagged, "neg")
 
 
 def test_nodal_positive_sheet_n2():
