@@ -1,10 +1,13 @@
-"""Byte-for-byte regression of `cohomology` and `resolutions` stdout.
+"""Byte-for-byte regression of `cohomology`, `resolutions` and `analyze` stdout.
 
 The files under tests/golden/ were captured once from the CLI and are never
 regenerated by the tests; a difference means the output changed.  Names are
-`<data file stem>.<command>[.<mode>].<format>`.
+`<data file stem>.<command>[.<mode>].<format>`; analyze goldens carry the
+root-of-unity order as `k<order>` in place of the mode, and their exit codes
+are in `analyze.exit_codes.json`.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,12 @@ CASES = [(stem, ("cohomology", "--mode", mode, "--format", fmt),
 CASES += [(stem, ("resolutions", "--format", fmt), f"{stem}.resolutions.{fmt}")
           for stem in DATA for fmt in ("text", "json", "dot")]
 
+ANALYZE_EXIT = json.loads((GOLDEN / "analyze.exit_codes.json").read_text())
+ANALYZE = [(stem, order, fmt)
+           for stem, order in (("dwork_psi1", 5), ("dwork_psi1", 10),
+                               ("degenerate", 5), ("fermat", 5))
+           for fmt in ("json", "text")]
+
 
 @pytest.mark.parametrize("stem,argv,golden", CASES, ids=[c[2] for c in CASES])
 def test_stdout_matches_golden(capsysbinary, stem, argv, golden):
@@ -29,3 +38,13 @@ def test_stdout_matches_golden(capsysbinary, stem, argv, golden):
     out = capsysbinary.readouterr().out
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("stem,order,fmt", ANALYZE,
+                         ids=[f"{s}.analyze.k{k}.{f}" for s, k, f in ANALYZE])
+def test_analyze_matches_golden(capsysbinary, stem, order, fmt):
+    code = main(["analyze", str(ROOT / "data" / f"{stem}.poly"),
+                 "--zeta-order", str(order), "--format", fmt])
+    out = capsysbinary.readouterr().out
+    assert code == ANALYZE_EXIT[f"{stem}.analyze.k{order}"]
+    assert out == (GOLDEN / f"{stem}.analyze.k{order}.{fmt}").read_bytes()
