@@ -97,9 +97,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _require_fields(obj, names, where: str) -> None:
+    for name in names:
+        if name not in obj:
+            raise GsvInputError(f"{where} has no field {name!r}")
+
+
 def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
+    _require_fields(obj, ("transversal", "isolated", "complete"), "report")
     rays = []
-    for entry in obj.get("rays", []):
+    for i, entry in enumerate(obj.get("rays", [])):
+        _require_fields(entry, ("coords", "class"), f"report ray {i}")
         coords = tuple(parse_scalar(c, field) for c in entry["coords"])
         cls = SingularityClass(Kind(entry["class"]), entry.get("corank"))
         rays.append(SingularRay(coords, cls))
@@ -189,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="JSON candidate list for --source user")
     p.add_argument("--exhaustive", action="store_true",
                    help="treat the user candidate list as exhaustive")
-    p.add_argument("--jobs", type=int, default=DEFAULTS.jobs)
+    p.add_argument("--jobs", type=int, default=DEFAULTS.jobs,
+                   help="accepted for compatibility; the scan is serial")
     common(p)
     p.set_defaults(func=cmd_analyze)
 

@@ -25,6 +25,14 @@ from .errors import ExactnessError, GsvInputError, MalformedIncidenceError
 DEGREES = range(7)
 
 
+def _require_int(value, name: str) -> int:
+    """`value` itself when it is an int; bools and floats such as 2.5 or 2.0
+    are rejected rather than truncated."""
+    if type(value) is not int:
+        raise GsvInputError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """Dimensions of H^0..H^6, with an optional (p,q) refinement."""
@@ -33,14 +41,17 @@ class GradedSpace:
     hodge: Optional[Mapping[Tuple[int, int], int]] = None
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = tuple(self.dims)
+        for q, d in enumerate(dims):
+            _require_int(d, f"graded dimension in degree {q}")
         if len(dims) != 7:
             raise GsvInputError("expected exactly 7 graded dimensions (degrees 0..6)")
         if any(d < 0 for d in dims):
             raise GsvInputError("graded dimensions must be non-negative")
         object.__setattr__(self, "dims", dims)
         if self.hodge is not None:
-            hodge = {(int(p), int(q)): int(v) for (p, q), v in dict(self.hodge).items()}
+            hodge = {(int(p), int(q)): _require_int(v, f"Hodge number ({p},{q})")
+                     for (p, q), v in dict(self.hodge).items()}
             if any(v < 0 for v in hodge.values()):
                 raise GsvInputError("Hodge numbers must be non-negative")
             for p, q in hodge:
@@ -88,7 +99,7 @@ class ConifoldData:
     classes: Tuple[Tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = self.n
+        n = _require_int(self.n, "node count n")
         if n < 0:
             raise MalformedIncidenceError("negative node count")
         try:
@@ -134,9 +145,10 @@ class ConifoldData:
             hodge = {}
             for key, v in obj["base_hodge"].items():
                 p, q = key.split(",")
-                hodge[(int(p), int(q))] = int(v)
-        base = GradedSpace(tuple(obj["base_dims"]), hodge)
-        return cls(base, int(obj["n"]), obj.get("classes", []))
+                hodge[(int(p), int(q))] = v
+        dims = tuple(_require_int(d, f"base_dims[{q}]")
+                     for q, d in enumerate(obj["base_dims"]))
+        return cls(GradedSpace(dims, hodge), obj["n"], obj.get("classes", []))
 
 
 def mayer_vietoris(piece_a: GradedSpace, piece_b: GradedSpace,

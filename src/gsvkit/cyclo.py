@@ -36,6 +36,31 @@ def cyclotomic_polynomial(k: int) -> tuple[Fraction, ...]:
     return tuple(poly)
 
 
+def _is_prime(n: int) -> bool:
+    return n > 1 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+@lru_cache(maxsize=None)
+def residue_prime(k: int) -> tuple[int, int]:
+    """A prime p = 1 (mod k) above 2^24 and an element omega of order k in F_p.
+
+    omega is a root of the k-th cyclotomic polynomial mod p, so zeta -> omega
+    is a ring map from the elements of Q(zeta_k) whose denominators are prime
+    to p onto F_p.  A larger p would make accidental zeros mod p rarer, but
+    every use falls back to exact arithmetic on them, and trial division
+    stays cheap at this size.
+    """
+    p = (2 ** 24 // k + 1) * k + 1
+    while not _is_prime(p):
+        p += k
+    prime_factors = [q for q in range(2, k + 1) if k % q == 0 and _is_prime(q)]
+    for g in range(2, p):
+        omega = pow(g, (p - 1) // k, p)
+        if all(pow(omega, k // q, p) != 1 for q in prime_factors):
+            return p, omega
+    raise ArithmeticError(f"no element of order {k} mod {p}")
+
+
 class CyclotomicField:
     """Q(zeta_k), with elements reduced to coordinate vectors of length phi(k)."""
 
@@ -56,6 +81,8 @@ class CyclotomicField:
             shifted = (Fraction(0),) + cur[:-1]
             cur = tuple(s + cur[-1] * h for s, h in zip(shifted, head))
         self._reduction = tuple(rows)
+        # Phi_k is monic with integer coefficients, so the table is integral
+        self._int_reduction = tuple(tuple(int(c) for c in row) for row in rows)
         self._zero = Cyclo(self, (Fraction(0),) * self.degree)
         one = [Fraction(0)] * self.degree
         one[0] = Fraction(1)
@@ -179,14 +206,22 @@ class Cyclo:
         a, b = self.coeffs, other.coeffs
         if d == 1:
             return Cyclo(self.field, (a[0] * b[0],))
-        prod = [Fraction(0)] * (2 * d - 1)
+        integral = all(x.denominator == 1 for x in a) and all(x.denominator == 1 for x in b)
+        if integral:
+            # the same product in int arithmetic, which skips Fraction's gcds
+            a = [x.numerator for x in a]
+            b = [x.numerator for x in b]
+            reduction = self.field._int_reduction
+            prod = [0] * (2 * d - 1)
+        else:
+            reduction = self.field._reduction
+            prod = [Fraction(0)] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         prod[i + j] += ai * bj
         out = prod[:d]
-        reduction = self.field._reduction
         for i in range(d, 2 * d - 1):
             c = prod[i]
             if c:
@@ -194,7 +229,7 @@ class Cyclo:
                 for j in range(d):
                     if row[j]:
                         out[j] += c * row[j]
-        return Cyclo(self.field, tuple(out))
+        return Cyclo(self.field, tuple(map(Fraction, out)) if integral else tuple(out))
 
     __rmul__ = __mul__
 
@@ -257,6 +292,18 @@ class Cyclo:
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def residue(self, p: int, omega: int) -> int | None:
+        """Image in F_p under zeta -> omega (see `residue_prime`); None when
+        a coordinate's denominator is divisible by p."""
+        total = 0
+        for c in reversed(self.coeffs):
+            den = c.denominator
+            if den % p == 0:
+                return None
+            term = c.numerator if den == 1 else c.numerator * pow(den, -1, p)
+            total = (total * omega + term) % p
+        return total
 
     def as_rational(self) -> Fraction:
         if any(self.coeffs[1:]):

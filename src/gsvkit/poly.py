@@ -29,6 +29,7 @@ class Polynomial:
     field: CyclotomicField
     variables: Tuple[str, ...]
     terms: Dict[Exponent, Cyclo] = dc_field(default_factory=dict)
+    _derivatives: Dict[str, tuple] = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         clean: Dict[Exponent, Cyclo] = {}
@@ -145,12 +146,21 @@ class Polynomial:
         return Polynomial(self.field, self.variables, out)
 
     def gradient(self) -> Tuple["Polynomial", ...]:
-        return tuple(self.partial(i) for i in range(len(self.variables)))
+        """First partials, computed once per polynomial."""
+        got = self._derivatives.get("gradient")
+        if got is None:
+            got = tuple(self.partial(i) for i in range(len(self.variables)))
+            self._derivatives["gradient"] = got
+        return got
 
     def hessian(self) -> Tuple[Tuple["Polynomial", ...], ...]:
-        grads = self.gradient()
-        return tuple(tuple(g.partial(j) for j in range(len(self.variables)))
-                     for g in grads)
+        """Second partials, computed once per polynomial."""
+        got = self._derivatives.get("hessian")
+        if got is None:
+            got = tuple(tuple(g.partial(j) for j in range(len(self.variables)))
+                        for g in self.gradient())
+            self._derivatives["hessian"] = got
+        return got
 
     # -- evaluation ------------------------------------------------------------
 
@@ -184,6 +194,21 @@ class Polynomial:
             if not dead:
                 total = total + term
         return total
+
+    def evaluate_residue(self, point: Sequence[int], p: int, omega: int) -> int | None:
+        """Image of `evaluate` in F_p under zeta -> omega (see
+        `cyclo.residue_prime`), given the images of the coordinates; None when
+        a coefficient's denominator is divisible by p."""
+        total = 0
+        for exp, coeff in self.terms.items():
+            term = coeff.residue(p, omega)
+            if term is None:
+                return None
+            for x, e in zip(point, exp):
+                if e:
+                    term = term * pow(x, e, p) % p
+            total += term
+        return total % p
 
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
         """Floating shadow of `evaluate`, for numeric search and sanity checks."""

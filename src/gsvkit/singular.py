@@ -10,20 +10,29 @@ the second partials of the dehomogenized polynomial form a 4x4 matrix; the
 point is a node exactly when that matrix has full rank.  A full-rank
 quadratic cone is an isolated singular direction, so "every ray is a node"
 doubles as the isolation certificate.
+
+Both stages avoid Cyclo arithmetic where it is not needed.  On the
+root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so the scan
+bins each gradient component's integer coefficients by that exponent mod k
+and tests the binned vector against a fixed integer table of zeta^t.  A
+chart Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order
+k) certifies a node; a lower rank mod p, or a denominator divisible by p,
+falls back to the exact rank.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .cyclo import Cyclo, CyclotomicField
+from .cyclo import Cyclo, CyclotomicField, residue_prime
 from .errors import GsvError, GsvInputError
-from .linalg import matrix_rank
+from .linalg import matrix_rank, rank_mod_p
 from .poly import Polynomial
 
 
@@ -173,9 +182,79 @@ def _vanishes(gradients: Sequence[Polynomial], point: Sequence[Cyclo]) -> bool:
     return all(g.evaluate(point).is_zero() for g in gradients)
 
 
-def _scan_chunk(args):
-    gradients, chunk = args
-    return [pt for pt in chunk if _vanishes(gradients, pt)]
+_ZERO, _OFF_GRID = -1, -2
+
+
+class _GridScan:
+    """Exact test of dG = 0 at candidate points, in integers on the grid.
+
+    At a point whose coordinates are 0 or zeta^a, a monomial c*x^m that
+    avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each gradient
+    component, with denominators cleared, thus becomes an integer vector of
+    length k binned by exponent mod k; it vanishes iff the vector's image in
+    the power basis, through the integer table of zeta^t, is zero.  Any
+    other point is evaluated exactly with Cyclo arithmetic.
+    """
+
+    def __init__(self, g: Polynomial):
+        field = g.field
+        self.gradients = g.gradient()
+        self.k = field.order
+        units = [field.zeta_power(a) for a in range(self.k)]
+        self._phase_of = {u.coeffs: a for a, u in enumerate(units)}
+        # Phi_k is monic with integer coefficients, so zeta^t is integral
+        self._columns = [[int(u.coeffs[j]) for u in units] for j in range(field.degree)]
+        self._components = []
+        for comp in self.gradients:
+            scale = lcm(*(c.denominator for coeff in comp.terms.values()
+                          for c in coeff.coeffs))
+            self._components.append(
+                [(exp, tuple((j, int(c * scale)) for j, c in enumerate(coeff.coeffs) if c))
+                 for exp, coeff in comp.terms.items()])
+        self._patterns: dict = {}
+        # phase per coordinate object, by id; `_held` keeps those ids unique
+        self._memo: dict = {}
+        self._held: list = []
+
+    def _phase(self, c: Cyclo) -> int:
+        a = _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
+        self._memo[id(c)] = a
+        self._held.append(c)
+        return a
+
+    def _pattern(self, nonzero: Tuple[bool, ...]):
+        """Per gradient component, the monomials that survive on this zero
+        pattern; components with none vanish identically and are dropped."""
+        live = []
+        for terms in self._components:
+            kept = [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
+            if kept:
+                live.append(kept)
+        self._patterns[nonzero] = live
+        return live
+
+    def vanishes(self, point: Sequence[Cyclo]) -> bool:
+        phases = list(map(self._memo.get, map(id, point)))
+        if None in phases:
+            phases = [self._phase(c) if a is None else a for c, a in zip(point, phases)]
+        if _OFF_GRID in phases or len(phases) != len(self.gradients):
+            return _vanishes(self.gradients, point)  # also rejects a wrong length
+        nonzero = tuple(map(_ZERO.__ne__, phases))
+        pattern = self._patterns.get(nonzero)
+        if pattern is None:
+            pattern = self._pattern(nonzero)
+        k, columns = self.k, self._columns
+        for terms in pattern:
+            bins = [0] * k
+            for exp, coeffs in terms:
+                # zero coordinates carry phase -1 but exponent 0 here
+                e = sum(map(mul, phases, exp))
+                for j, c in coeffs:
+                    bins[(e + j) % k] += c
+            for col in columns:
+                if sum(map(mul, bins, col)):
+                    return False
+        return True
 
 
 def _require_quintic(g: Polynomial):
@@ -186,7 +265,11 @@ def _require_quintic(g: Polynomial):
 
 
 def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
-    """Node iff the chart Hessian has rank 4; otherwise NonNode with corank."""
+    """Node iff the chart Hessian has rank 4; otherwise NonNode with corank.
+
+    Rank 4 over F_p certifies rank 4 over Q(zeta), because reduction mod p
+    cannot raise a rank; otherwise the exact rank decides.
+    """
     pt = [g.field.element(c) for c in point]
     if all(c.is_zero() for c in pt):
         raise GsvInputError("cannot classify the origin")
@@ -194,13 +277,15 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
     if not _vanishes(g.gradient(), pt):
         raise GsvInputError("point is not a singular ray (gradient does not vanish)")
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
+    others = [i for i in range(5) if i != chart]
     hess = g.hessian()
-    rows = []
-    for i in range(5):
-        if i == chart:
-            continue
-        rows.append([hess[i][j].evaluate(pt) for j in range(5) if j != chart])
-    rank = matrix_rank(rows)
+    p, omega = residue_prime(g.field.order)
+    xs = [c.residue(p, omega) for c in pt]
+    if None not in xs:
+        rows = [[hess[i][j].evaluate_residue(xs, p, omega) for j in others] for i in others]
+        if all(None not in r for r in rows) and rank_mod_p(rows, p) == 4:
+            return NODE
+    rank = matrix_rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
     if rank == 4:
         return NODE
     return SingularityClass(Kind.NON_NODE, corank=4 - rank)
@@ -208,23 +293,10 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
 
 def _exact_search(g: Polynomial, candidates: Iterable[Tuple[Cyclo, ...]],
                   jobs: int = 1) -> list[Tuple[Cyclo, ...]]:
-    gradients = g.gradient()
-    if jobs > 1:
-        chunks = []
-        chunk: list = []
-        for pt in candidates:
-            chunk.append(pt)
-            if len(chunk) >= 128:
-                chunks.append(chunk)
-                chunk = []
-        if chunk:
-            chunks.append(chunk)
-        survivors: list = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for found in pool.map(_scan_chunk, [(gradients, c) for c in chunks]):
-                survivors.extend(found)
-        return survivors
-    return [pt for pt in candidates if _vanishes(gradients, pt)]
+    """The candidates where dG vanishes exactly.  `jobs` is accepted for
+    compatibility and has no effect: the scan is serial."""
+    scan = _GridScan(g)
+    return [pt for pt in candidates if scan.vanishes(pt)]
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:

@@ -1,6 +1,10 @@
 """Command line behavior: exit codes, formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -141,6 +145,43 @@ def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     assert "GsvInputError" in err and "disagrees" in err
 
 
+@pytest.mark.parametrize("missing", ["transversal", "isolated", "complete"])
+def test_stratify_report_missing_field_exits_1(capsys, tmp_path, missing):
+    report = {"transversal": False, "rays": [NON_NODE_RAY], "isolated": False,
+              "complete": True}
+    del report[missing]
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError" in err and f"no field '{missing}'" in err
+
+
+def test_stratify_report_ray_missing_class_exits_1(capsys, tmp_path):
+    ray = {"coords": NON_NODE_RAY["coords"]}
+    report = {"transversal": False, "rays": [ray], "isolated": False, "complete": True}
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 1
+    assert "report ray 0 has no field 'class'" in err
+
+
+def test_analyze_ansatz_does_not_import_numpy(tmp_path):
+    # a fresh interpreter: other tests in this process may have loaded numpy
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = ("import sys\n"
+              "from gsvkit.cli import main\n"
+              f"code = main(['analyze', {DWORK!r}, '--output', {str(tmp_path / 'r.txt')!r}])\n"
+              "assert code == 0, code\n"
+              "assert 'numpy' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cohomology_command(capsys, conifold_file):
     code, out, _ = run(capsys, "cohomology", conifold_file)
     assert code == 0
@@ -169,6 +210,22 @@ def test_cohomology_malformed_data_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", str(path))
     assert code == 1
     assert "MalformedIncidence" in err
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("n", 2.5, "n must be an integer, got 2.5"),
+    ("n", True, "n must be an integer, got True"),
+    ("base_dims", [1, 0, 1.0, 0, 1, 0, 1], "base_dims[2] must be an integer, got 1.0"),
+], ids=["n-float", "n-bool", "base-dims-float"])
+def test_cohomology_rejects_non_integer_counts(capsys, tmp_path, field, value, message):
+    obj = {"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 2, "classes": [[1, 2]]}
+    obj[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "cohomology", str(path))
+    assert code == 1
+    assert out == ""
+    assert message in err
 
 
 def test_resolutions_command(capsys, conifold_file, tmp_path):

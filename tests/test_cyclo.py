@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from gsvkit.cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial
+from gsvkit.cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial, residue_prime
 
 
 def frac(num, den=1):
@@ -131,3 +131,36 @@ def test_inverse_roundtrip(a):
 def test_complex_embedding_is_a_homomorphism(a, b):
     assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-6
     assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
+
+
+def integral_elements(order=5):
+    K = CyclotomicField(order)
+    return st.lists(st.integers(-10, 10), min_size=K.degree, max_size=K.degree).map(K.element)
+
+
+@given(integral_elements(), integral_elements())
+def test_integral_product_matches_rational_product(a, b):
+    # a*b takes the int path; the halved/doubled operands take the Fraction path
+    assert a * b == (a * frac(1, 2)) * (b * 2)
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_residue_prime(k):
+    p, omega = residue_prime(k)
+    assert p > 2 ** 24 and (p - 1) % k == 0
+    assert all(p % q for q in range(2, math.isqrt(p) + 1))  # trial division
+    powers = [pow(omega, j, p) for j in range(1, k + 1)]
+    assert powers[-1] == 1 and 1 not in powers[:-1]  # omega has order exactly k
+
+
+@pytest.mark.parametrize("k", (1, 2, 3, 4, 5, 6, 8, 10, 12))
+@given(data=st.data())
+def test_residue_is_a_ring_map(k, data):
+    a = data.draw(elements(k))
+    b = data.draw(st.one_of(elements(k), integral_elements(k)))
+    p, omega = residue_prime(k)
+    ra, rb = a.residue(p, omega), b.residue(p, omega)
+    assert (a * b).residue(p, omega) == ra * rb % p
+    assert (a + b).residue(p, omega) == (ra + rb) % p
+    assert a.field.zeta().residue(p, omega) == omega % p
+    assert CyclotomicField(k).element(frac(1, p)).residue(p, omega) is None

@@ -1,11 +1,16 @@
 """Singular ray search and node classification."""
 
-import pytest
+from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
-from gsvkit.cyclo import CyclotomicField
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gsvkit import singular
+from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvInputError
-from gsvkit.linalg import matrix_rank
-from gsvkit.poly import parse_polynomial
+from gsvkit.linalg import matrix_rank, rank_mod_p
+from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (AnsatzRoots, FloatHomotopy, Kind, UserList,
                              ansatz_candidates, classify_singularity,
                              find_singular_rays, normalize_ray, verify_transversal)
@@ -181,3 +186,162 @@ def test_float_homotopy_on_dwork():
     assert all(r.classification.kind is Kind.NODE for r in certified)
     exact = {r.coords_text() for r in find_singular_rays(DWORK, AnsatzRoots())}
     assert {r.coords_text() for r in certified} <= exact
+
+
+# -- exponent-bin scan against the exact evaluator ---------------------------------
+
+QUINTIC_EXPONENTS = sorted(
+    tuple(combo.count(i) for i in range(5))
+    for combo in combinations_with_replacement(range(5), 5))
+
+
+@st.composite
+def sparse_quintics(draw):
+    """A few random terms, optionally on top of a Dwork-like quintic so that
+    phase cancellations (and hence grid survivors) actually occur."""
+    k = draw(st.sampled_from((1, 2, 3, 4, 5, 6, 8, 10)))
+    field = CyclotomicField(k)
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    phase = st.integers(0, k - 1)
+    terms = {}
+    dwork = draw(st.booleans())
+    if dwork:
+        for i in range(5):
+            terms[tuple(5 if j == i else 0 for j in range(5))] = field.one
+        terms[(1,) * 5] = field.zeta_power(draw(phase)) * -5
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)) if dwork else st.integers(1, 3))):
+        exp = draw(st.sampled_from(QUINTIC_EXPONENTS))
+        coeff = field.element(draw(rational))
+        if draw(st.booleans()):
+            coeff = coeff * field.zeta_power(draw(phase))
+        terms[exp] = coeff
+    g = Polynomial(field, FERMAT.variables, terms)
+    if g.is_zero():
+        g = Polynomial(field, g.variables, {(5, 0, 0, 0, 0): field.one})
+    return g
+
+
+def grid(field, phases):
+    """The normalized ansatz grid with nonzero coordinates in zeta^phases."""
+    choices = [field.zero] + [field.zeta_power(a) for a in phases]
+    for lead in range(5):
+        for tail in product(choices, repeat=4 - lead):
+            yield (field.zero,) * lead + (field.one,) + tail
+
+
+def test_grid_helper_is_the_ansatz_grid():
+    assert list(grid(K5, range(5))) == list(ansatz_candidates(K5))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_quintics(), st.data())
+def test_grid_scan_matches_exact_evaluation(g, data):
+    # the whole grid up to k = 5; above that the exact oracle is too slow for
+    # 16,105 points, so the nonzero phases are 0 and two drawn others
+    k = g.field.order
+    phases = range(k)
+    if k > 5:
+        phases = [0] + data.draw(st.lists(st.integers(1, k - 1), min_size=2,
+                                          max_size=2, unique=True))
+    candidates = list(grid(g.field, phases))
+    kept = singular._exact_search(g, candidates)
+    oracle = [pt for pt in candidates
+              if all(d.evaluate(pt).is_zero() for d in g.gradient())]
+    assert kept == oracle
+
+
+def test_grid_scan_falls_back_off_the_grid():
+    # 2 and 1/2 are not roots of unity, so these take the Cyclo evaluator
+    off = (K5.element(2),) * 5
+    half = (K5.one, K5.element(Fraction(1, 2)), K5.zero, K5.zero, K5.zero)
+    on = (K5.one,) * 5
+    assert singular._exact_search(DWORK, [off, half, on]) == [off, on]
+
+
+def offgrid_sixteen_nodes() -> Polynomial:
+    """G = s0*B(s2) - s1*B(s3) + s0^5 + s1^5 with B(x) = prod_{c=1..4} (x - c*s4):
+    16 nodes at (0, 0, a, b, 1), a, b in 1..4."""
+    var = {name: Polynomial.variable(K5, name) for name in FERMAT.variables}
+
+    def b(x):
+        out = Polynomial.constant(K5, 1)
+        for c in (1, 2, 3, 4):
+            out = out * (var[x] - var["s4"] * c)
+        return out
+
+    return var["s0"] * b("s2") - var["s1"] * b("s3") + var["s0"] ** 5 + var["s1"] ** 5
+
+
+def test_offgrid_quintic_ansatz_finds_one_ray():
+    # the ansatz grid reaches only a = b = 1; pinned here until the count is
+    # certified, not a claim that one ray is the answer
+    report = verify_transversal(offgrid_sixteen_nodes(), AnsatzRoots())
+    assert [r.coords_text() for r in report.rays] == [("0", "0", "1", "1", "1")]
+    assert report.rays[0].classification.kind is Kind.NODE
+
+
+# -- mod-p node certificate and its exact fallback ----------------------------------
+
+
+@given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=1, max_size=5))
+def test_rank_mod_p_matches_exact_rank(rows):
+    # every minor is at most 4! * 5^4 in size, far below p, so no rank drops
+    p, _ = residue_prime(5)
+    assert rank_mod_p(rows, p) == matrix_rank([[Fraction(x) for x in r] for r in rows])
+
+
+def counting_rank(monkeypatch):
+    calls = []
+    real = singular.matrix_rank
+
+    def rank(rows):
+        calls.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(singular, "matrix_rank", rank)
+    return calls
+
+
+def chart_hessian(g, pt):
+    chart = next(i for i, c in enumerate(pt) if not c.is_zero())
+    idx = [i for i in range(5) if i != chart]
+    hess = g.hessian()
+    return [[hess[i][j].evaluate(pt) for j in idx] for i in idx]
+
+
+def test_nodes_are_certified_mod_p(monkeypatch):
+    calls = counting_rank(monkeypatch)
+    assert classify_singularity(ONE_NODE, [K5.zero] * 4 + [K5.one]).kind is Kind.NODE
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", [
+    "s0^3*s1^2+s1^5+s2^5+s3^5+s4^5",
+    "s0^5+s1^5+s2^5+s3^5",
+    "s4^3*s0^2+s4^3*s1^2+s0^5+s1^5+s2^5+s3^5",
+    "s4^3*s0^2+s4^3*s1^2+s4^3*s2^2+s4^2*s3^3+s0^5+s1^5+s2^5+s3^5",  # corank 1
+])
+def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
+    g = parse_polynomial(text, K5)
+    rays = find_singular_rays(g, AnsatzRoots())
+    assert rays
+    calls = counting_rank(monkeypatch)
+    for ray in rays:
+        pt = ray.representative
+        cls = classify_singularity(g, pt)
+        assert cls == ray.classification
+        assert cls.kind is Kind.NON_NODE
+        assert cls.corank == 4 - matrix_rank(chart_hessian(g, pt))
+    assert len(calls) == len(rays)
+
+
+def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
+    p, _ = residue_prime(5)
+    text = "s4^3*s0^2+s4^3*s1^2+s4^3*s2^2+s4^3*s3^2+s0^5+s1^5+s2^5+s3^5"
+    g = parse_polynomial(f"1/{p}*" + text, K5)
+    ray = [K5.zero] * 4 + [K5.one]
+    calls = counting_rank(monkeypatch)
+    assert classify_singularity(g, ray) == classify_singularity(ONE_NODE, ray)
+    assert len(calls) == 1
+    rays = find_singular_rays(g, AnsatzRoots())
+    assert rays == find_singular_rays(ONE_NODE, AnsatzRoots())
