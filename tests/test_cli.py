@@ -145,27 +145,17 @@ def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     assert "GsvInputError" in err and "disagrees" in err
 
 
-@pytest.mark.parametrize("missing", ["transversal", "isolated", "complete"])
+@pytest.mark.parametrize("missing", ["transversal", "isolated", "complete", "class"])
 def test_stratify_report_missing_field_exits_1(capsys, tmp_path, missing):
-    report = {"transversal": False, "rays": [NON_NODE_RAY], "isolated": False,
-              "complete": True}
-    del report[missing]
+    ray = dict(NON_NODE_RAY)
+    report = {"transversal": False, "rays": [ray], "isolated": False, "complete": True}
+    del (ray if missing == "class" else report)[missing]
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
     code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
     assert code == 1
     assert out == ""
     assert "GsvInputError" in err and f"no field '{missing}'" in err
-
-
-def test_stratify_report_ray_missing_class_exits_1(capsys, tmp_path):
-    ray = {"coords": NON_NODE_RAY["coords"]}
-    report = {"transversal": False, "rays": [ray], "isolated": False, "complete": True}
-    report_path = tmp_path / "report.json"
-    report_path.write_text(json.dumps(report))
-    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
-    assert code == 1
-    assert "report ray 0 has no field 'class'" in err
 
 
 def test_analyze_ansatz_does_not_import_numpy(tmp_path):
