@@ -22,7 +22,8 @@ CASES = [(stem, ("cohomology", "--mode", mode, "--format", fmt),
           f"{stem}.cohomology.{mode}.{fmt}")
          for stem in DATA for mode in ("raw", "refined") for fmt in ("text", "json")]
 CASES += [(stem, ("resolutions", "--format", fmt), f"{stem}.resolutions.{fmt}")
-          for stem in DATA for fmt in ("text", "json", "dot")]
+          for stem in DATA + ("conifold_n9_N6", "conifold_n0")
+          for fmt in ("text", "json", "dot")]
 
 ANALYZE_EXIT = json.loads((GOLDEN / "analyze.exit_codes.json").read_text())
 ANALYZE = [(stem, order, fmt)
