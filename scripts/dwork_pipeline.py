@@ -81,7 +81,7 @@ def main():
         print(f"  {edge.source} --{edge.label}-- {edge.target}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(graph.to_dot())
+            graph.write_dot(handle)
         print(f"wrote {args.dot}")
 
     banner("summary JSON (analysis report)")

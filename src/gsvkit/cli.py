@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .cohomology import ConifoldData, cohomology_report, cohomology_report_text
 from .cyclo import CyclotomicField
 from .errors import GsvError, GsvInputError, IncompleteResultError
 from .poly import parse_polynomial, parse_scalar
-from .resolutions import build_transition_graph, enumerate_small_resolutions, naive_resolution_count
+from .resolutions import build_transition_graph, naive_resolution_count
 from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularityClass, SingularRay,
                        TransversalityReport, UserList, verify_transversal)
 from .strata import build_ground_state_variety, strata_report
@@ -48,12 +49,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _open_output(args):
+    """The --output file opened for writing, or stdout left open."""
+    if getattr(args, "output", None):
+        return open(args.output, "w", encoding="utf-8")
+    return nullcontext(sys.stdout)
+
+
 def _emit(args, text: str, json_obj) -> None:
     payload = _json_text(json_obj) if args.format == "json" else text + "\n"
-    if getattr(args, "output", None):
-        Path(args.output).write_text(payload, encoding="utf-8")
-    else:
-        sys.stdout.write(payload)
+    with _open_output(args) as fh:
+        fh.write(payload)
 
 
 def _read_polynomial_argument(arg: str) -> str:
@@ -76,6 +82,15 @@ def _build_source(args, field: CyclotomicField):
         if not args.candidates:
             raise GsvInputError("--source user requires --candidates FILE")
         rows = json.loads(Path(args.candidates).read_text(encoding="utf-8"))
+        if not isinstance(rows, list):
+            raise GsvInputError("--candidates file must hold a JSON list of rows")
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise GsvInputError(f"--candidates row {i} is not a list of strings")
+            for j, entry in enumerate(row):
+                if not isinstance(entry, str):
+                    raise GsvInputError(f"--candidates row {i} entry {j} is "
+                                        f"{json.dumps(entry)}, not a string")
         points = tuple(tuple(parse_scalar(c, field) for c in row) for row in rows)
         return UserList(points, exhaustive=args.exhaustive)
     raise GsvInputError(f"unknown candidate source {args.source!r}")
@@ -153,26 +168,23 @@ def cmd_cohomology(args) -> int:
 
 def cmd_resolutions(args) -> int:
     data = _load_conifold(args.data)
-    graph = build_transition_graph(data)
+    graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
     if args.dot:
-        Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
-    if args.format == "dot":
-        if getattr(args, "output", None):
-            Path(args.output).write_text(graph.to_dot(), encoding="utf-8")
-        else:
-            sys.stdout.write(graph.to_dot())
+        with open(args.dot, "w", encoding="utf-8") as fh:
+            graph.write_dot(fh)
+    if args.format != "text":
+        with _open_output(args) as fh:
+            (graph.write_dot if args.format == "dot" else graph.write_json)(fh)
         return 0
-    choices = enumerate_small_resolutions(data)
+    counts = graph.edge_counts()
     text_lines = [
         f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
-        f"compatible small resolutions: {len(choices)}",
+        f"compatible small resolutions: {2 ** data.n_classes}",
         f"naive per-node count: {naive_resolution_count(data)}",
         f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
     ]
-    labels = [e.label for e in graph.edges]
-    for kind in ("defo", "exoflop", "flop"):
-        text_lines.append(f"  {kind} edges: {labels.count(kind)}")
-    _emit(args, "\n".join(text_lines), graph.to_json_dict())
+    text_lines += [f"  {kind} edges: {count}" for kind, count in counts.items()]
+    _emit(args, "\n".join(text_lines), None)
     return 0
 
 

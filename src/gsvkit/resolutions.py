@@ -9,7 +9,11 @@ pair is flagged in the graph metadata.
 
 from __future__ import annotations
 
+import io
+import json
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import islice, product, starmap
 from typing import Dict, List, Optional, Tuple
 
 from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
@@ -36,12 +40,16 @@ class ResolutionChoice:
         return f"M_nat_{index}"
 
 
-def enumerate_small_resolutions(data: ConifoldData) -> List[ResolutionChoice]:
-    """All 2^N compatible resolutions, in binary order."""
-    n_classes = data.n_classes
+def _check_class_bound(n_classes: int) -> None:
     if n_classes > MAX_CLASSES:
         raise ResourceLimitError(
             f"2^{n_classes} resolutions exceed the enumeration bound 2^{MAX_CLASSES}")
+
+
+def enumerate_small_resolutions(data: ConifoldData) -> List[ResolutionChoice]:
+    """All 2^N compatible resolutions, in binary order."""
+    n_classes = data.n_classes
+    _check_class_bound(n_classes)
     out = []
     for code in range(2 ** n_classes):
         bits = tuple((code >> (n_classes - 1 - i)) & 1 for i in range(n_classes))
@@ -98,11 +106,137 @@ class Edge:
         return out
 
 
+class _Rows(Sequence):
+    """A read-only view of one slice of a graph's rows, built as it is read."""
+
+    def __init__(self, length, rows, make):
+        self._length, self._rows, self._make = length, rows, make
+
+    def __len__(self):
+        return self._length
+
+    def __iter__(self):
+        return starmap(self._make, self._rows())
+
+    def __getitem__(self, index: int):
+        if index < 0:
+            index += self._length
+        if not 0 <= index < self._length:
+            raise IndexError("graph row index out of range")
+        return next(islice(self, index, None))
+
+    def __eq__(self, other):
+        return (isinstance(other, Sequence) and len(other) == self._length
+                and all(a == b for a, b in zip(self, other)))
+
+
+# Every string in a row is a constant of this module or M_nat_<int>, so none
+# needs JSON or DOT escaping and rows are written between plain quotes.
+_SHAPES = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
+
+
+def _json_ints(values) -> str:
+    """An int list as json.dumps(indent=2) nests it inside a list entry."""
+    if not values:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
+
+
+# The row encoders list fields in sorted key order, as json.dumps(sort_keys=True)
+# writes them.
+def _json_vertex(name, kind, orientation, h2, dims) -> str:
+    fields = []
+    if dims is not None:
+        fields.append(f'"dims": {_json_ints(dims)}')
+    if h2 is not None:
+        fields.append(f'"h2": {h2}')
+    fields += (f'"kind": "{kind}"', f'"name": "{name}"')
+    if orientation is not None:
+        fields.append(f'"orientation": {_json_ints(orientation)}')
+    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
+
+
+def _json_edge(source, target, label, note) -> str:
+    note = f'      "note": "{note}",\n' if note else ""
+    return (f'    {{\n      "label": "{label}",\n{note}'
+            f'      "source": "{source}",\n      "target": "{target}"\n    }}')
+
+
+def _write_json_list(fh, key: str, entries) -> None:
+    fh.write(f'  "{key}": [')
+    sep = "\n"
+    for entry in entries:
+        fh.write(sep)
+        fh.write(entry)
+        sep = ",\n"
+    fh.write("]" if sep == "\n" else "\n  ]")
+
+
 @dataclass(frozen=True)
 class TransitionGraph:
-    vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]
-    metadata: Tuple[Tuple[str, str], ...] = ()
+    """The star plus hypercube graph, held as its closed-form parameters.
+
+    Vertex rows come first, in output order: the smoothing, the union, then
+    resolution ``M_nat_{i+1}`` for each orientation code i in binary order.
+    Edge rows follow: the defo edge, one exoflop edge per resolution, and
+    for each code i and class k (1-based) with bit N-k of i clear, the flop
+    to ``i | 1 << (N-k)``.  With ``n == 0`` the graph is the single vertex
+    ``M_flat=V_bar``.  Rows are generated when read, so memory stays flat
+    in N.
+    """
+
+    n_classes: int
+    n: int
+    h2: Optional[int] = None
+    closure_dims: Optional[Tuple[int, ...]] = None
+    smooth_dims: Optional[Tuple[int, ...]] = None
+
+    def _rows(self):
+        """Vertex rows (name, kind, orientation, h2, dims), then edge rows
+        (source, target, label, note)."""
+        if self.n == 0:
+            yield ("M_flat=V_bar", "deformation", None, None, self.smooth_dims)
+            return
+        big_n = self.n_classes
+        yield ("M_flat", "deformation", None, None, self.smooth_dims)
+        yield ("V_bar", "stratified_union", None, self.closure_dims[2], self.closure_dims)
+        for i, bits in enumerate(product((0, 1), repeat=big_n), 1):
+            yield (f"M_nat_{i}", "resolution", bits, self.h2, None)
+        yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
+        for i in range(1, 2 ** big_n + 1):
+            yield ("V_bar", f"M_nat_{i}", "exoflop", None)
+        flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
+        for code in range(2 ** big_n):
+            source = f"M_nat_{code + 1}"
+            for bit in flips:
+                if not code & bit:
+                    yield (source, f"M_nat_{(code | bit) + 1}", "flop", FLOP_NOTE)
+
+    def edge_counts(self) -> Dict[str, int]:
+        """Edges per label, from the closed forms."""
+        if self.n == 0:
+            return {"defo": 0, "exoflop": 0, "flop": 0}
+        big_n = self.n_classes
+        return {"defo": 1, "exoflop": 2 ** big_n, "flop": (big_n << big_n) >> 1}
+
+    @property
+    def vertices(self) -> Sequence:
+        count = 1 if self.n == 0 else 2 + 2 ** self.n_classes
+        return _Rows(count, lambda: islice(self._rows(), count), Vertex)
+
+    @property
+    def edges(self) -> Sequence:
+        skip = len(self.vertices)
+        return _Rows(sum(self.edge_counts().values()),
+                     lambda: islice(self._rows(), skip, None), Edge)
+
+    @property
+    def metadata(self) -> Tuple[Tuple[str, str], ...]:
+        if self.n == 0:
+            return (("note", "transversal case: nothing to resolve"),)
+        return (("flop_connectivity", FLOP_NOTE),
+                ("compatible_resolutions", str(2 ** self.n_classes)),
+                ("naive_per_node_resolutions", str(2 ** self.n)))
 
     def vertex_names(self) -> Tuple[str, ...]:
         return tuple(v.name for v in self.vertices)
@@ -114,16 +248,33 @@ class TransitionGraph:
             "metadata": dict(self.metadata),
         }
 
+    def write_json(self, fh) -> None:
+        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
+        and a newline to a text file, one row at a time."""
+        n_vertices = len(self.vertices)
+        fh.write("{\n")
+        _write_json_list(fh, "edges",
+                         starmap(_json_edge, islice(self._rows(), n_vertices, None)))
+        metadata = json.dumps(dict(self.metadata), indent=2, sort_keys=True)
+        fh.write(',\n  "metadata": ' + metadata.replace("\n", "\n  ") + ",\n")
+        _write_json_list(fh, "vertices",
+                         starmap(_json_vertex, islice(self._rows(), n_vertices)))
+        fh.write("\n}\n")
+
+    def write_dot(self, fh) -> None:
+        """Write the graph in DOT format to a text file, one row at a time."""
+        rows = self._rows()
+        fh.write("graph transitions {\n")
+        for name, kind, *_ in islice(rows, len(self.vertices)):
+            fh.write(f'  "{name}" [shape={_SHAPES[kind]}];\n')
+        for source, target, label, _ in rows:
+            fh.write(f'  "{source}" -- "{target}" [label="{label}"];\n')
+        fh.write("}\n")
+
     def to_dot(self) -> str:
-        lines = ["graph transitions {"]
-        for v in self.vertices:
-            shape = {"deformation": "ellipse", "stratified_union": "box",
-                     "resolution": "diamond"}[v.kind]
-            lines.append(f'  "{v.name}" [shape={shape}];')
-        for e in self.edges:
-            lines.append(f'  "{e.source}" -- "{e.target}" [label="{e.label}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        out = io.StringIO()
+        self.write_dot(out)
+        return out.getvalue()
 
 
 def build_transition_graph(data: ConifoldData,
@@ -132,32 +283,14 @@ def build_transition_graph(data: ConifoldData,
 
     Edge rules: one defo edge (smoothing to union), one exoflop edge from
     the union to every resolution, and flop edges between resolutions at
-    Hamming distance one.
+    Hamming distance one.  The class bound is checked here, before any row
+    exists or any output is opened.
     """
+    _check_class_bound(data.n_classes)
+    smooth = smooth_dims.dims if smooth_dims else None
     if data.n == 0:
-        vertex = Vertex("M_flat=V_bar", "deformation",
-                        dims=smooth_dims.dims if smooth_dims else None)
-        return TransitionGraph((vertex,), (),
-                               (("note", "transversal case: nothing to resolve"),))
-    closure = cohomology_of_closure(data)
-    choices = enumerate_small_resolutions(data)
-    h2 = data.base.dims[2] + data.n_classes
-    vertices = [Vertex("M_flat", "deformation",
-                       dims=smooth_dims.dims if smooth_dims else None),
-                Vertex("V_bar", "stratified_union", h2=closure.dims[2],
-                       dims=closure.dims)]
-    vertices += [Vertex(c.label(), "resolution", orientation=c.orientation, h2=h2)
-                 for c in choices]
-    edges = [Edge("M_flat", "V_bar", "defo", note=DEFO_NOTE)]
-    edges += [Edge("V_bar", c.label(), "exoflop") for c in choices]
-    # one flop edge per (choice, class) with the flipped bit set, so each
-    # Hamming-distance-1 pair appears exactly once
-    for choice in choices:
-        for k in range(1, data.n_classes + 1):
-            if choice.orientation[k - 1] == 0:
-                edges.append(Edge(choice.label(), flop(choice, k).label(),
-                                  "flop", note=FLOP_NOTE))
-    metadata = (("flop_connectivity", FLOP_NOTE),
-                ("compatible_resolutions", str(2 ** data.n_classes)),
-                ("naive_per_node_resolutions", str(naive_resolution_count(data))))
-    return TransitionGraph(tuple(vertices), tuple(edges), metadata)
+        return TransitionGraph(0, 0, smooth_dims=smooth)
+    return TransitionGraph(data.n_classes, data.n,
+                           h2=data.base.dims[2] + data.n_classes,
+                           closure_dims=cohomology_of_closure(data).dims,
+                           smooth_dims=smooth)

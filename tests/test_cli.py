@@ -89,6 +89,20 @@ def test_analyze_user_source(capsys, tmp_path):
     assert "1 singular rays (1 nodes)" in out
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([["1", "1", "1", "1", 1]], "row 0 entry 4 is 1, not a string"),
+    ([["1", "1", "1", "1", "1"], "1,1,1,1,1"], "row 1 is not a list of strings"),
+])
+def test_analyze_rejects_malformed_candidates(capsys, tmp_path, rows, message):
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps(rows))
+    code, out, err = run(capsys, "analyze", DWORK, "--source", "user",
+                         "--candidates", str(candidates))
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError" in err and message in err
+
+
 def test_stratify_pipeline(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     code, _, _ = run(capsys, "analyze", DWORK, "--format", "json",
@@ -237,6 +251,53 @@ def test_resolutions_dot_format(capsys, conifold_file):
     assert code == 0
     assert out.startswith("graph transitions {")
     assert '[label="exoflop"]' in out
+
+
+def _singleton_conifold(path, n_classes):
+    path.write_text(json.dumps({
+        "base_dims": [1, 0, 1, 2, 1 + n_classes, 0, 1],
+        "n": n_classes,
+        "classes": [[k] for k in range(1, n_classes + 1)],
+    }))
+    return str(path)
+
+
+def test_resolutions_streams_with_flat_memory(tmp_path):
+    # The child is started from a small wrapper, whose RUSAGE_CHILDREN then
+    # holds only that child: a child forked from the test process would
+    # report this process's larger peak RSS as its own.
+    big_n = 14
+    data = _singleton_conifold(tmp_path / "n14.json", big_n)
+    graph_json, graph_dot = tmp_path / "graph.json", tmp_path / "graph.dot"
+    argv = [sys.executable, "-m", "gsvkit.cli", "resolutions", data, "--format", "json",
+            "--output", str(graph_json), "--dot", str(graph_dot)]
+    script = ("import resource, subprocess, sys\n"
+              f"code = subprocess.run({argv!r}).returncode\n"
+              "peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+              "print(code, peak)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, peak_kb = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak_kb < 64 * 1024
+    edges = 1 + 2 ** big_n + big_n * 2 ** (big_n - 1)
+    with graph_json.open() as fh:
+        assert sum(1 for line in fh if line.startswith('      "label": ')) == edges
+    with graph_dot.open() as fh:
+        assert sum(1 for line in fh if " -- " in line) == edges
+
+
+def test_resolutions_bound_checked_before_output(capsys, tmp_path):
+    data = _singleton_conifold(tmp_path / "n21.json", 21)
+    graph_json, graph_dot = tmp_path / "graph.json", tmp_path / "graph.dot"
+    code, out, err = run(capsys, "resolutions", data, "--format", "json",
+                         "--output", str(graph_json), "--dot", str(graph_dot))
+    assert code == 1
+    assert out == ""
+    assert "ResourceLimitError" in err
+    assert not graph_json.exists() and not graph_dot.exists()
 
 
 def test_missing_file_exits_1(capsys):

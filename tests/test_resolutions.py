@@ -1,15 +1,18 @@
 """Small resolution enumeration and the transition graph."""
 
+import io
+import json
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gsvkit.cohomology import ConifoldData, GradedSpace
 from gsvkit.errors import GsvInputError, MalformedIncidenceError, ResourceLimitError
-from gsvkit.resolutions import (ResolutionChoice, build_transition_graph,
-                                enumerate_small_resolutions, flop,
-                                naive_resolution_count)
+from gsvkit.resolutions import (MAX_CLASSES, ResolutionChoice, TransitionGraph,
+                                build_transition_graph, enumerate_small_resolutions,
+                                flop, naive_resolution_count)
 
 
 def data_with_classes(n_classes, nodes_per_class=1, b3=10):
@@ -158,3 +161,73 @@ def test_random_flop_pairs_are_involutions():
         k = rng.randint(1, width)
         choice = ResolutionChoice(bits)
         assert flop(flop(choice, k), k) == choice
+
+
+@st.composite
+def partitioned_data(draw):
+    """A ConifoldData with 0..7 classes: n nodes shuffled into N nonempty classes."""
+    n_classes = draw(st.integers(0, 7))
+    n = n_classes + draw(st.integers(0, 5)) if n_classes else 0
+    nodes = draw(st.permutations(range(1, n + 1)))
+    classes = [[node] for node in nodes[:n_classes]]
+    for node in nodes[n_classes:]:
+        classes[draw(st.integers(0, n_classes - 1))].append(node)
+    base = GradedSpace((1, 0, 1, draw(st.integers(0, 300)),
+                        1 + n_classes + draw(st.integers(0, 3)), 0, 1))
+    return ConifoldData(base, n, classes)
+
+
+smooth_spaces = st.none() | st.builds(
+    lambda b2, b3: GradedSpace((1, 0, b2, b3, b2, 0, 1)),
+    st.integers(0, 9), st.integers(0, 400))
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitioned_data(), smooth_spaces)
+def test_streamed_output_matches_iterated_graph(data, smooth):
+    graph = build_transition_graph(data, smooth_dims=smooth)
+    big_n = data.n_classes
+    with mock.patch.object(TransitionGraph, "_rows", side_effect=AssertionError):
+        if data.n:
+            assert len(graph.vertices) == 2 + 2 ** big_n
+            assert len(graph.edges) == 1 + 2 ** big_n + big_n * 2 ** big_n // 2
+        else:
+            assert (len(graph.vertices), len(graph.edges)) == (1, 0)
+    vertices, edges = list(graph.vertices), list(graph.edges)
+    assert (len(vertices), len(edges)) == (len(graph.vertices), len(graph.edges))
+    oracle = {"vertices": [v.to_json_dict() for v in vertices],
+              "edges": [e.to_json_dict() for e in edges],
+              "metadata": dict(graph.metadata)}
+    out = io.StringIO()
+    graph.write_json(out)
+    assert out.getvalue() == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    shapes = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
+    dot = (["graph transitions {"]
+           + [f'  "{v.name}" [shape={shapes[v.kind]}];' for v in vertices]
+           + [f'  "{e.source}" -- "{e.target}" [label="{e.label}"];' for e in edges]
+           + ["}"])
+    out = io.StringIO()
+    graph.write_dot(out)
+    assert out.getvalue() == "\n".join(dot) + "\n" == graph.to_dot()
+
+
+def test_counts_need_no_rows():
+    graph = build_transition_graph(data_with_classes(16))
+    with mock.patch.object(TransitionGraph, "_rows", side_effect=AssertionError):
+        assert len(graph.vertices) == 2 + 2 ** 16
+        assert len(graph.edges) == 1 + 2 ** 16 + 16 * 2 ** 15
+        assert graph.edge_counts() == {"defo": 1, "exoflop": 2 ** 16, "flop": 16 * 2 ** 15}
+    with pytest.raises(ResourceLimitError):
+        build_transition_graph(data_with_classes(MAX_CLASSES + 1))
+
+
+def test_graph_rows_are_indexable_sequences():
+    graph = build_transition_graph(data_with_classes(3, nodes_per_class=2))
+    for rows in (graph.vertices, graph.edges):
+        listed = list(rows)
+        assert [rows[i] for i in range(len(rows))] == listed
+        assert rows[-1] == listed[-1]
+        assert rows == listed and rows == tuple(listed)
+        with pytest.raises(IndexError):
+            rows[len(rows)]
+    assert graph.edges[-1].source == "M_nat_7" and graph.edges[-1].target == "M_nat_8"
