@@ -3,8 +3,9 @@
 The files under tests/golden/ were captured once from the CLI and are never
 regenerated by the tests; a difference means the output changed.  Names are
 `<data file stem>.<command>[.<mode>].<format>`; analyze goldens carry the
-root-of-unity order as `k<order>` in place of the mode, and their exit codes
-are in `analyze.exit_codes.json`.
+root-of-unity order as `k<order>` in place of the mode (`analyze_float` for
+`--source float` with the default starts and seed), and their exit codes are
+in `analyze.exit_codes.json`.
 """
 
 import json
@@ -49,3 +50,12 @@ def test_analyze_matches_golden(capsysbinary, stem, order, fmt):
     out = capsysbinary.readouterr().out
     assert code == ANALYZE_EXIT[f"{stem}.analyze.k{order}"]
     assert out == (GOLDEN / f"{stem}.analyze.k{order}.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ("json", "text"))
+def test_analyze_float_matches_golden(capsysbinary, fmt):
+    code = main(["analyze", str(ROOT / "data" / "dwork_psi1.poly"),
+                 "--source", "float", "--format", fmt])
+    out = capsysbinary.readouterr().out
+    assert code == ANALYZE_EXIT["dwork_psi1.analyze_float.k5"]
+    assert out == (GOLDEN / f"dwork_psi1.analyze_float.k5.{fmt}").read_bytes()
