@@ -13,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 Scalar = Union[int, Fraction, "Cyclo"]
@@ -113,8 +113,17 @@ class CyclotomicField:
         vec[1] = Fraction(1)
         return Cyclo(self, tuple(vec))
 
+    @cached_property
+    def _zeta_powers(self) -> tuple["Cyclo", ...]:
+        """zeta^0 .. zeta^(k-1), built once per field."""
+        z = self.zeta()
+        powers = [self.one]
+        for _ in range(self.order - 1):
+            powers.append(powers[-1] * z)
+        return tuple(powers)
+
     def zeta_power(self, a: int) -> "Cyclo":
-        return self.zeta() ** (a % self.order)
+        return self._zeta_powers[a % self.order]
 
     def element(self, value) -> "Cyclo":
         """Coerce an int, Fraction, or coordinate sequence into the field."""
@@ -304,11 +313,6 @@ class Cyclo:
             term = c.numerator if den == 1 else c.numerator * pow(den, -1, p)
             total = (total * omega + term) % p
         return total
-
-    def as_rational(self) -> Fraction:
-        if any(self.coeffs[1:]):
-            raise ValueError("element is not rational")
-        return self.coeffs[0]
 
     def to_complex(self) -> complex:
         z = cmath.exp(2j * math.pi / self.field.order)

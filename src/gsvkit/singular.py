@@ -18,6 +18,11 @@ and tests the binned vector against a fixed integer table of zeta^t.  A
 chart Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order
 k) certifies a node; a lower rank mod p, or a denominator divisible by p,
 falls back to the exact rank.
+
+The numeric source is the only floating-point path.  It compiles the
+gradient and Hessian once into complex exponent and coefficient arrays and
+runs Gauss-Newton on all starts of a chart as one batch; its hits are
+certified exactly like any other candidate.
 """
 
 from __future__ import annotations
@@ -140,7 +145,10 @@ class UserList:
 class FloatHomotopy:
     """Numeric fallback: Gauss-Newton on the gradient system, chart by chart.
 
-    Solutions are snapped to the root-of-unity grid and certified exactly when
+    `starts // 5` complex starts per affine chart are drawn from
+    `default_rng(seed)` (real then imaginary parts, start by start, chart by
+    chart) and iterated together as one batch.  Solutions are snapped to the
+    root-of-unity grid and certified by exact evaluation of the gradient when
     possible; anything else stays Unclassified and the report is never
     complete.
     """
@@ -372,36 +380,81 @@ def verify_transversal(g: Polynomial, source: CandidateSource,
 # -- numeric fallback -------------------------------------------------------------
 
 
+def _complex_evaluator(polys: Sequence[Polynomial]):
+    """Compile polynomials into one batched complex evaluator.
+
+    The returned function maps an (S, n) complex array of points to the
+    (S, len(polys)) array of values: the monomials over the union of all
+    exponents, times a complex coefficient matrix built with one `to_complex`
+    per coefficient.
+    """
+    import numpy as np
+
+    exps = sorted({e for p in polys for e in p.terms})
+    index = {e: i for i, e in enumerate(exps)}
+    exponents = np.array(exps)
+    coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
+    for col, p in enumerate(polys):
+        for e, c in p.terms.items():
+            coeffs[index[e], col] = c.to_complex()
+
+    def evaluate(points):
+        return np.prod(points[:, None, :] ** exponents, axis=2) @ coeffs
+
+    return evaluate
+
+
+def _newton_batch(x, chart: int, gradient, hessian, tol: float):
+    """Gauss-Newton on dG = 0 in the chart s_chart = 1, from every row of the
+    (S, 4) start array `x` at once.
+
+    Each start leaves the batch on the first of: max|dG| < tol, a non-finite
+    value, Jacobian or step, or max|step| < 1e-14; at most 60 steps.  The
+    step is the minimum-norm least-squares solution, with the SVD cutoff of
+    `lstsq(rcond=None)`.  Returns the (S, 5) end points and the mask of
+    those that are finite with max|dG| < tol.
+    """
+    import numpy as np
+
+    others = [j for j in range(5) if j != chart]
+    cutoff = np.finfo(float).eps * 5
+    x = x.copy()
+    active = np.arange(len(x))
+    for _ in range(60):
+        if not len(active):
+            break
+        pts = np.insert(x[active], chart, 1.0, axis=1)
+        f = gradient(pts)
+        jac = hessian(pts).reshape(-1, 5, 5)[:, :, others]
+        finite = (np.isfinite(f).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
+                  & ~(np.abs(f).max(axis=1) < tol))
+        active, f, jac = active[finite], f[finite], jac[finite]
+        step = (np.linalg.pinv(jac, rcond=cutoff) @ -f[:, :, None])[:, :, 0]
+        finite = np.isfinite(step).all(axis=1)
+        active, step = active[finite], step[finite]
+        x[active] += step
+        active = active[~(np.abs(step).max(axis=1) < 1e-14)]
+    pts = np.insert(x, chart, 1.0, axis=1)
+    ok = np.isfinite(pts).all(axis=1) & (np.abs(gradient(pts)).max(axis=1) < tol)
+    return pts, ok
+
+
 def _float_search(g: Polynomial, search: FloatHomotopy):
     import numpy as np
 
     gradients = g.gradient()
-    hessian = g.hessian()
+    gradient = _complex_evaluator(gradients)
+    hessian = _complex_evaluator([h for row in g.hessian() for h in row])
     field = g.field
-    tol = search.tolerance
+    per_chart = max(search.starts // 5, 1)
     rng = np.random.default_rng(search.seed)
     raw: dict[tuple, np.ndarray] = {}
     for chart in range(5):
-        for _ in range(max(search.starts // 5, 1)):
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            for _ in range(60):
-                pt = np.insert(x, chart, 1.0 + 0j)
-                f = np.array([p.evaluate_complex(pt) for p in gradients])
-                if np.max(np.abs(f)) < tol:
-                    break
-                jac = np.array([[hessian[i][j].evaluate_complex(pt)
-                                 for j in range(5) if j != chart]
-                                for i in range(5)])
-                step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-                if not np.all(np.isfinite(step)):
-                    break
-                x = x + step
-                if np.max(np.abs(step)) < 1e-14:
-                    break
-            pt = np.insert(x, chart, 1.0 + 0j)
-            f = np.array([p.evaluate_complex(pt) for p in gradients])
-            if np.max(np.abs(f)) >= tol or not np.all(np.isfinite(pt)):
-                continue
+        # the same stream as drawing re(4) then im(4) start after start
+        z = rng.standard_normal((per_chart, 2, 4))
+        pts, ok = _newton_batch(z[:, 0] + 1j * z[:, 1], chart, gradient, hessian,
+                                search.tolerance)
+        for pt in pts[ok]:
             lead = next(i for i in range(5) if abs(pt[i]) > 1e-8)
             pt = pt / pt[lead]
             key = tuple(np.round(pt, 6))
@@ -439,10 +492,6 @@ def _rationalize_point(field: CyclotomicField, pt) -> Tuple[Cyclo, ...]:
     d = field.degree
     basis = [field.zeta_power(a).to_complex() for a in range(d)]
     mat = np.array([[b.real for b in basis], [b.imag for b in basis]])
-    out = []
-    for v in pt:
-        rhs = np.array([v.real, v.imag])
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        coeffs = [Fraction(float(c)).limit_denominator(10 ** 6) for c in sol]
-        out.append(field.element(coeffs))
-    return tuple(out)
+    sol, *_ = np.linalg.lstsq(mat, np.array([pt.real, pt.imag]), rcond=None)
+    return tuple(field.element([Fraction(float(c)).limit_denominator(10 ** 6) for c in col])
+                 for col in sol.T)

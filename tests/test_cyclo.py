@@ -58,6 +58,13 @@ def test_zeta_is_a_primitive_root():
     assert (K.one + z + z ** 2 + z ** 3 + z ** 4).is_zero()
 
 
+def test_zeta_power_table_matches_powering():
+    for k in range(1, 31):
+        K = CyclotomicField(k)
+        for a in range(-2 * k, 2 * k + 1):
+            assert K.zeta_power(a).coeffs == (K.zeta() ** a).coeffs
+
+
 def test_small_orders_degenerate_to_rationals():
     assert CyclotomicField(1).zeta() == CyclotomicField(1).element(1)
     assert CyclotomicField(2).zeta() == CyclotomicField(2).element(-1)

@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -256,6 +258,48 @@ def test_grid_scan_falls_back_off_the_grid():
     half = (K5.one, K5.element(Fraction(1, 2)), K5.zero, K5.zero, K5.zero)
     on = (K5.one,) * 5
     assert singular._exact_search(DWORK, [off, half, on]) == [off, on]
+
+
+# -- batched numeric search against the scalar evaluator ---------------------------
+
+COORDS = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=0.01, max_magnitude=10))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_quintics(), st.lists(st.lists(COORDS, min_size=5, max_size=5),
+                                   min_size=1, max_size=4))
+def test_compiled_evaluator_matches_evaluate_complex(g, points):
+    # relative to the sum of the terms' magnitudes, so that cancellation to
+    # about 0 does not demand an impossible relative accuracy
+    polys = list(g.gradient()) + [h for row in g.hessian() for h in row]
+    values = singular._complex_evaluator(polys)(np.array(points))
+    assert values.shape == (len(points), len(polys))
+    for row, pt in zip(values, points):
+        for value, p in zip(row, polys):
+            scale = sum(abs(c.to_complex()) * prod(abs(x) ** e for x, e in zip(pt, exp))
+                        for exp, c in p.terms.items())
+            assert abs(value - p.evaluate_complex(pt)) <= 1e-9 * scale
+
+
+def test_newton_batch_drops_non_finite_starts():
+    # chart s0 = 1 of the Dwork quintic: nodes at (zeta^a1, .., zeta^a4) with
+    # a1 + .. + a4 = 0 mod 5; the start near the second node gets a NaN
+    # Jacobian, and another start is NaN outright
+    z = np.exp(2j * np.pi / 5)
+    nodes = np.array([[1, 1, 1, 1], [z, z ** 4, 1, 1], [z, z, z, z ** 2]])
+    gradient = singular._complex_evaluator(DWORK.gradient())
+    hessian = singular._complex_evaluator([h for row in DWORK.hessian() for h in row])
+
+    def poisoned_hessian(pts):
+        values = hessian(pts)
+        values[np.abs(pts[:, 2] - z ** 4) < 0.1] = np.nan
+        return values
+
+    starts = np.vstack([nodes + 1e-3, np.full((1, 4), np.nan)])
+    pts, ok = singular._newton_batch(starts, 0, gradient, poisoned_hessian, 1e-10)
+    assert ok.tolist() == [True, False, True, False]
+    assert np.allclose(pts[ok][:, 1:], nodes[[0, 2]])
+    assert np.array_equal(pts[1, 1:], starts[1])  # left the batch untouched
 
 
 def offgrid_sixteen_nodes() -> Polynomial:
