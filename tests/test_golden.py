@@ -5,7 +5,8 @@ regenerated by the tests; a difference means the output changed.  Names are
 `<data file stem>.<command>[.<mode>].<format>`; analyze goldens carry the
 root-of-unity order as `k<order>` in place of the mode (`analyze_float` for
 `--source float` with the default starts and seed), and their exit codes are
-in `analyze.exit_codes.json`.
+in `analyze.exit_codes.json`.  Stratify goldens, `<stem>.stratify.<sheet>.<format>`,
+are built from the k = 5 `analyze --format json` report of the same data file.
 """
 
 import json
@@ -31,6 +32,8 @@ ANALYZE = [(stem, order, fmt)
            for stem, order in (("dwork_psi1", 5), ("dwork_psi1", 10),
                                ("degenerate", 5), ("fermat", 5))
            for fmt in ("json", "text")]
+STRATIFY = [(stem, sheet, fmt) for stem in ("dwork_psi1", "fermat")
+            for sheet in ("pos", "neg") for fmt in ("text", "json")]
 
 
 @pytest.mark.parametrize("stem,argv,golden", CASES, ids=[c[2] for c in CASES])
@@ -59,3 +62,15 @@ def test_analyze_float_matches_golden(capsysbinary, fmt):
     out = capsysbinary.readouterr().out
     assert code == ANALYZE_EXIT["dwork_psi1.analyze_float.k5"]
     assert out == (GOLDEN / f"dwork_psi1.analyze_float.k5.{fmt}").read_bytes()
+
+
+@pytest.mark.parametrize("stem,sheet,fmt", STRATIFY,
+                         ids=[f"{s}.stratify.{sh}.{f}" for s, sh, f in STRATIFY])
+def test_stratify_matches_golden(capsysbinary, tmp_path, stem, sheet, fmt):
+    report = tmp_path / "report.json"
+    assert main(["analyze", str(ROOT / "data" / f"{stem}.poly"), "--format", "json",
+                 "--output", str(report)]) == 0
+    code = main(["stratify", str(report), "--sheet", sheet, "--format", fmt])
+    out = capsysbinary.readouterr().out
+    assert code == 0
+    assert out == (GOLDEN / f"{stem}.stratify.{sheet}.{fmt}").read_bytes()
