@@ -15,7 +15,8 @@ from .errors import (BranchPointError, DegreeUndefinedError, ExactnessError, Gsv
                      NonIsolatedError, PolynomialParseError, QuantumRegionError,
                      ResourceLimitError, WrongModelError)
 from .exocurves import (Atlas, Chart, Model, Transition, build_comparison_p151,
-                        build_exocurve, compactify, deficit_angle, transition)
+                        build_exocurve, compactify, deficit_angle, normalize_sheet,
+                        transition)
 from .poly import DEFAULT_VARIABLES, Polynomial, parse_polynomial, parse_scalar
 from .resolutions import (ResolutionChoice, TransitionGraph, build_transition_graph,
                           enumerate_small_resolutions, flop, naive_resolution_count)
@@ -24,6 +25,6 @@ from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularRay, Singularit
                        classify_singularity, find_singular_rays, normalize_ray,
                        verify_transversal)
 from .strata import (StratifiedVariety, Stratum, StratumKind, build_ground_state_variety,
-                     normalize_sheet, strata_report)
+                     strata_report)
 
 __version__ = "0.1.0"

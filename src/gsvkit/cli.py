@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 
 from .cohomology import ConifoldData, cohomology_report, cohomology_report_text
@@ -25,24 +24,6 @@ from .resolutions import build_transition_graph, naive_resolution_count
 from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularityClass, SingularRay,
                        TransversalityReport, UserList, verify_transversal)
 from .strata import build_ground_state_variety, strata_report
-
-
-@dataclass
-class SessionConfig:
-    """Defaults shared by every subcommand; argparse reads from one instance."""
-
-    root_of_unity_order: int = 5
-    candidate_source: str = "ansatz"
-    mode: str = "refined"
-    output_format: str = "text"
-    jobs: int = 1
-
-    def __post_init__(self):
-        if self.root_of_unity_order < 1:
-            raise GsvInputError("root-of-unity order must be >= 1")
-
-
-DEFAULTS = SessionConfig()
 
 
 def _json_text(obj) -> str:
@@ -101,7 +82,7 @@ def cmd_analyze(args) -> int:
     text = _read_polynomial_argument(args.polynomial)
     g = parse_polynomial(text, field)
     source = _build_source(args, field)
-    report = verify_transversal(g, source, jobs=args.jobs)
+    report = verify_transversal(g, source)
     _emit(args, report.summary_text(), report.to_json_dict())
     if report.rays and not report.isolated:
         sys.stderr.write("error: NonIsolated: some singular rays are not nodes\n")
@@ -113,6 +94,8 @@ def cmd_analyze(args) -> int:
 
 
 def _require_fields(obj, names, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise GsvInputError(f"{where} must be a JSON object, got {type(obj).__name__}")
     for name in names:
         if name not in obj:
             raise GsvInputError(f"{where} has no field {name!r}")
@@ -120,10 +103,17 @@ def _require_fields(obj, names, where: str) -> None:
 
 def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
     _require_fields(obj, ("transversal", "isolated", "complete"), "report")
+    entries = obj.get("rays", [])
+    if not isinstance(entries, list):
+        raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
     rays = []
-    for i, entry in enumerate(obj.get("rays", [])):
+    for i, entry in enumerate(entries):
         _require_fields(entry, ("coords", "class"), f"report ray {i}")
-        coords = tuple(parse_scalar(c, field) for c in entry["coords"])
+        coords = entry["coords"]
+        if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
+            raise GsvInputError(f"report ray {i} field 'coords' must be a list of "
+                                f"strings, got {json.dumps(coords)}")
+        coords = tuple(parse_scalar(c, field) for c in coords)
         cls = SingularityClass(Kind(entry["class"]), entry.get("corank"))
         rays.append(SingularRay(coords, cls))
     transversal, isolated = obj["transversal"], bool(obj["isolated"])
@@ -196,20 +186,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default=DEFAULTS.output_format)
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--zeta-order", dest="zeta_order", type=int,
-                       default=DEFAULTS.root_of_unity_order,
+        p.add_argument("--zeta-order", dest="zeta_order", type=int, default=5,
                        help="order of the declared root of unity (default %(default)s)")
 
     p = sub.add_parser("analyze", help="transversality and singular-ray report")
     p.add_argument("polynomial", help="polynomial file or inline expression")
-    p.add_argument("--source", choices=("ansatz", "user", "float"),
-                   default=DEFAULTS.candidate_source)
+    p.add_argument("--source", choices=("ansatz", "user", "float"), default="ansatz")
     p.add_argument("--candidates", help="JSON candidate list for --source user")
     p.add_argument("--exhaustive", action="store_true",
                    help="treat the user candidate list as exhaustive")
-    p.add_argument("--jobs", type=int, default=DEFAULTS.jobs,
+    p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; the scan is serial")
     common(p)
     p.set_defaults(func=cmd_analyze)
@@ -222,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cohomology", help="Mayer-Vietoris tables and Kahler check")
     p.add_argument("data", help="ConifoldData JSON file")
-    p.add_argument("--mode", choices=("raw", "refined"), default=DEFAULTS.mode)
+    p.add_argument("--mode", choices=("raw", "refined"), default="refined")
     common(p)
     p.set_defaults(func=cmd_cohomology)
 
@@ -243,10 +231,7 @@ def main(argv=None) -> int:
     except IncompleteResultError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except GsvError as exc:
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-        return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GsvError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -17,6 +17,7 @@ count stays available so the discrepancy n - N is always visible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -140,12 +141,19 @@ class ConifoldData:
 
     @classmethod
     def from_json_dict(cls, obj) -> "ConifoldData":
-        hodge = None
-        if obj.get("base_hodge") is not None:
-            hodge = {}
-            for key, v in obj["base_hodge"].items():
-                p, q = key.split(",")
-                hodge[(int(p), int(q))] = v
+        if not isinstance(obj, dict):
+            raise GsvInputError(
+                f"ConifoldData must be a JSON object, got {type(obj).__name__}")
+        hodge = obj.get("base_hodge")
+        if hodge is not None:
+            if not isinstance(hodge, dict):
+                raise GsvInputError("base_hodge must be an object keyed by 'p,q'")
+            for key in hodge:
+                if not re.fullmatch(r"\s*-?\d+\s*,\s*-?\d+\s*", key):
+                    raise GsvInputError(f"base_hodge key {key!r} is not of the form 'p,q'")
+            hodge = {tuple(map(int, key.split(","))): v for key, v in hodge.items()}
+        if not isinstance(obj.get("base_dims"), list):
+            raise GsvInputError("base_dims must be a list of 7 integers")
         dims = tuple(_require_int(d, f"base_dims[{q}]")
                      for q, d in enumerate(obj["base_dims"]))
         return cls(GradedSpace(dims, hodge), obj["n"], obj.get("classes", []))

@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .cyclo import Cyclo
-from .errors import BranchPointError, GsvInputError, WrongModelError
-from .strata import normalize_sheet
+from .errors import BranchPointError, GsvInputError, QuantumRegionError, WrongModelError
 
 
 class Model(str, Enum):
@@ -33,10 +32,6 @@ class Chart:
     coordinate: str
     proper: bool               # contains its limit point
     orbifold_group_order: int = 1
-
-    @property
-    def punctured(self) -> bool:
-        return not self.proper
 
     def to_json_dict(self):
         return {"name": self.name, "proper": self.proper,
@@ -88,6 +83,24 @@ class Atlas:
         }
 
 
+def normalize_sheet(sheet) -> int:
+    """Accept +-1, 'pos'/'positive', 'neg'/'negative'; reject the r=0 wall."""
+    if isinstance(sheet, str):
+        s = sheet.lower()
+        if s in ("pos", "positive", "+"):
+            return 1
+        if s in ("neg", "negative", "-"):
+            return -1
+        raise GsvInputError(f"unknown sheet {sheet!r}")
+    value = int(sheet)
+    if value > 0:
+        return 1
+    if value < 0:
+        return -1
+    raise QuantumRegionError(
+        "r = 0 is not covered: the construction is only valid away from the wall")
+
+
 def build_exocurve(sheet) -> Atlas:
     """The exocurve atlas for one sheet: C^1 for r>0, C^1/Z_5 for r<0."""
     sheet = normalize_sheet(sheet)
@@ -131,7 +144,7 @@ def transition(atlas: Atlas, source: str, value: Cyclo) -> Cyclo:
     atlas.chart(source)
     for t in atlas.transitions:
         if t.source == source:
-            if value.is_zero() and (t.exponent < 0 or atlas.chart(t.target).punctured):
+            if value.is_zero() and (t.exponent < 0 or not atlas.chart(t.target).proper):
                 # negative exponent: pole at 0; punctured target: the image
                 # of the branch point is the excluded limit point
                 raise BranchPointError(

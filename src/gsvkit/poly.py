@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from .cyclo import Cyclo, CyclotomicField, Scalar
 from .errors import DegreeUndefinedError, GsvInputError, PolynomialParseError
@@ -29,7 +29,7 @@ class Polynomial:
     field: CyclotomicField
     variables: Tuple[str, ...]
     terms: Dict[Exponent, Cyclo] = dc_field(default_factory=dict)
-    _derivatives: Dict[str, tuple] = dc_field(default_factory=dict, init=False, repr=False)
+    _derivatives: Dict[str, object] = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         clean: Dict[Exponent, Cyclo] = {}
@@ -145,22 +145,22 @@ class Polynomial:
                 out[key] = term if prev is None else prev + term
         return Polynomial(self.field, self.variables, out)
 
+    def _cached(self, name: str, build):
+        """`build()`, computed once per polynomial and kept under `name`."""
+        got = self._derivatives.get(name)
+        if got is None:
+            got = self._derivatives[name] = build()
+        return got
+
     def gradient(self) -> Tuple["Polynomial", ...]:
         """First partials, computed once per polynomial."""
-        got = self._derivatives.get("gradient")
-        if got is None:
-            got = tuple(self.partial(i) for i in range(len(self.variables)))
-            self._derivatives["gradient"] = got
-        return got
+        return self._cached("gradient", lambda: tuple(
+            self.partial(i) for i in range(len(self.variables))))
 
     def hessian(self) -> Tuple[Tuple["Polynomial", ...], ...]:
         """Second partials, computed once per polynomial."""
-        got = self._derivatives.get("hessian")
-        if got is None:
-            got = tuple(tuple(g.partial(j) for j in range(len(self.variables)))
-                        for g in self.gradient())
-            self._derivatives["hessian"] = got
-        return got
+        return self._cached("hessian", lambda: tuple(
+            tuple(g.partial(j) for j in range(len(self.variables))) for g in self.gradient()))
 
     # -- evaluation ------------------------------------------------------------
 

@@ -11,7 +11,8 @@ point is a node exactly when that matrix has full rank.  A full-rank
 quadratic cone is an isolated singular direction, so "every ray is a node"
 doubles as the isolation certificate.
 
-Both stages avoid Cyclo arithmetic where it is not needed.  On the
+Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
+dG = 0 verdict goes through one scan, built once per polynomial.  On the
 root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so the scan
 bins each gradient component's integer coefficients by that exponent mod k
 and tests the binned vector against a fixed integer table of zeta^t.  A
@@ -22,7 +23,7 @@ falls back to the exact rank.
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
 runs Gauss-Newton on all starts of a chart as one batch; its hits are
-certified exactly like any other candidate.
+certified by the same scan as any other candidate.
 """
 
 from __future__ import annotations
@@ -148,9 +149,8 @@ class FloatHomotopy:
     `starts // 5` complex starts per affine chart are drawn from
     `default_rng(seed)` (real then imaginary parts, start by start, chart by
     chart) and iterated together as one batch.  Solutions are snapped to the
-    root-of-unity grid and certified by exact evaluation of the gradient when
-    possible; anything else stays Unclassified and the report is never
-    complete.
+    root-of-unity grid and certified by the exact grid scan when possible;
+    anything else stays Unclassified and the report is never complete.
     """
 
     starts: int = 400
@@ -186,10 +186,6 @@ def ansatz_candidates(field: CyclotomicField) -> Iterable[Tuple[Cyclo, ...]]:
             yield head + tail
 
 
-def _vanishes(gradients: Sequence[Polynomial], point: Sequence[Cyclo]) -> bool:
-    return all(g.evaluate(point).is_zero() for g in gradients)
-
-
 _ZERO, _OFF_GRID = -1, -2
 
 
@@ -220,15 +216,14 @@ class _GridScan:
                 [(exp, tuple((j, int(c * scale)) for j, c in enumerate(coeff.coeffs) if c))
                  for exp, coeff in comp.terms.items()])
         self._patterns: dict = {}
-        # phase per coordinate object, by id; `_held` keeps those ids unique
-        self._memo: dict = {}
-        self._held: list = []
+        # phase of the field's own 0 and zeta^a objects, by id; `_grid` keeps
+        # those ids unique.  Other objects are looked up by value and not kept,
+        # so the memo stays bounded however long the scan lives.
+        self._grid = (field.zero, *units)
+        self._memo = {id(c): a for a, c in zip((_ZERO, *range(self.k)), self._grid)}
 
     def _phase(self, c: Cyclo) -> int:
-        a = _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
-        self._memo[id(c)] = a
-        self._held.append(c)
-        return a
+        return _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
 
     def _pattern(self, nonzero: Tuple[bool, ...]):
         """Per gradient component, the monomials that survive on this zero
@@ -246,7 +241,8 @@ class _GridScan:
         if None in phases:
             phases = [self._phase(c) if a is None else a for c, a in zip(point, phases)]
         if _OFF_GRID in phases or len(phases) != len(self.gradients):
-            return _vanishes(self.gradients, point)  # also rejects a wrong length
+            # evaluate also rejects a wrong length
+            return all(d.evaluate(point).is_zero() for d in self.gradients)
         nonzero = tuple(map(_ZERO.__ne__, phases))
         pattern = self._patterns.get(nonzero)
         if pattern is None:
@@ -265,6 +261,11 @@ class _GridScan:
         return True
 
 
+def _scan(g: Polynomial) -> _GridScan:
+    """The grid scan of `g`, built once per polynomial like its gradient."""
+    return g._cached("scan", lambda: _GridScan(g))
+
+
 def _require_quintic(g: Polynomial):
     if len(g.variables) != 5:
         raise GsvInputError("expected a polynomial in the five variables s0..s4")
@@ -278,11 +279,8 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
     Rank 4 over F_p certifies rank 4 over Q(zeta), because reduction mod p
     cannot raise a rank; otherwise the exact rank decides.
     """
-    pt = [g.field.element(c) for c in point]
-    if all(c.is_zero() for c in pt):
-        raise GsvInputError("cannot classify the origin")
-    pt = list(normalize_ray(pt))
-    if not _vanishes(g.gradient(), pt):
+    pt = list(normalize_ray([g.field.element(c) for c in point]))
+    if not _scan(g).vanishes(pt):
         raise GsvInputError("point is not a singular ray (gradient does not vanish)")
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
     others = [i for i in range(5) if i != chart]
@@ -299,12 +297,10 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
     return SingularityClass(Kind.NON_NODE, corank=4 - rank)
 
 
-def _exact_search(g: Polynomial, candidates: Iterable[Tuple[Cyclo, ...]],
-                  jobs: int = 1) -> list[Tuple[Cyclo, ...]]:
-    """The candidates where dG vanishes exactly.  `jobs` is accepted for
-    compatibility and has no effect: the scan is serial."""
-    scan = _GridScan(g)
-    return [pt for pt in candidates if scan.vanishes(pt)]
+def _exact_search(g: Polynomial,
+                  candidates: Iterable[Tuple[Cyclo, ...]]) -> list[Tuple[Cyclo, ...]]:
+    """The candidates where dG vanishes exactly."""
+    return list(filter(_scan(g).vanishes, candidates))
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
@@ -323,17 +319,16 @@ def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[Sing
     return tuple(rays)
 
 
-def find_singular_rays(g: Polynomial, source: CandidateSource,
-                       jobs: int = 1) -> Tuple[SingularRay, ...]:
+def find_singular_rays(g: Polynomial, source: CandidateSource) -> Tuple[SingularRay, ...]:
     """All exactly-verified singular rays reachable from the candidate source,
     deduplicated up to scaling, in a deterministic order."""
     _require_quintic(g)
     if isinstance(source, AnsatzRoots):
-        return _finish_rays(g, _exact_search(g, ansatz_candidates(g.field), jobs))
+        return _finish_rays(g, _exact_search(g, ansatz_candidates(g.field)))
     if isinstance(source, UserList):
         pts = [tuple(g.field.element(c) for c in p) for p in source.points]
         pts = [p for p in pts if any(not c.is_zero() for c in p)]  # origin is excised
-        return _finish_rays(g, _exact_search(g, pts, jobs))
+        return _finish_rays(g, _exact_search(g, pts))
     if isinstance(source, FloatHomotopy):
         certified, unresolved = _float_search(g, source)
         rays = list(_finish_rays(g, certified))
@@ -355,24 +350,21 @@ def _pure_power_gradient(g: Polynomial) -> bool:
     return True
 
 
-def verify_transversal(g: Polynomial, source: CandidateSource,
-                       jobs: int = 1) -> TransversalityReport:
+def verify_transversal(g: Polynomial, source: CandidateSource) -> TransversalityReport:
     """Search for singular rays and certify transversality when possible.
 
     Exit states: rays found (non-transversal, certified), no rays plus a
     certificate (transversal), or no rays and no certificate (inconclusive;
     never silently reported as transversal).
     """
-    rays = find_singular_rays(g, source, jobs=jobs)
+    rays = find_singular_rays(g, source)
     isolated = all(r.classification.kind is Kind.NODE for r in rays)
     name = source.name
     if rays:
         complete = not isinstance(source, FloatHomotopy) and all(
             r.classification.kind is not Kind.UNCLASSIFIED for r in rays)
         return TransversalityReport(False, rays, isolated, name, complete)
-    if _pure_power_gradient(g):
-        return TransversalityReport(True, (), True, name, True)
-    if isinstance(source, UserList) and source.exhaustive:
+    if _pure_power_gradient(g) or (isinstance(source, UserList) and source.exhaustive):
         return TransversalityReport(True, (), True, name, True)
     return TransversalityReport(None, (), True, name, False)
 
@@ -442,8 +434,7 @@ def _newton_batch(x, chart: int, gradient, hessian, tol: float):
 def _float_search(g: Polynomial, search: FloatHomotopy):
     import numpy as np
 
-    gradients = g.gradient()
-    gradient = _complex_evaluator(gradients)
+    gradient = _complex_evaluator(g.gradient())
     hessian = _complex_evaluator([h for row in g.hessian() for h in row])
     field = g.field
     per_chart = max(search.starts // 5, 1)
@@ -463,6 +454,7 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
     grid = [field.zero] + [field.zeta_power(a) for a in range(field.order)]
     grid_values = [z.to_complex() for z in grid]
 
+    vanishes = _scan(g).vanishes
     certified: list[Tuple[Cyclo, ...]] = []
     unresolved: list[Tuple[Cyclo, ...]] = []
     for pt in raw.values():
@@ -471,12 +463,10 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
             dists = [abs(v - w) for w in grid_values]
             best = min(range(len(grid)), key=dists.__getitem__)
             snapped.append(grid[best] if dists[best] < 1e-6 else None)
-        if all(s is not None for s in snapped):
-            exact = tuple(snapped)
-            if _vanishes(gradients, exact):
-                certified.append(exact)
-                continue
-        unresolved.append(_rationalize_point(field, pt))
+        if all(s is not None for s in snapped) and vanishes(tuple(snapped)):
+            certified.append(tuple(snapped))
+        else:
+            unresolved.append(_rationalize_point(field, pt))
     unresolved.sort(key=_ray_sort_key)
     return certified, unresolved
 

@@ -11,10 +11,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
-from .errors import GsvInputError, IncompleteResultError, NonIsolatedError, QuantumRegionError
+from .errors import IncompleteResultError, NonIsolatedError
+from .exocurves import build_exocurve, normalize_sheet
 from .singular import Kind, TransversalityReport
-
-LG_ORBIFOLD_ORDER = 5  # the stabilizer of the fuzzy point and of the r<0 exocurves
 
 
 class StratumKind(str, Enum):
@@ -37,16 +36,14 @@ _DIMENSIONS = {
 @dataclass(frozen=True)
 class Stratum:
     kind: StratumKind
-    complex_dimension: int
     compact: bool
     index: int | None = None
     orbifold_group: int = 1
     radius: str | None = None
 
-    def __post_init__(self):
-        if self.complex_dimension != _DIMENSIONS[self.kind]:
-            raise GsvInputError(
-                f"{self.kind.value} must have complex dimension {_DIMENSIONS[self.kind]}")
+    @property
+    def complex_dimension(self) -> int:
+        return _DIMENSIONS[self.kind]
 
     def label(self) -> str:
         if self.index is None:
@@ -80,25 +77,9 @@ class StratifiedVariety:
         }
 
 
-def normalize_sheet(sheet) -> int:
-    """Accept +-1, 'pos'/'positive', 'neg'/'negative'; reject the r=0 wall."""
-    if isinstance(sheet, str):
-        s = sheet.lower()
-        if s in ("pos", "positive", "+"):
-            return 1
-        if s in ("neg", "negative", "-"):
-            return -1
-        raise GsvInputError(f"unknown sheet {sheet!r}")
-    value = int(sheet)
-    if value > 0:
-        return 1
-    if value < 0:
-        return -1
-    raise QuantumRegionError(
-        "r = 0 is not covered: the construction is only valid away from the wall")
-
-
 def build_ground_state_variety(report: TransversalityReport, sheet) -> StratifiedVariety:
+    """One sheet of the ground-state variety.  Orbifold groups and exocurve
+    compactness are read from the sheet's exocurve atlas."""
     sheet = normalize_sheet(sheet)
     if not report.complete or report.transversal is None:
         raise IncompleteResultError(
@@ -108,42 +89,37 @@ def build_ground_state_variety(report: TransversalityReport, sheet) -> Stratifie
         raise NonIsolatedError(
             f"{len(bad)} singular rays are not certified isolated nodes")
 
-    if report.transversal:
-        if sheet > 0:
-            stratum = Stratum(StratumKind.SMOOTH_CY, 3, compact=True,
-                              radius="|s|^2 = r")
-        else:
-            stratum = Stratum(StratumKind.FUZZY_POINT, 0, compact=True,
-                              orbifold_group=LG_ORBIFOLD_ORDER,
-                              radius="5*|p|^2 = |r|")
-        return StratifiedVariety(sheet, (stratum,), (), 1)
+    atlas = build_exocurve(sheet)
+    if sheet > 0:
+        if report.transversal:
+            smooth = Stratum(StratumKind.SMOOTH_CY, compact=True, radius="|s|^2 = r")
+            return StratifiedVariety(sheet, (smooth,), (), 1)
+        head = [Stratum(StratumKind.MAIN_CONIFOLD, compact=False, radius="|s|^2 = r")]
+        radius = "r_plus = 5*|p|^2 + |r|"
+    else:
+        head = [Stratum(StratumKind.FUZZY_POINT, compact=True,
+                        orbifold_group=atlas.chart("U_p").orbifold_group_order,
+                        radius="5*|p|^2 = |r|")]
+        if report.transversal:
+            return StratifiedVariety(sheet, tuple(head), (), 1)
+        radius = "r_minus = |s_ray|^2 + |r|"
 
     n = len(report.rays)
-    if sheet > 0:
-        strata = [Stratum(StratumKind.MAIN_CONIFOLD, 3, compact=False,
-                          radius="|s|^2 = r")]
-        strata += [Stratum(StratumKind.EXOCURVE, 1, compact=False, index=j,
-                           radius="r_plus = 5*|p|^2 + |r|")
+    group = max(c.orbifold_group_order for c in atlas.charts)
+    strata = head + [Stratum(StratumKind.EXOCURVE, atlas.compact, index=j,
+                             orbifold_group=group, radius=radius)
+                     for j in range(1, n + 1)]
+    if sheet < 0:
+        # the exocurves form a plum product joined at the fuzzy point
+        attachments = [(0, j, "fuzzy") for j in range(1, n + 1)]
+    else:
+        # main conifold -x_j- node point j -x_j- exocurve j; node points follow
+        # the exocurves, so node point j is stratum n + j
+        strata += [Stratum(StratumKind.NODE_POINT, compact=True, index=j)
                    for j in range(1, n + 1)]
-        strata += [Stratum(StratumKind.NODE_POINT, 0, compact=True, index=j)
-                   for j in range(1, n + 1)]
-        attachments = []
-        for j in range(1, n + 1):
-            node = n + j      # index into strata: main, exocurves, node points
-            exo = j
-            attachments.append((0, node, f"x{j}"))
-            attachments.append((node, exo, f"x{j}"))
-        return StratifiedVariety(sheet, tuple(strata), tuple(attachments), 1)
-
-    # negative sheet: the exocurves form a plum product joined at the fuzzy point
-    strata = [Stratum(StratumKind.FUZZY_POINT, 0, compact=True,
-                      orbifold_group=LG_ORBIFOLD_ORDER, radius="5*|p|^2 = |r|")]
-    strata += [Stratum(StratumKind.EXOCURVE, 1, compact=False, index=j,
-                       orbifold_group=LG_ORBIFOLD_ORDER,
-                       radius="r_minus = |s_ray|^2 + |r|")
-               for j in range(1, n + 1)]
-    attachments = tuple((0, j, "fuzzy") for j in range(1, n + 1))
-    return StratifiedVariety(sheet, tuple(strata), attachments, 1)
+        attachments = [a for j in range(1, n + 1)
+                       for a in ((0, n + j, f"x{j}"), (n + j, j, f"x{j}"))]
+    return StratifiedVariety(sheet, tuple(strata), tuple(attachments), 1)
 
 
 def strata_report(variety: StratifiedVariety) -> str:
@@ -157,7 +133,8 @@ def strata_report(variety: StratifiedVariety) -> str:
     if kinds == [StratumKind.SMOOTH_CY]:
         lines.append("1 stratum, dim 3, smooth")
     if kinds == [StratumKind.FUZZY_POINT]:
-        lines.append("Landau-Ginzburg point with Z_5 orbifold tag")
+        lines.append(f"Landau-Ginzburg point with Z_{variety.strata[0].orbifold_group}"
+                     " orbifold tag")
     exocurves = sum(1 for k in kinds if k is StratumKind.EXOCURVE)
     if exocurves and variety.sheet < 0:
         lines.append(f"{exocurves} exocurves meeting at fuzzy point")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gsvkit.cli import main
+from gsvkit.cli import build_parser, main
 
 FERMAT = "s0^5+s1^5+s2^5+s3^5+s4^5"
 DWORK = "s0^5+s1^5+s2^5+s3^5+s4^5-5*s0*s1*s2*s3*s4"
@@ -172,6 +172,51 @@ def test_stratify_report_missing_field_exits_1(capsys, tmp_path, missing):
     assert "GsvInputError" in err and f"no field '{missing}'" in err
 
 
+RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
+
+
+@pytest.mark.parametrize("report,message", [
+    (5, "report must be a JSON object, got int"),
+    ([1, 2], "report must be a JSON object, got list"),
+    ({"transversal": False, "isolated": True, "complete": True, "rays": 5},
+     "report field 'rays' must be a list, got 5"),
+    ({"transversal": False, "isolated": True, "complete": True, "rays": [5]},
+     "report ray 0 must be a JSON object, got int"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [dict(RAY, coords="1")]},
+     "report ray 0 field 'coords' must be a list of strings, got \"1\""),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [dict(RAY, coords=[1, 1, 1, 1, 0])]},
+     "report ray 0 field 'coords' must be a list of strings"),
+], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers"])
+def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError" in err and message in err
+
+
+@pytest.mark.parametrize("command", ["cohomology", "resolutions"])
+@pytest.mark.parametrize("data,message", [
+    (5, "ConifoldData must be a JSON object, got int"),
+    ([1, 2], "ConifoldData must be a JSON object, got list"),
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
+      "base_hodge": {"1,1,1": 1}}, "base_hodge key '1,1,1' is not of the form 'p,q'"),
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
+      "base_hodge": [1]}, "base_hodge must be an object keyed by 'p,q'"),
+    ({"base_dims": 7, "n": 0, "classes": []}, "base_dims must be a list of 7 integers"),
+], ids=["top-int", "top-list", "hodge-key", "hodge-list", "dims-int"])
+def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError" in err and message in err
+
+
 def test_analyze_ansatz_does_not_import_numpy(tmp_path):
     # a fresh interpreter: other tests in this process may have loaded numpy
     src = Path(__file__).resolve().parent.parent / "src"
@@ -305,13 +350,22 @@ def test_missing_file_exits_1(capsys):
     assert code == 1 and err
 
 
-def test_session_config_defaults():
-    from gsvkit.cli import SessionConfig
-    cfg = SessionConfig()
-    assert cfg.root_of_unity_order == 5
-    assert cfg.mode == "refined"
-    with pytest.raises(Exception):
-        SessionConfig(root_of_unity_order=0)
+def test_parser_defaults(capsys):
+    parser = build_parser()
+    args = parser.parse_args(["analyze", FERMAT])
+    assert (args.zeta_order, args.source, args.format) == (5, "ansatz", "text")
+    assert parser.parse_args(["cohomology", "data.json"]).mode == "refined"
+    code, out, err = run(capsys, "analyze", FERMAT, "--zeta-order", "0")
+    assert code == 1
+    assert out == ""
+    assert "root-of-unity order must be >= 1" in err
+
+
+def test_analyze_jobs_is_accepted_and_changes_nothing(capsysbinary):
+    assert main(["analyze", DWORK]) == 0
+    default = capsysbinary.readouterr().out
+    assert main(["analyze", DWORK, "--jobs", "3"]) == 0
+    assert capsysbinary.readouterr().out == default
 
 
 def test_json_outputs_are_byte_identical(capsys, conifold_file, tmp_path):

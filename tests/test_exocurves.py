@@ -19,7 +19,7 @@ def test_positive_sheet_atlas():
     assert atlas.global_type == "C^1"
     proper = [c for c in atlas.charts if c.proper]
     assert [c.name for c in proper] == ["U_s"]
-    assert atlas.chart("U_p").punctured
+    assert not atlas.chart("U_p").proper
     assert not atlas.compact
     assert atlas.euler_characteristic() == 1
 
@@ -31,7 +31,7 @@ def test_negative_sheet_atlas():
     proper = [c for c in atlas.charts if c.proper]
     assert [c.name for c in proper] == ["U_p"]
     assert proper[0].orbifold_group_order == 5  # matches the LG orbifold group
-    assert atlas.chart("U_s").punctured
+    assert not atlas.chart("U_s").proper
 
 
 def test_zero_sheet_rejected():

@@ -153,12 +153,6 @@ def test_inconclusive_search_is_flagged():
     assert report.rays == ()
 
 
-def test_parallel_scan_matches_serial():
-    serial = find_singular_rays(DWORK, AnsatzRoots(), jobs=1)
-    parallel = find_singular_rays(DWORK, AnsatzRoots(), jobs=2)
-    assert serial == parallel
-
-
 def test_rejects_non_quintic_input():
     with pytest.raises(GsvInputError):
         verify_transversal(parse_polynomial("s0^4+s1^4+s2^4+s3^4+s4^4", K5),
