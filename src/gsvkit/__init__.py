@@ -4,27 +4,48 @@ Pipeline: exact quintic polynomial -> singular rays -> sheet-by-sheet
 stratification -> exocurve atlases and compactification -> Mayer-Vietoris
 cohomology with the class-collapse refinement -> small resolutions and the
 defo/exoflop/flop transition graph.
+
+The public names below are loaded on first use, so a caller pays only for
+the modules it touches; each CLI subcommand imports just the stages it runs.
 """
 
-from .cohomology import (ConifoldData, GradedSpace, KahlerReport, check_kahler_package,
-                         cohomology_of_closure, cohomology_report, mayer_vietoris,
-                         points, spheres)
-from .cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial
-from .errors import (BranchPointError, DegreeUndefinedError, ExactnessError, GsvError,
-                     GsvInputError, IncompleteResultError, MalformedIncidenceError,
-                     NonIsolatedError, PolynomialParseError, QuantumRegionError,
-                     ResourceLimitError, WrongModelError)
-from .exocurves import (Atlas, Chart, Model, Transition, build_comparison_p151,
-                        build_exocurve, compactify, deficit_angle, normalize_sheet,
-                        transition)
-from .poly import DEFAULT_VARIABLES, Polynomial, parse_polynomial, parse_scalar
-from .resolutions import (ResolutionChoice, TransitionGraph, build_transition_graph,
-                          enumerate_small_resolutions, flop, naive_resolution_count)
-from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularRay, SingularityClass,
-                       TransversalityReport, UserList, ansatz_candidates,
-                       classify_singularity, find_singular_rays, normalize_ray,
-                       verify_transversal)
-from .strata import (StratifiedVariety, Stratum, StratumKind, build_ground_state_variety,
-                     strata_report)
+from importlib import import_module as _import_module
 
+_HOME = {name: module for module, names in {
+    "cohomology": ("ConifoldData", "GradedSpace", "KahlerReport", "check_kahler_package",
+                   "cohomology_of_closure", "cohomology_report", "mayer_vietoris",
+                   "points", "spheres"),
+    "cyclo": ("Cyclo", "CyclotomicField", "cyclotomic_polynomial"),
+    "errors": ("BranchPointError", "DegreeUndefinedError", "ExactnessError", "GsvError",
+               "GsvInputError", "IncompleteResultError", "MalformedIncidenceError",
+               "NonIsolatedError", "PolynomialParseError", "QuantumRegionError",
+               "ResourceLimitError", "WrongModelError"),
+    "exocurves": ("Atlas", "Chart", "Model", "Transition", "build_comparison_p151",
+                  "build_exocurve", "compactify", "deficit_angle", "normalize_sheet",
+                  "transition"),
+    "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
+    "resolutions": ("ResolutionChoice", "TransitionGraph", "build_transition_graph",
+                    "enumerate_small_resolutions", "flop", "naive_resolution_count"),
+    "singular": ("AnsatzRoots", "FloatHomotopy", "Kind", "SingularRay", "SingularityClass",
+                 "TransversalityReport", "UserList", "ansatz_candidates",
+                 "classify_singularity", "find_singular_rays", "normalize_ray",
+                 "verify_transversal"),
+    "strata": ("StratifiedVariety", "Stratum", "StratumKind", "build_ground_state_variety",
+               "strata_report"),
+}.items() for name in names}
+
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

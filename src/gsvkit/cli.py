@@ -15,15 +15,17 @@ import json
 import sys
 from contextlib import nullcontext
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .cohomology import ConifoldData, cohomology_report, cohomology_report_text
-from .cyclo import CyclotomicField
 from .errors import GsvError, GsvInputError, IncompleteResultError
-from .poly import parse_polynomial, parse_scalar
-from .resolutions import build_transition_graph, naive_resolution_count
-from .singular import (AnsatzRoots, FloatHomotopy, Kind, SingularityClass, SingularRay,
-                       TransversalityReport, UserList, verify_transversal)
-from .strata import build_ground_state_variety, strata_report
+
+if TYPE_CHECKING:
+    from .cohomology import ConifoldData
+    from .cyclo import CyclotomicField
+    from .singular import TransversalityReport
+
+# Each command imports the stages it runs inside its own function, so a call
+# loads only those modules: `--help` loads none, `cohomology` no Cyclo code.
 
 
 def _json_text(obj) -> str:
@@ -55,6 +57,9 @@ def _read_polynomial_argument(arg: str) -> str:
 
 
 def _build_source(args, field: CyclotomicField):
+    from .poly import parse_scalar
+    from .singular import AnsatzRoots, FloatHomotopy, UserList
+
     if args.source == "ansatz":
         return AnsatzRoots()
     if args.source == "float":
@@ -78,6 +83,10 @@ def _build_source(args, field: CyclotomicField):
 
 
 def cmd_analyze(args) -> int:
+    from .cyclo import CyclotomicField
+    from .poly import parse_polynomial
+    from .singular import verify_transversal
+
     field = CyclotomicField(args.zeta_order)
     text = _read_polynomial_argument(args.polynomial)
     g = parse_polynomial(text, field)
@@ -102,10 +111,21 @@ def _require_fields(obj, names, where: str) -> None:
 
 
 def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
+    from .poly import parse_scalar
+    from .singular import Kind, SingularityClass, SingularRay, TransversalityReport
+
     _require_fields(obj, ("transversal", "isolated", "complete"), "report")
+    for name in ("transversal", "isolated", "complete"):
+        value = obj[name]
+        if not (isinstance(value, bool) or (value is None and name == "transversal")):
+            allowed = "true, false or null" if name == "transversal" else "true or false"
+            raise GsvInputError(f"report flag {name} must be {allowed}, "
+                                f"got {json.dumps(value)}")
     entries = obj.get("rays", [])
     if not isinstance(entries, list):
         raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
+    kinds = [k.value for k in Kind]
+    scalars = {}  # a report repeats few distinct strings (5 of 625 for Dwork)
     rays = []
     for i, entry in enumerate(entries):
         _require_fields(entry, ("coords", "class"), f"report ray {i}")
@@ -113,10 +133,18 @@ def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
         if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
             raise GsvInputError(f"report ray {i} field 'coords' must be a list of "
                                 f"strings, got {json.dumps(coords)}")
-        coords = tuple(parse_scalar(c, field) for c in coords)
+        if len(coords) != 5:
+            raise GsvInputError(f"report ray {i} has {len(coords)} coordinates, "
+                                f"expected 5")
+        if entry["class"] not in kinds:
+            raise GsvInputError(f"report ray {i} field 'class' must be one of "
+                                f"{', '.join(kinds)}, got {json.dumps(entry['class'])}")
+        for c in coords:
+            if c not in scalars:
+                scalars[c] = parse_scalar(c, field)
         cls = SingularityClass(Kind(entry["class"]), entry.get("corank"))
-        rays.append(SingularRay(coords, cls))
-    transversal, isolated = obj["transversal"], bool(obj["isolated"])
+        rays.append(SingularRay(tuple(map(scalars.__getitem__, coords)), cls))
+    transversal, isolated = obj["transversal"], obj["isolated"]
     if (transversal is True and rays) or (transversal is False and not rays):
         raise GsvInputError(
             f"report flag transversal: {json.dumps(transversal)} disagrees with "
@@ -131,11 +159,14 @@ def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
         rays=tuple(rays),
         isolated=isolated,
         source=str(obj.get("source", "file")),
-        complete=bool(obj["complete"]),
+        complete=obj["complete"],
     )
 
 
 def cmd_stratify(args) -> int:
+    from .cyclo import CyclotomicField
+    from .strata import build_ground_state_variety, strata_report
+
     field = CyclotomicField(args.zeta_order)
     obj = json.loads(Path(args.report).read_text(encoding="utf-8"))
     report = _report_from_json(obj, field)
@@ -145,11 +176,15 @@ def cmd_stratify(args) -> int:
 
 
 def _load_conifold(path: str) -> ConifoldData:
+    from .cohomology import ConifoldData
+
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
     return ConifoldData.from_json_dict(obj)
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_report, cohomology_report_text
+
     data = _load_conifold(args.data)
     report = cohomology_report(data, mode=args.mode)
     _emit(args, cohomology_report_text(report), report)
@@ -157,6 +192,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_resolutions(args) -> int:
+    from .resolutions import build_transition_graph, naive_resolution_count
+
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
     if args.dot:

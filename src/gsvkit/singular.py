@@ -15,10 +15,11 @@ Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
 dG = 0 verdict goes through one scan, built once per polynomial.  On the
 root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so the scan
 bins each gradient component's integer coefficients by that exponent mod k
-and tests the binned vector against a fixed integer table of zeta^t.  A
-chart Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order
-k) certifies a node; a lower rank mod p, or a denominator divisible by p,
-falls back to the exact rank.
+and tests the binned vector against a fixed integer table of zeta^t; the
+same scan over G alone checks G = 0 on every reported ray.  A chart Hessian
+of rank 4 over F_p (p = 1 mod k, zeta -> an element of order k) certifies a
+node; a lower rank mod p, or a denominator divisible by p, falls back to the
+exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
@@ -167,6 +168,8 @@ def normalize_ray(point: Sequence[Cyclo]) -> Tuple[Cyclo, ...]:
     lead = next((c for c in point if not c.is_zero()), None)
     if lead is None:
         raise GsvInputError("the origin does not define a ray")
+    if lead.coeffs == lead.field.one.coeffs:
+        return tuple(point)  # already normalized, as every ansatz candidate is
     inv = lead.inverse()
     return tuple(c * inv for c in point)
 
@@ -190,26 +193,29 @@ _ZERO, _OFF_GRID = -1, -2
 
 
 class _GridScan:
-    """Exact test of dG = 0 at candidate points, in integers on the grid.
+    """Exact test that polynomials in the variables of `g` all vanish at
+    candidate points, in integers on the grid; by default the polynomials
+    are the gradient of `g`, so the test is dG = 0.
 
     At a point whose coordinates are 0 or zeta^a, a monomial c*x^m that
-    avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each gradient
-    component, with denominators cleared, thus becomes an integer vector of
+    avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each
+    polynomial, with denominators cleared, thus becomes an integer vector of
     length k binned by exponent mod k; it vanishes iff the vector's image in
     the power basis, through the integer table of zeta^t, is zero.  Any
     other point is evaluated exactly with Cyclo arithmetic.
     """
 
-    def __init__(self, g: Polynomial):
+    def __init__(self, g: Polynomial, polys: Sequence[Polynomial] | None = None):
         field = g.field
-        self.gradients = g.gradient()
+        self.polys = g.gradient() if polys is None else tuple(polys)
+        self.n = len(g.variables)
         self.k = field.order
         units = [field.zeta_power(a) for a in range(self.k)]
         self._phase_of = {u.coeffs: a for a, u in enumerate(units)}
         # Phi_k is monic with integer coefficients, so zeta^t is integral
         self._columns = [[int(u.coeffs[j]) for u in units] for j in range(field.degree)]
         self._components = []
-        for comp in self.gradients:
+        for comp in self.polys:
             scale = lcm(*(c.denominator for coeff in comp.terms.values()
                           for c in coeff.coeffs))
             self._components.append(
@@ -226,8 +232,8 @@ class _GridScan:
         return _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
 
     def _pattern(self, nonzero: Tuple[bool, ...]):
-        """Per gradient component, the monomials that survive on this zero
-        pattern; components with none vanish identically and are dropped."""
+        """Per polynomial, the monomials that survive on this zero pattern;
+        polynomials with none vanish identically and are dropped."""
         live = []
         for terms in self._components:
             kept = [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
@@ -240,9 +246,9 @@ class _GridScan:
         phases = list(map(self._memo.get, map(id, point)))
         if None in phases:
             phases = [self._phase(c) if a is None else a for c, a in zip(point, phases)]
-        if _OFF_GRID in phases or len(phases) != len(self.gradients):
+        if _OFF_GRID in phases or len(phases) != self.n:
             # evaluate also rejects a wrong length
-            return all(d.evaluate(point).is_zero() for d in self.gradients)
+            return all(d.evaluate(point).is_zero() for d in self.polys)
         nonzero = tuple(map(_ZERO.__ne__, phases))
         pattern = self._patterns.get(nonzero)
         if pattern is None:
@@ -262,8 +268,13 @@ class _GridScan:
 
 
 def _scan(g: Polynomial) -> _GridScan:
-    """The grid scan of `g`, built once per polynomial like its gradient."""
+    """The grid scan of dG, built once per polynomial like its gradient."""
     return g._cached("scan", lambda: _GridScan(g))
+
+
+def _value_scan(g: Polynomial) -> _GridScan:
+    """The grid scan of G itself, built once per polynomial."""
+    return g._cached("value_scan", lambda: _GridScan(g, (g,)))
 
 
 def _require_quintic(g: Polynomial):
@@ -311,7 +322,7 @@ def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[Sing
         seen[tuple(c.coeffs for c in ray)] = ray
     rays = []
     for ray in seen.values():
-        if not g.evaluate(ray).is_zero():
+        if not _value_scan(g).vanishes(ray):
             # homogeneity forces G = 0 wherever dG = 0; failure means a bug
             raise GsvError("internal error: G does not vanish on a singular ray")
         rays.append(SingularRay(ray, classify_singularity(g, ray)))

@@ -188,7 +188,22 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
     ({"transversal": False, "isolated": True, "complete": True,
       "rays": [dict(RAY, coords=[1, 1, 1, 1, 0])]},
      "report ray 0 field 'coords' must be a list of strings"),
-], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers"])
+    ({"transversal": "yes", "isolated": True, "complete": True, "rays": []},
+     "report flag transversal must be true, false or null, got \"yes\""),
+    ({"transversal": False, "isolated": "no", "complete": True, "rays": [RAY]},
+     "report flag isolated must be true or false, got \"no\""),
+    ({"transversal": False, "isolated": True, "complete": 1, "rays": [RAY]},
+     "report flag complete must be true or false, got 1"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [RAY, dict(RAY, coords=["1", "1"])]},
+     "report ray 1 has 2 coordinates, expected 5"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [dict(RAY, **{"class": "nodez"})]},
+     "report ray 0 field 'class' must be one of node, non_node, unclassified, "
+     "got \"nodez\""),
+], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
+        "transversal-string", "isolated-string", "complete-int", "coords-count",
+        "class-unknown"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -217,18 +232,51 @@ def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data,
     assert "GsvInputError" in err and message in err
 
 
-def test_analyze_ansatz_does_not_import_numpy(tmp_path):
-    # a fresh interpreter: other tests in this process may have loaded numpy
+def modules_after(argv) -> set[str]:
+    """The gsvkit and numpy modules loaded by one CLI call in a fresh
+    interpreter; other tests in this process may have loaded any of them."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\n"
               "from gsvkit.cli import main\n"
-              f"code = main(['analyze', {DWORK!r}, '--output', {str(tmp_path / 'r.txt')!r}])\n"
+              "try:\n"
+              f"    code = main({list(argv)!r})\n"
+              "except SystemExit as exc:\n"
+              "    code = exc.code\n"
               "assert code == 0, code\n"
-              "assert 'numpy' not in sys.modules\n")
+              "print(*(m for m in sys.modules if m.split('.')[0] in ('gsvkit', 'numpy')))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def test_analyze_ansatz_does_not_import_numpy(tmp_path):
+    assert "numpy" not in modules_after(["analyze", DWORK, "--output",
+                                         str(tmp_path / "r.txt")])
+
+
+ANALYZE_MODULES = {"gsvkit.cyclo", "gsvkit.poly", "gsvkit.linalg", "gsvkit.singular"}
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("help", set()),
+    ("analyze", ANALYZE_MODULES),
+    ("stratify", ANALYZE_MODULES | {"gsvkit.strata", "gsvkit.exocurves"}),
+    ("cohomology", {"gsvkit.cohomology"}),
+    ("resolutions", {"gsvkit.cohomology", "gsvkit.resolutions"}),
+])
+def test_each_command_loads_only_its_modules(tmp_path, conifold_file, command, loaded):
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps({"transversal": True, "rays": [], "isolated": True,
+                                  "complete": True}))
+    out = ["--output", str(tmp_path / "out.txt")]
+    argv = {"help": ["--help"],
+            "analyze": ["analyze", DWORK, *out],
+            "stratify": ["stratify", str(report), "--sheet", "neg", *out],
+            "cohomology": ["cohomology", conifold_file, *out],
+            "resolutions": ["resolutions", conifold_file, *out]}[command]
+    assert modules_after(argv) == {"gsvkit", "gsvkit.cli", "gsvkit.errors"} | loaded
 
 
 def test_cohomology_command(capsys, conifold_file):

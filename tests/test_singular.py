@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsvkit import singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
-from gsvkit.errors import GsvInputError
+from gsvkit.errors import GsvError, GsvInputError
 from gsvkit.linalg import matrix_rank, rank_mod_p
 from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (AnsatzRoots, FloatHomotopy, Kind, UserList,
@@ -165,6 +165,26 @@ def test_normalize_ray():
     assert ray[0].is_zero() and ray[1] == K5.one and ray[2] == z ** -3
 
 
+K5_ELEMENTS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),
+                       min_size=4, max_size=4).map(K5.element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(K5.zero), st.just(K5.one), K5_ELEMENTS),
+                min_size=5, max_size=5).filter(lambda pt: any(pt)))
+def test_normalize_ray_shortcut_matches_general_path(point):
+    # a lead of exactly 1 returns the point as it is; dividing by it must agree
+    lead = next(c for c in point if not c.is_zero())
+    general = tuple(c * lead.inverse() for c in point)
+    assert normalize_ray(point) == general
+    assert normalize_ray(general) == general
+
+
+def test_finish_rays_rejects_a_ray_where_g_does_not_vanish():
+    with pytest.raises(GsvError, match="G does not vanish"):
+        singular._finish_rays(FERMAT, [(K5.one, K5.zero, K5.zero, K5.zero, K5.zero)])
+
+
 def test_float_homotopy_certifies_grid_solutions():
     rays = find_singular_rays(ONE_NODE, FloatHomotopy(starts=150, seed=11))
     certified = [r for r in rays if r.classification.kind is not Kind.UNCLASSIFIED]
@@ -234,16 +254,24 @@ def test_grid_helper_is_the_ansatz_grid():
 def test_grid_scan_matches_exact_evaluation(g, data):
     # the whole grid up to k = 5; above that the exact oracle is too slow for
     # 16,105 points, so the nonzero phases are 0 and two drawn others
-    k = g.field.order
+    field = g.field
+    k = field.order
     phases = range(k)
     if k > 5:
         phases = [0] + data.draw(st.lists(st.integers(1, k - 1), min_size=2,
                                           max_size=2, unique=True))
-    candidates = list(grid(g.field, phases))
-    kept = singular._exact_search(g, candidates)
-    oracle = [pt for pt in candidates
-              if all(d.evaluate(pt).is_zero() for d in g.gradient())]
-    assert kept == oracle
+    # off the grid unless -1 or 2 is a k-th root of unity: the Cyclo fallback
+    off = [(field.one, field.element(-1), field.zero, field.zero, field.zero),
+           (field.element(2),) * 5,
+           (field.one, field.element(Fraction(1, 2)), field.one, field.zero, field.zero)]
+    candidates = list(grid(field, phases)) + off
+    assert singular._exact_search(g, candidates) == [
+        pt for pt in candidates if all(d.evaluate(pt).is_zero() for d in g.gradient())]
+    # the value scan checks G itself, which is nonzero at e.g. (1, 0, 0, 0, 0)
+    # whenever G has an s0^5 term
+    value = singular._value_scan(g)
+    assert [pt for pt in candidates if value.vanishes(pt)] == [
+        pt for pt in candidates if g.evaluate(pt).is_zero()]
 
 
 def test_grid_scan_falls_back_off_the_grid():
@@ -252,6 +280,25 @@ def test_grid_scan_falls_back_off_the_grid():
     half = (K5.one, K5.element(Fraction(1, 2)), K5.zero, K5.zero, K5.zero)
     on = (K5.one,) * 5
     assert singular._exact_search(DWORK, [off, half, on]) == [off, on]
+    value = singular._value_scan(DWORK)
+    assert [pt for pt in (off, half, on) if value.vanishes(pt)] == [off, on]
+    for scan in (singular._scan(DWORK), value):
+        for wrong in (on[:4], on + (K5.one,)):
+            with pytest.raises(GsvInputError, match="coordinates, expected 5"):
+                scan.vanishes(wrong)
+
+
+def test_grid_scans_take_no_cyclo_evaluation_on_the_grid(monkeypatch):
+    # the length test counts variables, not scanned polynomials: the value
+    # scan tests one polynomial at 5-coordinate points
+    def evaluate(self, point):
+        raise AssertionError("grid point sent to Polynomial.evaluate")
+
+    monkeypatch.setattr(Polynomial, "evaluate", evaluate)
+    value = singular._value_scan(DWORK)
+    nodes = singular._exact_search(DWORK, ansatz_candidates(K5))
+    assert len(nodes) == 125 and all(map(value.vanishes, nodes))
+    assert not value.vanishes((K5.one, K5.zero, K5.zero, K5.zero, K5.zero))
 
 
 # -- batched numeric search against the scalar evaluator ---------------------------
