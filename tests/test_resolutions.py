@@ -1,5 +1,6 @@
 """Small resolution enumeration and the transition graph."""
 
+import hashlib
 import io
 import json
 import random
@@ -201,14 +202,49 @@ def test_streamed_output_matches_iterated_graph(data, smooth):
     out = io.StringIO()
     graph.write_json(out)
     assert out.getvalue() == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    out = io.StringIO()
+    graph.write_dot(out)
+    assert out.getvalue() == dot_from_rows(vertices, edges) == graph.to_dot()
+
+
+def dot_from_rows(vertices, edges) -> str:
     shapes = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
     dot = (["graph transitions {"]
            + [f'  "{v.name}" [shape={shapes[v.kind]}];' for v in vertices]
            + [f'  "{e.source}" -- "{e.target}" [label="{e.label}"];' for e in edges]
            + ["}"])
+    return "\n".join(dot) + "\n"
+
+
+@pytest.mark.parametrize("n_classes,nodes_per_class", [(8, 3), (11, 2)])
+def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
+    # Past N = 7, which the hypothesis test reaches, so the writers cross
+    # many blocks of resolution codes.
+    data = data_with_classes(n_classes, nodes_per_class, b3=57)
+    graph = build_transition_graph(data, smooth_dims=GradedSpace((1, 0, 3, 88, 3, 0, 1)))
+    out = io.StringIO()
+    graph.write_json(out)
+    assert out.getvalue() == json.dumps(graph.to_json_dict(), indent=2, sort_keys=True) + "\n"
     out = io.StringIO()
     graph.write_dot(out)
-    assert out.getvalue() == "\n".join(dot) + "\n" == graph.to_dot()
+    assert out.getvalue() == dot_from_rows(graph.vertices, graph.edges)
+
+
+def test_n14_output_is_pinned():
+    # N = 14 singleton classes, the shape the hypercube benchmark feeds the
+    # CLI: any change to the JSON or DOT bytes changes these digests.
+    big_n = 14
+    data = ConifoldData(GradedSpace((1, 0, 1, 204, 1 + big_n, 0, 1)), big_n,
+                        [[k] for k in range(1, big_n + 1)])
+    graph = build_transition_graph(data)
+    digests = []
+    for write in (graph.write_json, graph.write_dot):
+        out = io.StringIO()
+        write(out)
+        digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
+    assert digests == [
+        "06dbcc4870a8fbab88d36f3d8db4f3eb948db09d1696619337ff8467fef3f044",
+        "f7bd484082b1fdfd65b9a7debc2cae26857ab874ad9eb31c19a49163b78d3319"]
 
 
 def test_counts_need_no_rows():
