@@ -32,10 +32,17 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _open_for_writing(flag: str, path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise GsvInputError(f"cannot write {flag} file {path}: {exc.strerror}") from exc
+
+
 def _open_output(args):
     """The --output file opened for writing, or stdout left open."""
     if getattr(args, "output", None):
-        return open(args.output, "w", encoding="utf-8")
+        return _open_for_writing("--output", args.output)
     return nullcontext(sys.stdout)
 
 
@@ -196,22 +203,23 @@ def cmd_resolutions(args) -> int:
 
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            graph.write_dot(fh)
-    if args.format != "text":
-        with _open_output(args) as fh:
-            (graph.write_dot if args.format == "dot" else graph.write_json)(fh)
-        return 0
-    counts = graph.edge_counts()
-    text_lines = [
-        f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
-        f"compatible small resolutions: {2 ** data.n_classes}",
-        f"naive per-node count: {naive_resolution_count(data)}",
-        f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
-    ]
-    text_lines += [f"  {kind} edges: {count}" for kind, count in counts.items()]
-    _emit(args, "\n".join(text_lines), None)
+    # Both files are opened before either is written, so a path that cannot be
+    # opened exits 1 before any graph bytes are written.
+    with _open_output(args) as out, \
+            (_open_for_writing("--dot", args.dot) if args.dot else nullcontext()) as dot:
+        if dot:
+            graph.write_dot(dot)
+        if args.format != "text":
+            (graph.write_dot if args.format == "dot" else graph.write_json)(out)
+            return 0
+        text_lines = [
+            f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
+            f"compatible small resolutions: {2 ** data.n_classes}",
+            f"naive per-node count: {naive_resolution_count(data)}",
+            f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
+        ]
+        text_lines += [f"  {kind} edges: {count}" for kind, count in graph.edge_counts().items()]
+        out.write("\n".join(text_lines) + "\n")
     return 0
 
 

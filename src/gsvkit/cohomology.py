@@ -144,6 +144,13 @@ class ConifoldData:
         if not isinstance(obj, dict):
             raise GsvInputError(
                 f"ConifoldData must be a JSON object, got {type(obj).__name__}")
+        allowed = ("base_dims", "n", "classes", "base_hodge")
+        for key in obj:
+            if key not in allowed:
+                raise GsvInputError(f"ConifoldData has unknown field {key!r}; "
+                                    f"allowed fields are {', '.join(allowed)}")
+        if "n" not in obj:
+            raise GsvInputError("ConifoldData has no field 'n'")
         hodge = obj.get("base_hodge")
         if hodge is not None:
             if not isinstance(hodge, dict):

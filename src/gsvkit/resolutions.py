@@ -9,7 +9,6 @@ pair is flagged in the graph metadata.
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -130,11 +129,8 @@ class _Rows(Sequence):
                 and all(a == b for a, b in zip(self, other)))
 
 
-# Every string in a row is a constant of this module or M_nat_<int>, so none
-# needs JSON or DOT escaping and rows are written between plain quotes.
-_SHAPES = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
-
-
+# Every string the writers emit is a constant of this module or M_nat_<int>,
+# so none needs JSON or DOT escaping and names go between plain quotes.
 def _json_ints(values) -> str:
     """An int list as json.dumps(indent=2) nests it inside a list entry."""
     if not values:
@@ -142,34 +138,35 @@ def _json_ints(values) -> str:
     return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
 
 
-# The row encoders list fields in sorted key order, as json.dumps(sort_keys=True)
-# writes them.
-def _json_vertex(name, kind, orientation, h2, dims) -> str:
+def _json_vertex(name, kind, h2, dims) -> str:
+    """A vertex without orientation as an entry of the JSON vertex list, its
+    fields in the sorted order of json.dumps(sort_keys=True)."""
     fields = []
     if dims is not None:
         fields.append(f'"dims": {_json_ints(dims)}')
     if h2 is not None:
         fields.append(f'"h2": {h2}')
     fields += (f'"kind": "{kind}"', f'"name": "{name}"')
-    if orientation is not None:
-        fields.append(f'"orientation": {_json_ints(orientation)}')
     return "    {\n      " + ",\n      ".join(fields) + "\n    }"
 
 
-def _json_edge(source, target, label, note) -> str:
-    note = f'      "note": "{note}",\n' if note else ""
-    return (f'    {{\n      "label": "{label}",\n{note}'
-            f'      "source": "{source}",\n      "target": "{target}"\n    }}')
+# Resolution codes per block: each writer formats a block's rows from fixed
+# templates and writes them at once.  A few dozen codes keep a block small,
+# so memory stays flat in N.
+_BLOCK = 64
 
 
-def _write_json_list(fh, key: str, entries) -> None:
-    fh.write(f'  "{key}": [')
-    sep = "\n"
-    for entry in entries:
-        fh.write(sep)
-        fh.write(entry)
-        sep = ",\n"
-    fh.write("]" if sep == "\n" else "\n  ]")
+def _blocks(count: int):
+    """Ranges of at most _BLOCK consecutive codes covering 0..count-1."""
+    return (range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+
+
+def _flops(big_n: int, codes):
+    """The flop edges leaving each code, in output order, as (source, target)
+    codes: for class k = 1..N with bit N-k of the code clear, the code with
+    that bit set."""
+    flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
+    return ((code, code | bit) for code in codes for bit in flips if not code & bit)
 
 
 @dataclass(frozen=True)
@@ -205,12 +202,8 @@ class TransitionGraph:
         yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
         for i in range(1, 2 ** big_n + 1):
             yield ("V_bar", f"M_nat_{i}", "exoflop", None)
-        flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
-        for code in range(2 ** big_n):
-            source = f"M_nat_{code + 1}"
-            for bit in flips:
-                if not code & bit:
-                    yield (source, f"M_nat_{(code | bit) + 1}", "flop", FLOP_NOTE)
+        for source, target in _flops(big_n, range(2 ** big_n)):
+            yield (f"M_nat_{source + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
 
     def edge_counts(self) -> Dict[str, int]:
         """Edges per label, from the closed forms."""
@@ -250,31 +243,58 @@ class TransitionGraph:
 
     def write_json(self, fh) -> None:
         """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
-        and a newline to a text file, one row at a time."""
-        n_vertices = len(self.vertices)
-        fh.write("{\n")
-        _write_json_list(fh, "edges",
-                         starmap(_json_edge, islice(self._rows(), n_vertices, None)))
+        and a newline to a text file, a block of resolution codes at a time."""
         metadata = json.dumps(dict(self.metadata), indent=2, sort_keys=True)
-        fh.write(',\n  "metadata": ' + metadata.replace("\n", "\n  ") + ",\n")
-        _write_json_list(fh, "vertices",
-                         starmap(_json_vertex, islice(self._rows(), n_vertices)))
-        fh.write("\n}\n")
+        metadata = ',\n  "metadata": ' + metadata.replace("\n", "\n  ") + ',\n  "vertices": [\n'
+        if self.n == 0:
+            fh.write('{\n  "edges": []' + metadata
+                     + _json_vertex("M_flat=V_bar", "deformation", None, self.smooth_dims)
+                     + "\n  ]\n}\n")
+            return
+        big_n, count = self.n_classes, 2 ** self.n_classes
+        fh.write('{\n  "edges": [\n    {\n      "label": "defo",\n'
+                 f'      "note": "{DEFO_NOTE}",\n'
+                 '      "source": "M_flat",\n      "target": "V_bar"\n    }')
+        for codes in _blocks(count):
+            fh.write("".join([',\n    {\n      "label": "exoflop",\n      "source": "V_bar",\n'
+                              f'      "target": "M_nat_{code + 1}"\n    }}' for code in codes]))
+        for codes in _blocks(count):
+            fh.write("".join([',\n    {\n      "label": "flop",\n'
+                              f'      "note": "{FLOP_NOTE}",\n'
+                              f'      "source": "M_nat_{source + 1}",\n'
+                              f'      "target": "M_nat_{target + 1}"\n    }}'
+                              for source, target in _flops(big_n, codes)]))
+        fh.write("\n  ]" + metadata
+                 + _json_vertex("M_flat", "deformation", None, self.smooth_dims) + ",\n"
+                 + _json_vertex("V_bar", "stratified_union", self.closure_dims[2],
+                                self.closure_dims))
+        h2 = "" if self.h2 is None else f'"h2": {self.h2},\n      '
+        bits, sep = f"0{big_n}b", ",\n        "
+        for codes in _blocks(count):
+            fh.write("".join([f',\n    {{\n      {h2}"kind": "resolution",\n'
+                              f'      "name": "M_nat_{code + 1}",\n      "orientation": [\n'
+                              f'        {sep.join(format(code, bits))}\n      ]\n    }}'
+                              for code in codes]))
+        fh.write("\n  ]\n}\n")
 
     def write_dot(self, fh) -> None:
-        """Write the graph in DOT format to a text file, one row at a time."""
-        rows = self._rows()
-        fh.write("graph transitions {\n")
-        for name, kind, *_ in islice(rows, len(self.vertices)):
-            fh.write(f'  "{name}" [shape={_SHAPES[kind]}];\n')
-        for source, target, label, _ in rows:
-            fh.write(f'  "{source}" -- "{target}" [label="{label}"];\n')
+        """Write the graph in DOT format to a text file, a block of resolution
+        codes at a time."""
+        if self.n == 0:
+            fh.write('graph transitions {\n  "M_flat=V_bar" [shape=ellipse];\n}\n')
+            return
+        big_n, count = self.n_classes, 2 ** self.n_classes
+        fh.write('graph transitions {\n  "M_flat" [shape=ellipse];\n  "V_bar" [shape=box];\n')
+        for codes in _blocks(count):
+            fh.write("".join([f'  "M_nat_{code + 1}" [shape=diamond];\n' for code in codes]))
+        fh.write('  "M_flat" -- "V_bar" [label="defo"];\n')
+        for codes in _blocks(count):
+            fh.write("".join([f'  "V_bar" -- "M_nat_{code + 1}" [label="exoflop"];\n'
+                              for code in codes]))
+        for codes in _blocks(count):
+            fh.write("".join([f'  "M_nat_{source + 1}" -- "M_nat_{target + 1}" [label="flop"];\n'
+                              for source, target in _flops(big_n, codes)]))
         fh.write("}\n")
-
-    def to_dot(self) -> str:
-        out = io.StringIO()
-        self.write_dot(out)
-        return out.getvalue()
 
 
 def build_transition_graph(data: ConifoldData,

@@ -222,7 +222,12 @@ def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
       "base_hodge": [1]}, "base_hodge must be an object keyed by 'p,q'"),
     ({"base_dims": 7, "n": 0, "classes": []}, "base_dims must be a list of 7 integers"),
-], ids=["top-int", "top-list", "hodge-key", "hodge-list", "dims-int"])
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [], "base_hodg": {"0,0": 1}},
+     "ConifoldData has unknown field 'base_hodg'; allowed fields are base_dims, n, "
+     "classes, base_hodge"),
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "classes": []}, "ConifoldData has no field 'n'"),
+], ids=["top-int", "top-list", "hodge-key", "hodge-list", "dims-int", "unknown-field",
+        "no-n"])
 def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -391,6 +396,19 @@ def test_resolutions_bound_checked_before_output(capsys, tmp_path):
     assert out == ""
     assert "ResourceLimitError" in err
     assert not graph_json.exists() and not graph_dot.exists()
+
+
+@pytest.mark.parametrize("flag", ["--output", "--dot"])
+def test_resolutions_unwritable_path_writes_no_graph(capsys, conifold_file, tmp_path, flag):
+    paths = {"--output": tmp_path / "graph.json", "--dot": tmp_path / "graph.dot"}
+    paths[flag] = tmp_path / "missing" / "graph"
+    code, out, err = run(capsys, "resolutions", conifold_file, "--format", "json",
+                         "--output", str(paths["--output"]), "--dot", str(paths["--dot"]))
+    assert code == 1
+    assert out == ""
+    assert f"GsvInputError: cannot write {flag} file {paths[flag]}: " in err
+    assert not paths[flag].exists()
+    assert all(not p.exists() or p.read_text() == "" for p in paths.values())
 
 
 def test_missing_file_exits_1(capsys):
