@@ -203,6 +203,8 @@ def cmd_resolutions(args) -> int:
 
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
+    if args.dot and args.output and Path(args.dot).resolve() == Path(args.output).resolve():
+        raise GsvInputError(f"--output and --dot both name {args.output}")
     # Both files are opened before either is written, so a path that cannot be
     # opened exits 1 before any graph bytes are written.
     with _open_output(args) as out, \

@@ -411,6 +411,18 @@ def test_resolutions_unwritable_path_writes_no_graph(capsys, conifold_file, tmp_
     assert all(not p.exists() or p.read_text() == "" for p in paths.values())
 
 
+def test_resolutions_rejects_one_file_for_both_outputs(capsys, conifold_file, tmp_path,
+                                                       monkeypatch):
+    # Two open handles on one file would interleave the JSON and DOT bytes.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "resolutions", conifold_file, "--format", "json",
+                         "--output", "graph", "--dot", str(tmp_path / "graph"))
+    assert code == 1
+    assert out == ""
+    assert "GsvInputError: --output and --dot both name graph" in err
+    assert not (tmp_path / "graph").exists()
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "cohomology", "/nonexistent/path.json")
     assert code == 1 and err
