@@ -161,12 +161,12 @@ def _blocks(count: int):
     return (range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
 
 
-def _flops(big_n: int, codes):
-    """The flop edges leaving each code, in output order, as (source, target)
-    codes: for class k = 1..N with bit N-k of the code clear, the code with
-    that bit set."""
+def _flop_targets(big_n: int):
+    """A map from a resolution code to the targets of its flop edges, in
+    output order: for class k = 1..N with bit N-k of the code clear, the
+    code with that bit set."""
     flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
-    return ((code, code | bit) for code in codes for bit in flips if not code & bit)
+    return lambda code: [code | bit for bit in flips if not code & bit]
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,10 @@ class TransitionGraph:
         yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
         for i in range(1, 2 ** big_n + 1):
             yield ("V_bar", f"M_nat_{i}", "exoflop", None)
-        for source, target in _flops(big_n, range(2 ** big_n)):
-            yield (f"M_nat_{source + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
+        targets = _flop_targets(big_n)
+        for code in range(2 ** big_n):
+            for target in targets(code):
+                yield (f"M_nat_{code + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
 
     def edge_counts(self) -> Dict[str, int]:
         """Edges per label, from the closed forms."""
@@ -251,7 +253,7 @@ class TransitionGraph:
                      + _json_vertex("M_flat=V_bar", "deformation", None, self.smooth_dims)
                      + "\n  ]\n}\n")
             return
-        big_n, count = self.n_classes, 2 ** self.n_classes
+        count, targets = 2 ** self.n_classes, _flop_targets(self.n_classes)
         fh.write('{\n  "edges": [\n    {\n      "label": "defo",\n'
                  f'      "note": "{DEFO_NOTE}",\n'
                  '      "source": "M_flat",\n      "target": "V_bar"\n    }')
@@ -261,15 +263,15 @@ class TransitionGraph:
         for codes in _blocks(count):
             fh.write("".join([',\n    {\n      "label": "flop",\n'
                               f'      "note": "{FLOP_NOTE}",\n'
-                              f'      "source": "M_nat_{source + 1}",\n'
+                              f'      "source": "M_nat_{code + 1}",\n'
                               f'      "target": "M_nat_{target + 1}"\n    }}'
-                              for source, target in _flops(big_n, codes)]))
+                              for code in codes for target in targets(code)]))
         fh.write("\n  ]" + metadata
                  + _json_vertex("M_flat", "deformation", None, self.smooth_dims) + ",\n"
                  + _json_vertex("V_bar", "stratified_union", self.closure_dims[2],
                                 self.closure_dims))
         h2 = "" if self.h2 is None else f'"h2": {self.h2},\n      '
-        bits, sep = f"0{big_n}b", ",\n        "
+        bits, sep = f"0{self.n_classes}b", ",\n        "
         for codes in _blocks(count):
             fh.write("".join([f',\n    {{\n      {h2}"kind": "resolution",\n'
                               f'      "name": "M_nat_{code + 1}",\n      "orientation": [\n'
@@ -283,7 +285,7 @@ class TransitionGraph:
         if self.n == 0:
             fh.write('graph transitions {\n  "M_flat=V_bar" [shape=ellipse];\n}\n')
             return
-        big_n, count = self.n_classes, 2 ** self.n_classes
+        count, targets = 2 ** self.n_classes, _flop_targets(self.n_classes)
         fh.write('graph transitions {\n  "M_flat" [shape=ellipse];\n  "V_bar" [shape=box];\n')
         for codes in _blocks(count):
             fh.write("".join([f'  "M_nat_{code + 1}" [shape=diamond];\n' for code in codes]))
@@ -292,8 +294,8 @@ class TransitionGraph:
             fh.write("".join([f'  "V_bar" -- "M_nat_{code + 1}" [label="exoflop"];\n'
                               for code in codes]))
         for codes in _blocks(count):
-            fh.write("".join([f'  "M_nat_{source + 1}" -- "M_nat_{target + 1}" [label="flop"];\n'
-                              for source, target in _flops(big_n, codes)]))
+            fh.write("".join([f'  "M_nat_{code + 1}" -- "M_nat_{target + 1}" [label="flop"];\n'
+                              for code in codes for target in targets(code)]))
         fh.write("}\n")
 
 
