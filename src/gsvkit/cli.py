@@ -209,7 +209,7 @@ def cmd_resolutions(args) -> int:
     # opened exits 1 before any graph bytes are written.
     with _open_output(args) as out, \
             (_open_for_writing("--dot", args.dot) if args.dot else nullcontext()) as dot:
-        if dot:
+        if dot is not None:
             graph.write_dot(dot)
         if args.format != "text":
             (graph.write_dot if args.format == "dot" else graph.write_json)(out)

@@ -232,6 +232,18 @@ def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
     assert out.getvalue() == dot_from_rows(graph.vertices, graph.edges)
 
 
+def test_writers_write_one_small_block_at_a_time():
+    # Memory stays flat in N only while each write holds a bounded block of
+    # rows; one write per row would cost a call per edge.
+    graph = build_transition_graph(data_with_classes(14))
+    blocks = 3 * 2 ** 14 // 64
+    for write in (graph.write_json, graph.write_dot):
+        sizes = []
+        write(mock.Mock(write=lambda text: sizes.append(len(text))))
+        assert len(sizes) <= blocks + 4
+        assert max(sizes) < 256 * 1024
+
+
 def test_n14_output_is_pinned():
     # N = 14 singleton classes, the shape the hypercube benchmark feeds the
     # CLI: any change to the JSON or DOT bytes changes these digests.
