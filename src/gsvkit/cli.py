@@ -149,7 +149,13 @@ def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
         for c in coords:
             if c not in scalars:
                 scalars[c] = parse_scalar(c, field)
-        cls = SingularityClass(Kind(entry["class"]), entry.get("corank"))
+        kind, corank = Kind(entry["class"]), entry.get("corank")
+        non_node = kind is Kind.NON_NODE
+        if not (type(corank) is int and 1 <= corank <= 4 if non_node else corank is None):
+            allowed = "an integer from 1 to 4" if non_node else "null"
+            raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for class "
+                                f"{kind.value}, got {json.dumps(corank)}")
+        cls = SingularityClass(kind, corank)
         rays.append(SingularRay(tuple(map(scalars.__getitem__, coords)), cls))
     transversal, isolated = obj["transversal"], obj["isolated"]
     if (transversal is True and rays) or (transversal is False and not rays):

@@ -195,21 +195,6 @@ class Polynomial:
                 total = total + term
         return total
 
-    def evaluate_residue(self, point: Sequence[int], p: int, omega: int) -> int | None:
-        """Image of `evaluate` in F_p under zeta -> omega (see
-        `cyclo.residue_prime`), given the images of the coordinates; None when
-        a coefficient's denominator is divisible by p."""
-        total = 0
-        for exp, coeff in self.terms.items():
-            term = coeff.residue(p, omega)
-            if term is None:
-                return None
-            for x, e in zip(point, exp):
-                if e:
-                    term = term * pow(x, e, p) % p
-            total += term
-        return total % p
-
     def evaluate_complex(self, point: Sequence[complex]) -> complex:
         """Floating shadow of `evaluate`, for numeric search and sanity checks."""
         if len(point) != len(self.variables):

@@ -12,14 +12,20 @@ quadratic cone is an isolated singular direction, so "every ray is a node"
 doubles as the isolation certificate.
 
 Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
-dG = 0 verdict goes through one scan, built once per polynomial.  On the
-root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so the scan
-bins each gradient component's integer coefficients by that exponent mod k
-and tests the binned vector against a fixed integer table of zeta^t; the
-same scan over G alone checks G = 0 on every reported ray.  A chart Hessian
-of rank 4 over F_p (p = 1 mod k, zeta -> an element of order k) certifies a
-node; a lower rank mod p, or a denominator divisible by p, falls back to the
-exact rank.
+dG = 0 verdict comes from one test in one scan, built once per polynomial.
+On the root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so
+a gradient component is zero iff its integer coefficients, binned by that
+exponent mod k, vanish against a fixed integer table of zeta^t.  The ansatz
+source does not visit the grid point by point: it solves one zero pattern
+(which coordinates are 0) at a time.  A pattern where some component keeps
+a single monomial has no solutions.  Otherwise a component's verdict depends
+only on its monomials' phase differences, so it is a memoized k-bit mask
+over the last free phase, ANDed over the components for each phase prefix
+of the other free coordinates.  The same test checks user candidates,
+numeric hits and, over G alone, G = 0 on every reported ray.  A chart
+Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order k),
+reduced mod p once per polynomial, certifies a node; a lower rank mod p, or
+a denominator divisible by p, falls back to the exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
@@ -31,7 +37,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
@@ -231,40 +236,90 @@ class _GridScan:
     def _phase(self, c: Cyclo) -> int:
         return _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
 
-    def _pattern(self, nonzero: Tuple[bool, ...]):
-        """Per polynomial, the monomials that survive on this zero pattern;
-        polynomials with none vanish identically and are dropped."""
-        live = []
-        for terms in self._components:
-            kept = [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
-            if kept:
-                live.append(kept)
-        self._patterns[nonzero] = live
-        return live
-
-    def vanishes(self, point: Sequence[Cyclo]) -> bool:
+    def _phases(self, point: Sequence[Cyclo]) -> list:
         phases = list(map(self._memo.get, map(id, point)))
         if None in phases:
             phases = [self._phase(c) if a is None else a for c, a in zip(point, phases)]
+        return phases
+
+    def _pattern(self, nonzero: Tuple[bool, ...]):
+        """Per polynomial, the exponents and coefficients of the monomials
+        that survive on this zero pattern; polynomials with none vanish
+        identically and are dropped."""
+        live = self._patterns.get(nonzero)
+        if live is None:
+            live = self._patterns[nonzero] = [
+                tuple(zip(*kept)) for kept in (
+                    [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
+                    for terms in self._components) if kept]
+        return live
+
+    def _is_zero(self, coeffs, exps) -> bool:
+        """Whether sum_t coeffs[t] * zeta^exps[t] is 0: the integers binned by
+        exponent mod k, times the table of zeta^t."""
+        k = self.k
+        bins = [0] * k
+        for e, cs in zip(exps, coeffs):
+            for j, c in cs:
+                bins[(e + j) % k] += c
+        return not any(sum(map(mul, bins, col)) for col in self._columns)
+
+    def vanishes(self, point: Sequence[Cyclo]) -> bool:
+        phases = self._phases(point)
         if _OFF_GRID in phases or len(phases) != self.n:
             # evaluate also rejects a wrong length
             return all(d.evaluate(point).is_zero() for d in self.polys)
-        nonzero = tuple(map(_ZERO.__ne__, phases))
-        pattern = self._patterns.get(nonzero)
-        if pattern is None:
-            pattern = self._pattern(nonzero)
-        k, columns = self.k, self._columns
-        for terms in pattern:
-            bins = [0] * k
-            for exp, coeffs in terms:
-                # zero coordinates carry phase -1 but exponent 0 here
-                e = sum(map(mul, phases, exp))
-                for j, c in coeffs:
-                    bins[(e + j) % k] += c
-            for col in columns:
-                if sum(map(mul, bins, col)):
-                    return False
-        return True
+        # zero coordinates carry phase -1 but exponent 0 in every survivor
+        return all(self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
+                   for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases))))
+
+    def grid_zeros(self) -> list[Tuple[Cyclo, ...]]:
+        """The normalized ansatz grid points where every polynomial vanishes,
+        in the order of `ansatz_candidates`, solved one zero pattern at a time.
+
+        A polynomial with one surviving monomial is c*zeta^e != 0, so its
+        pattern has no zeros.  Otherwise its verdict depends only on the
+        phase differences L_t - L_1 mod k of its monomials, which are
+        base + x*step in the last free phase x: one k-bit mask of the x where
+        it vanishes per base, memoized, ANDed over the polynomials for each
+        phase prefix of the other free coordinates.
+        """
+        k, n = self.k, self.n
+        hits = []
+        for nonzero in product((False, True), repeat=n):
+            if True not in nonzero:
+                continue
+            live = self._pattern(nonzero)
+            if any(len(exps) == 1 for exps, _ in live):
+                continue
+            lead = nonzero.index(True)
+            free = [i for i in range(lead + 1, n) if nonzero[i]]
+            # with no free coordinate, x is the lead's phase 0
+            last, span = (free.pop(), k) if free else (lead, 1)
+            comps = [(coeffs, [[e[i] - exps[0][i] for i in free] for e in exps],
+                      [e[last] - exps[0][last] for e in exps], {})
+                     for exps, coeffs in live]
+            for prefix in product(range(k), repeat=len(free)):
+                mask = (1 << span) - 1
+                for coeffs, diffs, steps, masks in comps:
+                    base = tuple(sum(map(mul, prefix, d)) % k for d in diffs)
+                    got = masks.get(base)
+                    if got is None:
+                        got = masks[base] = sum(
+                            1 << x for x in range(span) if self._is_zero(
+                                coeffs, [b + x * s for b, s in zip(base, steps)]))
+                    mask &= got
+                    if not mask:
+                        break
+                for x in range(span):
+                    if mask >> x & 1:
+                        idx = [0] * n  # index into self._grid: 0, then 1 + phase
+                        idx[lead] = 1
+                        for i, a in zip(free, prefix):
+                            idx[i] = a + 1
+                        idx[last] = x + 1
+                        hits.append((lead, tuple(idx)))
+        return [tuple(map(self._grid.__getitem__, idx)) for _, idx in sorted(hits)]
 
 
 def _scan(g: Polynomial) -> _GridScan:
@@ -284,6 +339,23 @@ def _require_quintic(g: Polynomial):
         raise GsvInputError("expected a nonzero homogeneous polynomial of degree 5")
 
 
+def _hessian_mod_p(g: Polynomial):
+    """p, omega (see `residue_prime`), the residues of zeta^0..zeta^(k-1), and
+    the Hessian of g with each entry as (exponent, coefficient residue)
+    pairs, or None when a denominator is divisible by p; built once per
+    polynomial."""
+    def build():
+        p, omega = residue_prime(g.field.order)
+
+        def reduce(h: Polynomial):
+            terms = [(e, c.residue(p, omega)) for e, c in h.terms.items()]
+            return None if any(r is None for _, r in terms) else terms
+
+        return (p, omega, [pow(omega, a, p) for a in range(g.field.order)],
+                [[reduce(h) for h in row] for row in g.hessian()])
+    return g._cached("hessian_mod_p", build)
+
+
 def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
     """Node iff the chart Hessian has rank 4; otherwise NonNode with corank.
 
@@ -291,17 +363,28 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
     cannot raise a rank; otherwise the exact rank decides.
     """
     pt = list(normalize_ray([g.field.element(c) for c in point]))
-    if not _scan(g).vanishes(pt):
+    scan = _scan(g)
+    if not scan.vanishes(pt):
         raise GsvInputError("point is not a singular ray (gradient does not vanish)")
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
     others = [i for i in range(5) if i != chart]
-    hess = g.hessian()
-    p, omega = residue_prime(g.field.order)
-    xs = [c.residue(p, omega) for c in pt]
-    if None not in xs:
-        rows = [[hess[i][j].evaluate_residue(xs, p, omega) for j in others] for i in others]
-        if all(None not in r for r in rows) and rank_mod_p(rows, p) == 4:
+    p, omega, units, hess_p = _hessian_mod_p(g)
+    xs = [0 if a == _ZERO else c.residue(p, omega) if a == _OFF_GRID else units[a]
+          for c, a in zip(pt, scan._phases(pt))]
+
+    def residue(terms):
+        total = 0
+        for exp, r in terms:
+            for x, e in zip(xs, exp):
+                if e:
+                    r = r * pow(x, e, p) % p
+            total += r
+        return total % p
+
+    if None not in xs and all(hess_p[i][j] is not None for i in others for j in others):
+        if rank_mod_p([[residue(hess_p[i][j]) for j in others] for i in others], p) == 4:
             return NODE
+    hess = g.hessian()
     rank = matrix_rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
     if rank == 4:
         return NODE
@@ -335,7 +418,7 @@ def find_singular_rays(g: Polynomial, source: CandidateSource) -> Tuple[Singular
     deduplicated up to scaling, in a deterministic order."""
     _require_quintic(g)
     if isinstance(source, AnsatzRoots):
-        return _finish_rays(g, _exact_search(g, ansatz_candidates(g.field)))
+        return _finish_rays(g, _scan(g).grid_zeros())
     if isinstance(source, UserList):
         pts = [tuple(g.field.element(c) for c in p) for p in source.points]
         pts = [p for p in pts if any(not c.is_zero() for c in p)]  # origin is excised
@@ -383,70 +466,13 @@ def verify_transversal(g: Polynomial, source: CandidateSource) -> Transversality
 # -- numeric fallback -------------------------------------------------------------
 
 
-def _complex_evaluator(polys: Sequence[Polynomial]):
-    """Compile polynomials into one batched complex evaluator.
-
-    The returned function maps an (S, n) complex array of points to the
-    (S, len(polys)) array of values: the monomials over the union of all
-    exponents, times a complex coefficient matrix built with one `to_complex`
-    per coefficient.
-    """
-    import numpy as np
-
-    exps = sorted({e for p in polys for e in p.terms})
-    index = {e: i for i, e in enumerate(exps)}
-    exponents = np.array(exps)
-    coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
-    for col, p in enumerate(polys):
-        for e, c in p.terms.items():
-            coeffs[index[e], col] = c.to_complex()
-
-    def evaluate(points):
-        return np.prod(points[:, None, :] ** exponents, axis=2) @ coeffs
-
-    return evaluate
-
-
-def _newton_batch(x, chart: int, gradient, hessian, tol: float):
-    """Gauss-Newton on dG = 0 in the chart s_chart = 1, from every row of the
-    (S, 4) start array `x` at once.
-
-    Each start leaves the batch on the first of: max|dG| < tol, a non-finite
-    value, Jacobian or step, or max|step| < 1e-14; at most 60 steps.  The
-    step is the minimum-norm least-squares solution, with the SVD cutoff of
-    `lstsq(rcond=None)`.  Returns the (S, 5) end points and the mask of
-    those that are finite with max|dG| < tol.
-    """
-    import numpy as np
-
-    others = [j for j in range(5) if j != chart]
-    cutoff = np.finfo(float).eps * 5
-    x = x.copy()
-    active = np.arange(len(x))
-    for _ in range(60):
-        if not len(active):
-            break
-        pts = np.insert(x[active], chart, 1.0, axis=1)
-        f = gradient(pts)
-        jac = hessian(pts).reshape(-1, 5, 5)[:, :, others]
-        finite = (np.isfinite(f).all(axis=1) & np.isfinite(jac).all(axis=(1, 2))
-                  & ~(np.abs(f).max(axis=1) < tol))
-        active, f, jac = active[finite], f[finite], jac[finite]
-        step = (np.linalg.pinv(jac, rcond=cutoff) @ -f[:, :, None])[:, :, 0]
-        finite = np.isfinite(step).all(axis=1)
-        active, step = active[finite], step[finite]
-        x[active] += step
-        active = active[~(np.abs(step).max(axis=1) < 1e-14)]
-    pts = np.insert(x, chart, 1.0, axis=1)
-    ok = np.isfinite(pts).all(axis=1) & (np.abs(gradient(pts)).max(axis=1) < tol)
-    return pts, ok
-
-
 def _float_search(g: Polynomial, search: FloatHomotopy):
     import numpy as np
 
-    gradient = _complex_evaluator(g.gradient())
-    hessian = _complex_evaluator([h for row in g.hessian() for h in row])
+    from .homotopy import complex_evaluator, newton_batch, rationalize_point
+
+    gradient = complex_evaluator(g.gradient())
+    hessian = complex_evaluator([h for row in g.hessian() for h in row])
     field = g.field
     per_chart = max(search.starts // 5, 1)
     rng = np.random.default_rng(search.seed)
@@ -454,8 +480,8 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
     for chart in range(5):
         # the same stream as drawing re(4) then im(4) start after start
         z = rng.standard_normal((per_chart, 2, 4))
-        pts, ok = _newton_batch(z[:, 0] + 1j * z[:, 1], chart, gradient, hessian,
-                                search.tolerance)
+        pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], chart, gradient, hessian,
+                               search.tolerance)
         for pt in pts[ok]:
             lead = next(i for i in range(5) if abs(pt[i]) > 1e-8)
             pt = pt / pt[lead]
@@ -477,22 +503,6 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
         if all(s is not None for s in snapped) and vanishes(tuple(snapped)):
             certified.append(tuple(snapped))
         else:
-            unresolved.append(_rationalize_point(field, pt))
+            unresolved.append(rationalize_point(field, pt))
     unresolved.sort(key=_ray_sort_key)
     return certified, unresolved
-
-
-def _rationalize_point(field: CyclotomicField, pt) -> Tuple[Cyclo, ...]:
-    """Nearest small-height coefficient-domain point to a complex vector.
-
-    Used only to give Unclassified numeric hits an exact-typed representative;
-    it carries no exactness claim.
-    """
-    import numpy as np
-
-    d = field.degree
-    basis = [field.zeta_power(a).to_complex() for a in range(d)]
-    mat = np.array([[b.real for b in basis], [b.imag for b in basis]])
-    sol, *_ = np.linalg.lstsq(mat, np.array([pt.real, pt.imag]), rcond=None)
-    return tuple(field.element([Fraction(float(c)).limit_denominator(10 ** 6) for c in col])
-                 for col in sol.T)

@@ -201,9 +201,45 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
       "rays": [dict(RAY, **{"class": "nodez"})]},
      "report ray 0 field 'class' must be one of node, non_node, unclassified, "
      "got \"nodez\""),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [dict(RAY, corank="x")]},
+     "report ray 0 field 'corank' must be null for class node, got \"x\""),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [RAY, dict(RAY, corank=-7)]},
+     "report ray 1 field 'corank' must be null for class node, got -7"),
+    ({"transversal": False, "isolated": False, "complete": False,
+      "rays": [dict(RAY, **{"class": "unclassified", "corank": 2})]},
+     "report ray 0 field 'corank' must be null for class unclassified, got 2"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node", "corank": None})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got null"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node"})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got null"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node", "corank": 0})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got 0"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node", "corank": 5})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got 5"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node", "corank": True})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got true"),
+    ({"transversal": False, "isolated": False, "complete": True,
+      "rays": [dict(RAY, **{"class": "non_node", "corank": "2"})]},
+     "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
+     "got \"2\""),
 ], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
         "transversal-string", "isolated-string", "complete-int", "coords-count",
-        "class-unknown"])
+        "class-unknown", "corank-node-string", "corank-node-negative",
+        "corank-unclassified-int", "corank-non-node-null", "corank-non-node-missing",
+        "corank-non-node-zero", "corank-non-node-five", "corank-non-node-bool",
+        "corank-non-node-string"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))

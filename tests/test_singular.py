@@ -3,12 +3,13 @@
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsvkit import singular
+from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvError, GsvInputError
 from gsvkit.linalg import matrix_rank, rank_mod_p
@@ -298,7 +299,63 @@ def test_grid_scans_take_no_cyclo_evaluation_on_the_grid(monkeypatch):
     value = singular._value_scan(DWORK)
     nodes = singular._exact_search(DWORK, ansatz_candidates(K5))
     assert len(nodes) == 125 and all(map(value.vanishes, nodes))
+    assert singular._scan(DWORK).grid_zeros() == nodes
     assert not value.vanishes((K5.one, K5.zero, K5.zero, K5.zero, K5.zero))
+
+
+# -- pattern-by-pattern solve against the per-point filter ---------------------------
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def point_filter(g):
+    scan = singular._scan(g)
+    return [pt for pt in ansatz_candidates(g.field) if scan.vanishes(pt)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_quintics().filter(lambda g: g.field.order <= 8))
+def test_grid_zeros_match_the_per_point_filter(g):
+    assert singular._scan(g).grid_zeros() == point_filter(g)
+
+
+def dwork_psi(c: int, k: int) -> str:
+    """The Dwork quintic with psi = zeta_5^c, written in zeta = zeta_k."""
+    return f"s0^5+s1^5+s2^5+s3^5+s4^5-5*zeta^{c * k // 5}*s0*s1*s2*s3*s4"
+
+
+@pytest.mark.parametrize("text,k,hits", [
+    ("s0^3*s1^2-s2^3*s3^2", 10, 485),
+    ("s0^2*s2^3-2*s0*s1*s2^3+s1^2*s2^3", 10, 2795),
+    ((DATA / "fermat.poly").read_text(), 5, 0),
+    ((DATA / "fermat.poly").read_text(), 10, 0),
+    ((DATA / "degenerate.poly").read_text(), 5, 1),
+    ((DATA / "degenerate.poly").read_text(), 10, 1),
+    *((dwork_psi(c, k), k, 125) for k in (5, 10, 15) for c in range(5)),
+], ids=["binomial-k10", "square-k10", "fermat-k5", "fermat-k10", "degenerate-k5",
+        "degenerate-k10", *(f"dwork-psi{c}-k{k}" for k in (5, 10, 15) for c in range(5))])
+def test_grid_zeros_on_named_quintics(text, k, hits):
+    g = parse_polynomial(text, CyclotomicField(k))
+    zeros = singular._scan(g).grid_zeros()
+    assert len(zeros) == hits
+    assert zeros == point_filter(g)
+
+
+def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
+    # each ray is rechecked once by classification and once by the G = 0
+    # value scan; the 16,105 grid points at k = 10 are never visited one by one
+    calls = []
+    real = singular._GridScan.vanishes
+
+    def vanishes(self, point):
+        calls.append(point)
+        return real(self, point)
+
+    monkeypatch.setattr(singular._GridScan, "vanishes", vanishes)
+    g = parse_polynomial(dwork_psi(1, 10), CyclotomicField(10))
+    rays = find_singular_rays(g, AnsatzRoots())
+    assert len(rays) == 125
+    assert len(calls) <= 2 * len(rays)
 
 
 # -- batched numeric search against the scalar evaluator ---------------------------
@@ -313,7 +370,7 @@ def test_compiled_evaluator_matches_evaluate_complex(g, points):
     # relative to the sum of the terms' magnitudes, so that cancellation to
     # about 0 does not demand an impossible relative accuracy
     polys = list(g.gradient()) + [h for row in g.hessian() for h in row]
-    values = singular._complex_evaluator(polys)(np.array(points))
+    values = homotopy.complex_evaluator(polys)(np.array(points))
     assert values.shape == (len(points), len(polys))
     for row, pt in zip(values, points):
         for value, p in zip(row, polys):
@@ -328,8 +385,8 @@ def test_newton_batch_drops_non_finite_starts():
     # Jacobian, and another start is NaN outright
     z = np.exp(2j * np.pi / 5)
     nodes = np.array([[1, 1, 1, 1], [z, z ** 4, 1, 1], [z, z, z, z ** 2]])
-    gradient = singular._complex_evaluator(DWORK.gradient())
-    hessian = singular._complex_evaluator([h for row in DWORK.hessian() for h in row])
+    gradient = homotopy.complex_evaluator(DWORK.gradient())
+    hessian = homotopy.complex_evaluator([h for row in DWORK.hessian() for h in row])
 
     def poisoned_hessian(pts):
         values = hessian(pts)
@@ -337,7 +394,7 @@ def test_newton_batch_drops_non_finite_starts():
         return values
 
     starts = np.vstack([nodes + 1e-3, np.full((1, 4), np.nan)])
-    pts, ok = singular._newton_batch(starts, 0, gradient, poisoned_hessian, 1e-10)
+    pts, ok = homotopy.newton_batch(starts, 0, gradient, poisoned_hessian, 1e-10)
     assert ok.tolist() == [True, False, True, False]
     assert np.allclose(pts[ok][:, 1:], nodes[[0, 2]])
     assert np.array_equal(pts[1, 1:], starts[1])  # left the batch untouched
