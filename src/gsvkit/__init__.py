@@ -13,8 +13,7 @@ from importlib import import_module as _import_module
 
 _HOME = {name: module for module, names in {
     "cohomology": ("ConifoldData", "GradedSpace", "KahlerReport", "check_kahler_package",
-                   "cohomology_of_closure", "cohomology_report", "mayer_vietoris",
-                   "points", "spheres"),
+                   "cohomology_of_closure", "cohomology_report", "mayer_vietoris"),
     "cyclo": ("Cyclo", "CyclotomicField", "cyclotomic_polynomial"),
     "errors": ("BranchPointError", "DegreeUndefinedError", "ExactnessError", "GsvError",
                "GsvInputError", "IncompleteResultError", "MalformedIncidenceError",
@@ -24,8 +23,7 @@ _HOME = {name: module for module, names in {
                   "build_exocurve", "compactify", "deficit_angle", "normalize_sheet",
                   "transition"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
-    "resolutions": ("ResolutionChoice", "TransitionGraph", "build_transition_graph",
-                    "enumerate_small_resolutions", "flop", "naive_resolution_count"),
+    "resolutions": ("TransitionGraph", "build_transition_graph"),
     "singular": ("AnsatzRoots", "FloatHomotopy", "Kind", "SingularRay", "SingularityClass",
                  "TransversalityReport", "UserList", "ansatz_candidates",
                  "classify_singularity", "find_singular_rays", "normalize_ray",

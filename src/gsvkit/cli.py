@@ -46,20 +46,33 @@ def _open_output(args):
     return nullcontext(sys.stdout)
 
 
-def _emit(args, text: str, json_obj) -> None:
-    payload = _json_text(json_obj) if args.format == "json" else text + "\n"
+def _emit(args, text, json_obj) -> None:
+    """Write what --format asks for, built by calling `text` or `json_obj`."""
+    payload = _json_text(json_obj()) if args.format == "json" else text() + "\n"
     with _open_output(args) as fh:
         fh.write(payload)
 
 
-def _read_polynomial_argument(arg: str) -> str:
-    path = Path(arg)
+def _read_input(what: str, path: str, as_json: bool = True):
+    """The contents of an input file, parsed as JSON unless `as_json` is false.
+    A file that cannot be read or parsed exits 1 naming `what` and the path."""
     try:
-        is_file = path.exists()
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text) if as_json else text
+    except OSError as exc:
+        reason = exc.strerror
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        reason = f"not {'JSON' if as_json else 'UTF-8 text'}: {exc}"
+    raise GsvInputError(f"cannot read {what} file {path}: {reason}")
+
+
+def _read_polynomial_argument(arg: str) -> str:
+    try:
+        is_file = Path(arg).exists()
     except OSError:  # e.g. an inline expression too long to be a file name
         is_file = False
     if is_file:
-        return path.read_text(encoding="utf-8").strip()
+        return _read_input("polynomial", arg, as_json=False).strip()
     return arg
 
 
@@ -74,7 +87,7 @@ def _build_source(args, field: CyclotomicField):
     if args.source == "user":
         if not args.candidates:
             raise GsvInputError("--source user requires --candidates FILE")
-        rows = json.loads(Path(args.candidates).read_text(encoding="utf-8"))
+        rows = _read_input("--candidates", args.candidates)
         if not isinstance(rows, list):
             raise GsvInputError("--candidates file must hold a JSON list of rows")
         for i, row in enumerate(rows):
@@ -99,7 +112,7 @@ def cmd_analyze(args) -> int:
     g = parse_polynomial(text, field)
     source = _build_source(args, field)
     report = verify_transversal(g, source)
-    _emit(args, report.summary_text(), report.to_json_dict())
+    _emit(args, report.summary_text, report.to_json_dict)
     if report.rays and not report.isolated:
         sys.stderr.write("error: NonIsolated: some singular rays are not nodes\n")
         return 1
@@ -181,18 +194,16 @@ def cmd_stratify(args) -> int:
     from .strata import build_ground_state_variety, strata_report
 
     field = CyclotomicField(args.zeta_order)
-    obj = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    report = _report_from_json(obj, field)
+    report = _report_from_json(_read_input("report", args.report), field)
     variety = build_ground_state_variety(report, args.sheet)
-    _emit(args, strata_report(variety), variety.to_json_dict())
+    _emit(args, lambda: strata_report(variety), variety.to_json_dict)
     return 0
 
 
 def _load_conifold(path: str) -> ConifoldData:
     from .cohomology import ConifoldData
 
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ConifoldData.from_json_dict(obj)
+    return ConifoldData.from_json_dict(_read_input("ConifoldData", path))
 
 
 def cmd_cohomology(args) -> int:
@@ -200,12 +211,12 @@ def cmd_cohomology(args) -> int:
 
     data = _load_conifold(args.data)
     report = cohomology_report(data, mode=args.mode)
-    _emit(args, cohomology_report_text(report), report)
+    _emit(args, lambda: cohomology_report_text(report), lambda: report)
     return 0
 
 
 def cmd_resolutions(args) -> int:
-    from .resolutions import build_transition_graph, naive_resolution_count
+    from .resolutions import build_transition_graph
 
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
@@ -223,7 +234,7 @@ def cmd_resolutions(args) -> int:
         text_lines = [
             f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
             f"compatible small resolutions: {2 ** data.n_classes}",
-            f"naive per-node count: {naive_resolution_count(data)}",
+            f"naive per-node count: {2 ** data.n}",
             f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
         ]
         text_lines += [f"  {kind} edges: {count}" for kind, count in graph.edge_counts().items()]
@@ -238,11 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "cohomology, and small-resolution transition graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json")):
+    def common(p, formats=("text", "json"), zeta_order=False):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--zeta-order", dest="zeta_order", type=int, default=5,
-                       help="order of the declared root of unity (default %(default)s)")
+        if zeta_order:
+            p.add_argument("--zeta-order", dest="zeta_order", type=int, default=5,
+                           help="order of the declared root of unity (default %(default)s)")
 
     p = sub.add_parser("analyze", help="transversality and singular-ray report")
     p.add_argument("polynomial", help="polynomial file or inline expression")
@@ -252,13 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat the user candidate list as exhaustive")
     p.add_argument("--jobs", type=int, default=1,
                    help="accepted for compatibility; the scan is serial")
-    common(p)
+    common(p, zeta_order=True)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stratify", help="build one sheet of the ground state variety")
     p.add_argument("report", help="analyze report in JSON form")
     p.add_argument("--sheet", choices=("pos", "neg"), required=True)
-    common(p)
+    common(p, zeta_order=True)
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("cohomology", help="Mayer-Vietoris tables and Kahler check")
@@ -284,7 +296,7 @@ def main(argv=None) -> int:
     except IncompleteResultError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (GsvError, OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (GsvError, OSError, KeyError, ValueError) as exc:  # OSError: failed writes
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -75,16 +75,6 @@ class GradedSpace:
         return out
 
 
-def spheres(n: int) -> GradedSpace:
-    """Cohomology of n disjoint 2-spheres."""
-    return GradedSpace((n, 0, n, 0, 0, 0, 0))
-
-
-def points(n: int) -> GradedSpace:
-    """Cohomology of n disjoint points."""
-    return GradedSpace((n, 0, 0, 0, 0, 0, 0))
-
-
 @dataclass(frozen=True)
 class ConifoldData:
     """Base cohomology plus the partition of the nodes 1..n into 4-cycle classes.
@@ -166,51 +156,28 @@ class ConifoldData:
         return cls(GradedSpace(dims, hodge), obj["n"], obj.get("classes", []))
 
 
-def mayer_vietoris(piece_a: GradedSpace, piece_b: GradedSpace,
-                   intersection: GradedSpace, mode: str = "raw",
-                   data: Optional[ConifoldData] = None) -> GradedSpace:
-    """Glue two pieces along a point-like intersection.
+def mayer_vietoris(data: ConifoldData, mode: str = "raw") -> GradedSpace:
+    """Glue the base to n disjoint 2-spheres along n points, one per sphere.
 
     With the intersection concentrated in degree 0, the long exact sequence
     splits: degrees 2..6 add up directly, and surjectivity of the degree-0
-    comparison map pins down H^0 and H^1.  Refined mode additionally
-    collapses the degree-2 sphere contribution from n to N classes.
+    comparison map leaves H^0 and H^1 of the base.  Degree 2 gains the n
+    sphere classes in raw mode and one class per 4-cycle class in refined
+    mode.
     """
-    if any(intersection.dims[q] for q in range(1, 7)):
-        raise GsvInputError(
-            "intersection must be a disjoint union of points (degree 0 only)")
-    n = intersection.dims[0]
-    if piece_b.dims[0] < n:
-        raise ExactnessError(
-            "second piece has fewer components than intersection points; "
-            "the restriction map cannot be onto")
-    h0 = piece_a.dims[0] + piece_b.dims[0] - n
-    if h0 < 1:
+    if data.base.dims[0] < 1:
         raise ExactnessError("degree-0 exactness fails: union would be empty")
-    dims = [h0, piece_a.dims[1] + piece_b.dims[1]]
-    dims += [piece_a.dims[q] + piece_b.dims[q] for q in range(2, 7)]
-    if mode == "raw":
-        return GradedSpace(tuple(dims))
-    if mode != "refined":
+    if mode not in ("raw", "refined"):
         raise GsvInputError(f"unknown mode {mode!r}")
-    if data is None:
-        raise GsvInputError("refined mode needs ConifoldData")
-    if data.n != n:
-        raise GsvInputError(
-            f"intersection has {n} points but ConifoldData declares n = {data.n}")
-    if piece_b.dims != spheres(n).dims:
-        raise GsvInputError(
-            "refined mode applies to the sphere configuration: "
-            "second piece must be n disjoint 2-spheres")
-    dims[2] = piece_a.dims[2] + data.n_classes
+    dims = list(data.base.dims)
+    dims[2] += data.n if mode == "raw" else data.n_classes
     return GradedSpace(tuple(dims))
 
 
 def cohomology_of_closure(data: ConifoldData) -> GradedSpace:
     """H of the compactified union: the base everywhere except degree 2,
     which gains one class per 4-cycle class."""
-    out = mayer_vietoris(data.base, spheres(data.n), points(data.n),
-                         mode="refined", data=data)
+    out = mayer_vietoris(data, "refined")
     if data.base.hodge is not None:
         hodge = dict(data.base.hodge)
         hodge[(1, 1)] = hodge.get((1, 1), 0) + data.n_classes
@@ -265,7 +232,7 @@ def cohomology_report(data: ConifoldData, mode: str = "refined") -> dict:
     """Both counts, their discrepancy, and the Kahler check for one dataset."""
     if mode not in ("raw", "refined"):
         raise GsvInputError(f"unknown mode {mode!r}")
-    raw = mayer_vietoris(data.base, spheres(data.n), points(data.n), mode="raw")
+    raw = mayer_vietoris(data)
     refined = cohomology_of_closure(data)
     chosen = refined if mode == "refined" else raw
     kahler = check_kahler_package(chosen, data)

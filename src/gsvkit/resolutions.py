@@ -13,62 +13,15 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice, product, starmap
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
-from .errors import GsvInputError, ResourceLimitError
+from .errors import ResourceLimitError
 
 MAX_CLASSES = 20
 
 DEFO_NOTE = "each node traded for a real 3-bundle over S^3"
 FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
-
-
-@dataclass(frozen=True)
-class ResolutionChoice:
-    """One binary orientation per 4-cycle class."""
-
-    orientation: Tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.orientation):
-            raise GsvInputError("orientations must be 0/1")
-
-    def label(self) -> str:
-        index = 1 + int("".join(map(str, self.orientation)), 2) if self.orientation else 1
-        return f"M_nat_{index}"
-
-
-def _check_class_bound(n_classes: int) -> None:
-    if n_classes > MAX_CLASSES:
-        raise ResourceLimitError(
-            f"2^{n_classes} resolutions exceed the enumeration bound 2^{MAX_CLASSES}")
-
-
-def enumerate_small_resolutions(data: ConifoldData) -> List[ResolutionChoice]:
-    """All 2^N compatible resolutions, in binary order."""
-    n_classes = data.n_classes
-    _check_class_bound(n_classes)
-    out = []
-    for code in range(2 ** n_classes):
-        bits = tuple((code >> (n_classes - 1 - i)) & 1 for i in range(n_classes))
-        out.append(ResolutionChoice(bits))
-    return out
-
-
-def naive_resolution_count(data: ConifoldData) -> int:
-    """The per-node count 2^n that ignores the compatibility constraint."""
-    return 2 ** data.n
-
-
-def flop(choice: ResolutionChoice, k: int) -> ResolutionChoice:
-    """Flip the orientation of class k (1-based); an involution."""
-    if not 1 <= k <= len(choice.orientation):
-        raise GsvInputError(
-            f"class index {k} outside 1..{len(choice.orientation)}")
-    bits = list(choice.orientation)
-    bits[k - 1] ^= 1
-    return ResolutionChoice(tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -184,7 +137,6 @@ class TransitionGraph:
 
     n_classes: int
     n: int
-    h2: Optional[int] = None
     closure_dims: Optional[Tuple[int, ...]] = None
     smooth_dims: Optional[Tuple[int, ...]] = None
 
@@ -198,7 +150,7 @@ class TransitionGraph:
         yield ("M_flat", "deformation", None, None, self.smooth_dims)
         yield ("V_bar", "stratified_union", None, self.closure_dims[2], self.closure_dims)
         for i, bits in enumerate(product((0, 1), repeat=big_n), 1):
-            yield (f"M_nat_{i}", "resolution", bits, self.h2, None)
+            yield (f"M_nat_{i}", "resolution", bits, self.closure_dims[2], None)
         yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
         for i in range(1, 2 ** big_n + 1):
             yield ("V_bar", f"M_nat_{i}", "exoflop", None)
@@ -270,10 +222,10 @@ class TransitionGraph:
                  + _json_vertex("M_flat", "deformation", None, self.smooth_dims) + ",\n"
                  + _json_vertex("V_bar", "stratified_union", self.closure_dims[2],
                                 self.closure_dims))
-        h2 = "" if self.h2 is None else f'"h2": {self.h2},\n      '
+        h2 = f'"h2": {self.closure_dims[2]},\n      "kind": "resolution",\n'
         bits, sep = f"0{self.n_classes}b", ",\n        "
         for codes in _blocks(count):
-            fh.write("".join([f',\n    {{\n      {h2}"kind": "resolution",\n'
+            fh.write("".join([f',\n    {{\n      {h2}'
                               f'      "name": "M_nat_{code + 1}",\n      "orientation": [\n'
                               f'        {sep.join(format(code, bits))}\n      ]\n    }}'
                               for code in codes]))
@@ -308,11 +260,12 @@ def build_transition_graph(data: ConifoldData,
     Hamming distance one.  The class bound is checked here, before any row
     exists or any output is opened.
     """
-    _check_class_bound(data.n_classes)
+    if data.n_classes > MAX_CLASSES:
+        raise ResourceLimitError(f"2^{data.n_classes} resolutions exceed the "
+                                 f"enumeration bound 2^{MAX_CLASSES}")
     smooth = smooth_dims.dims if smooth_dims else None
     if data.n == 0:
         return TransitionGraph(0, 0, smooth_dims=smooth)
     return TransitionGraph(data.n_classes, data.n,
-                           h2=data.base.dims[2] + data.n_classes,
                            closure_dims=cohomology_of_closure(data).dims,
                            smooth_dims=smooth)

@@ -11,6 +11,7 @@ import itertools
 import json
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,12 +19,11 @@ import pytest
 from gsvkit.cli import main as cli_main
 from gsvkit.cohomology import (ConifoldData, GradedSpace, check_kahler_package,
                                cohomology_of_closure, cohomology_report,
-                               mayer_vietoris, points, spheres)
+                               mayer_vietoris)
 from gsvkit.cyclo import CyclotomicField
 from gsvkit.exocurves import build_exocurve, compactify, deficit_angle, transition
 from gsvkit.poly import parse_polynomial
-from gsvkit.resolutions import (ResolutionChoice, build_transition_graph,
-                                enumerate_small_resolutions, flop)
+from gsvkit.resolutions import build_transition_graph
 from gsvkit.singular import (NODE, AnsatzRoots, Kind, SingularRay,
                              TransversalityReport, find_singular_rays,
                              verify_transversal)
@@ -202,7 +202,7 @@ def _closure_oracle(data):
     degree-2 sphere block by the number of distinct class labels of the nodes."""
     dims = [data.base.dims[0] + data.n - data.n,
             data.base.dims[1]]
-    dims += [data.base.dims[q] + spheres(data.n).dims[q] for q in range(2, 7)]
+    dims += [data.base.dims[q] + (data.n, 0, data.n, 0, 0, 0, 0)[q] for q in range(2, 7)]
     label = {j: k for k, members in enumerate(data.classes) for j in members}
     dims[2] -= data.n - len({label[j] for j in range(1, data.n + 1)})
     return tuple(dims)
@@ -227,7 +227,7 @@ def test_criterion_7_exactness_arithmetic():
     saw_discrepancy = False
     for _ in range(200):
         data = random_conifold(rng)
-        raw = mayer_vietoris(data.base, spheres(data.n), points(data.n), mode="raw")
+        raw = mayer_vietoris(data)
         refined = cohomology_of_closure(data)
         assert raw.euler() == data.base.euler() + data.n
         assert refined.euler() == data.base.euler() + data.n_classes
@@ -260,20 +260,27 @@ def test_criterion_8_kahler_package():
 def test_criterion_9_resolutions():
     start = time.perf_counter()
     for n_classes in range(0, 11):
+        base = GradedSpace((1, 0, 1, 2, 1 + n_classes, 0, 1))
+        data = ConifoldData(base, n_classes, [[k] for k in range(1, n_classes + 1)])
+        graph = build_transition_graph(data)
         if n_classes == 0:
-            data = ConifoldData(GradedSpace((1, 0, 1, 2, 1, 0, 1)), 0, [])
-        else:
-            base = GradedSpace((1, 0, 1, 2, 1 + n_classes, 0, 1))
-            data = ConifoldData(
-                base, n_classes, [[k] for k in range(1, n_classes + 1)])
-        assert len(enumerate_small_resolutions(data)) == 2 ** n_classes
-
-    rng = random.Random(99)
-    for _ in range(1000):
-        width = rng.randint(1, 12)
-        choice = ResolutionChoice(tuple(rng.randint(0, 1) for _ in range(width)))
-        k = rng.randint(1, width)
-        assert flop(flop(choice, k), k) == choice
+            assert graph.vertex_names() == ("M_flat=V_bar",)  # nothing to resolve
+            continue
+        resolutions = [v for v in graph.vertices if v.kind == "resolution"]
+        orientations = list(itertools.product((0, 1), repeat=n_classes))
+        assert [v.orientation for v in resolutions] == orientations
+        assert [v.name for v in resolutions] == [
+            f"M_nat_{i}" for i in range(1, 2 ** n_classes + 1)]
+        # every resolution has, for each class k, exactly one flop edge, and it
+        # joins the orientation that differs in class k only
+        by_name = {v.name: v.orientation for v in resolutions}
+        flops = Counter(frozenset((by_name[e.source], by_name[e.target]))
+                        for e in graph.edges if e.label == "flop")
+        for bits in orientations:
+            for k in range(n_classes):
+                flipped = bits[:k] + (1 - bits[k],) + bits[k + 1:]
+                assert flops[frozenset((bits, flipped))] == 1
+        assert sum(flops.values()) == n_classes * 2 ** (n_classes - 1)
 
     base = GradedSpace((1, 0, 1, 2, 2, 0, 1))
     data = ConifoldData(base, 3, [[1, 2, 3]])
@@ -287,7 +294,7 @@ def test_criterion_9_resolutions():
     }
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"resolution enumeration took {elapsed:.2f}s"
-    ok(9, "2^N enumeration, flop involution, flopped-pair diagram")
+    ok(9, "2^N resolutions, one flop per class, flopped-pair diagram")
 
 
 def test_criterion_10_cli_determinism(tmp_path, capsys):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -350,6 +351,17 @@ def test_cohomology_malformed_data_exits_1(capsys, tmp_path):
     assert "MalformedIncidence" in err
 
 
+@pytest.mark.parametrize("command", ["cohomology", "resolutions"])
+def test_empty_base_fails_degree_0_exactness(capsys, tmp_path, command):
+    path = tmp_path / "empty_base.json"
+    path.write_text(json.dumps({"base_dims": [0, 0, 1, 10, 2, 0, 1],
+                                "n": 2, "classes": [[1, 2]]}))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: ExactnessError: degree-0 exactness fails: union would be empty\n"
+
+
 @pytest.mark.parametrize("field,value,message", [
     ("n", 2.5, "n must be an integer, got 2.5"),
     ("n", True, "n must be an integer, got True"),
@@ -461,6 +473,71 @@ def test_resolutions_rejects_one_file_for_both_outputs(capsys, conifold_file, tm
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "cohomology", "/nonexistent/path.json")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("argv,what,reason", [
+    (("analyze", "{dir}"), "polynomial", "Is a directory"),
+    (("analyze", "{binary}"), "polynomial", "not UTF-8 text"),
+    (("analyze", DWORK, "--source", "user", "--candidates", "{missing}"),
+     "--candidates", "No such file or directory"),
+    (("analyze", DWORK, "--source", "user", "--candidates", "{dir}"),
+     "--candidates", "Is a directory"),
+    (("analyze", DWORK, "--source", "user", "--candidates", "{text}"),
+     "--candidates", "not JSON: Expecting value"),
+    (("stratify", "{missing}", "--sheet", "pos"), "report", "No such file or directory"),
+    (("stratify", "{dir}", "--sheet", "pos"), "report", "Is a directory"),
+    (("stratify", "{text}", "--sheet", "pos"), "report", "not JSON: Expecting value"),
+    (("cohomology", "{missing}"), "ConifoldData", "No such file or directory"),
+    (("cohomology", "{dir}"), "ConifoldData", "Is a directory"),
+    (("cohomology", "{text}"), "ConifoldData", "not JSON: Expecting value"),
+    (("cohomology", "{deep}"), "ConifoldData", "not JSON: maximum recursion depth"),
+    (("resolutions", "{missing}"), "ConifoldData", "No such file or directory"),
+    (("resolutions", "{dir}"), "ConifoldData", "Is a directory"),
+    (("resolutions", "{text}"), "ConifoldData", "not JSON: Expecting value"),
+], ids=["polynomial-dir", "polynomial-binary", "candidates-missing", "candidates-dir",
+        "candidates-text", "report-missing", "report-dir", "report-text",
+        "cohomology-missing", "cohomology-dir", "cohomology-text", "cohomology-deep",
+        "resolutions-missing",
+        "resolutions-dir", "resolutions-text"])
+def test_unreadable_input_names_argument_and_path(capsys, tmp_path, argv, what, reason):
+    paths = {"dir": tmp_path, "missing": tmp_path / "missing.json",
+             "text": tmp_path / "fermat.poly", "binary": tmp_path / "binary.poly",
+             "deep": tmp_path / "deep.json"}
+    paths["text"].write_text(FERMAT + "\n")
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)  # JSON nested too deeply
+    paths["binary"].write_bytes(b"s0^5\xff\n")
+    (path,) = (str(paths[arg[1:-1]]) for arg in argv if arg[1:-1] in paths)
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: GsvInputError: cannot read {what} file {path}: {reason}")
+    assert err.count("\n") == 1 and "Errno" not in err
+
+
+def test_missing_polynomial_path_reads_as_an_expression(capsys):
+    code, out, err = run(capsys, "analyze", "/nonexistent.poly")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: PolynomialParseError: ")
+
+
+def test_zeta_order_only_where_it_is_read(capsys, conifold_file):
+    for command in ("cohomology", "resolutions"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, conifold_file, "--zeta-order", "5"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --zeta-order 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt,unused", [("json", "summary_text"), ("text", "to_json_dict")])
+def test_analyze_builds_only_the_requested_format(capsysbinary, fmt, unused):
+    from gsvkit.singular import TransversalityReport
+
+    golden = Path(__file__).resolve().parent / "golden" / f"dwork_psi1.analyze.k5.{fmt}"
+    with mock.patch.object(TransversalityReport, unused, side_effect=AssertionError):
+        code = main(["analyze", DWORK, "--format", fmt])
+    assert code == 0
+    assert capsysbinary.readouterr().out == golden.read_bytes()
 
 
 def test_parser_defaults(capsys):

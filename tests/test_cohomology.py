@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from gsvkit.cohomology import (ConifoldData, GradedSpace, check_kahler_package,
                                cohomology_of_closure, cohomology_report,
-                               mayer_vietoris, points, spheres)
+                               mayer_vietoris)
 from gsvkit.errors import ExactnessError, GsvInputError, MalformedIncidenceError
 
 
@@ -41,7 +41,7 @@ def raw_mv_oracle(piece_a, piece_b, n):
 
 def closure_oracle(data):
     """Raw count followed by collapsing the sphere classes of each 4-cycle class."""
-    raw = raw_mv_oracle(data.base, spheres(data.n), data.n)
+    raw = raw_mv_oracle(data.base, GradedSpace((data.n, 0, data.n, 0, 0, 0, 0)), data.n)
     label = {j: k for k, members in enumerate(data.classes) for j in members}
     distinct_labels = len({label[j] for j in range(1, data.n + 1)})
     out = list(raw)
@@ -52,44 +52,34 @@ def closure_oracle(data):
 # -- mayer_vietoris ---------------------------------------------------------------
 
 def test_raw_example():
-    piece_a = GradedSpace((1, 0, 1, 103, 2, 0, 1))
     n = 16
-    result = mayer_vietoris(piece_a, spheres(n), points(n), mode="raw")
+    data = single_class_data(n)
+    result = mayer_vietoris(data)
     assert result.dims == (1, 0, 1 + n, 103, 2, 0, 1)
-    assert result.dims == raw_mv_oracle(piece_a, spheres(n), n)
+    assert result.dims == raw_mv_oracle(data.base, GradedSpace((n, 0, n, 0, 0, 0, 0)), n)
 
 
 def test_refined_single_class():
     data = single_class_data(16)
-    result = mayer_vietoris(data.base, spheres(16), points(16),
-                            mode="refined", data=data)
+    result = mayer_vietoris(data, "refined")
     assert result.dims[2] == data.base.dims[2] + 1
 
 
 def test_empty_gluing_is_identity():
-    piece_a = GradedSpace((1, 0, 1, 103, 2, 0, 1))
-    result = mayer_vietoris(piece_a, spheres(0), points(0), mode="raw")
-    assert result.dims == piece_a.dims
-
-
-def test_intersection_must_be_point_like():
-    with pytest.raises(GsvInputError):
-        mayer_vietoris(base_space(), spheres(2), GradedSpace((2, 1, 0, 0, 0, 0, 0)))
+    base = GradedSpace((1, 0, 1, 103, 2, 0, 1))
+    data = ConifoldData(base, 0, [])
+    assert mayer_vietoris(data).dims == base.dims
+    assert mayer_vietoris(data, "refined").dims == base.dims
 
 
 def test_exactness_violations():
-    # fewer components in the second piece than intersection points
-    with pytest.raises(ExactnessError):
-        mayer_vietoris(base_space(), GradedSpace((1, 0, 3, 0, 0, 0, 0)), points(3))
-
-
-def test_refined_requires_sphere_configuration():
-    data = single_class_data(3)
-    with pytest.raises(GsvInputError):
-        mayer_vietoris(data.base, GradedSpace((3, 0, 4, 0, 0, 0, 0)),
-                       points(3), mode="refined", data=data)
-    with pytest.raises(GsvInputError):
-        mayer_vietoris(data.base, spheres(3), points(2), mode="refined", data=data)
+    # an empty base leaves the union no degree-0 class
+    data = ConifoldData(GradedSpace((0, 0, 1, 10, 2, 0, 1)), 2, [[1, 2]])
+    for mode in ("raw", "refined"):
+        with pytest.raises(ExactnessError, match="union would be empty"):
+            mayer_vietoris(data, mode)
+    with pytest.raises(GsvInputError, match="unknown mode 'both'"):
+        mayer_vietoris(single_class_data(3), "both")
 
 
 # -- the node partition ----------------------------------------------------------
@@ -165,7 +155,7 @@ def test_randomized_closure_against_oracle():
         assert result.dims == closure_oracle(data)
         assert result.dims[2] == base.dims[2] + n_classes
         # chi bookkeeping, both modes
-        raw = mayer_vietoris(base, spheres(n), points(n), mode="raw")
+        raw = mayer_vietoris(data)
         assert raw.euler() == base.euler() + n
         assert result.euler() == base.euler() + n_classes
 

@@ -2,18 +2,18 @@
 
 import hashlib
 import io
+import itertools
 import json
-import random
+from collections import Counter
+from functools import lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsvkit.cohomology import ConifoldData, GradedSpace
-from gsvkit.errors import GsvInputError, MalformedIncidenceError, ResourceLimitError
-from gsvkit.resolutions import (MAX_CLASSES, ResolutionChoice, TransitionGraph,
-                                build_transition_graph, enumerate_small_resolutions,
-                                flop, naive_resolution_count)
+from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
+from gsvkit.resolutions import MAX_CLASSES, TransitionGraph, build_transition_graph
 
 
 def data_with_classes(n_classes, nodes_per_class=1, b3=10):
@@ -28,22 +28,48 @@ def smooth_data():
     return ConifoldData(GradedSpace((1, 0, 1, 204, 1, 0, 1)), 0, [])
 
 
+def resolutions(graph):
+    return [v for v in graph.vertices if v.kind == "resolution"]
+
+
+@lru_cache(maxsize=None)
+def flop_pairs(n_classes):
+    """The flop edges of the graph on N singleton classes, each as the set of
+    its endpoints' orientations, counted with multiplicity."""
+    graph = build_transition_graph(data_with_classes(n_classes))
+    orientation = {v.name: v.orientation for v in resolutions(graph)}
+    return Counter(frozenset((orientation[e.source], orientation[e.target]))
+                   for e in graph.edges if e.label == "flop")
+
+
+def flipped(bits, k):
+    """The orientation that differs from `bits` in class k (1-based) only."""
+    return bits[:k - 1] + (1 - bits[k - 1],) + bits[k:]
+
+
 def test_counts():
-    assert len(enumerate_small_resolutions(data_with_classes(1))) == 2
-    assert len(enumerate_small_resolutions(data_with_classes(3))) == 8
-    assert len(enumerate_small_resolutions(smooth_data())) == 1
-    assert enumerate_small_resolutions(smooth_data())[0].orientation == ()
+    for n_classes in (1, 3):
+        found = resolutions(build_transition_graph(data_with_classes(n_classes)))
+        assert [v.orientation for v in found] == list(
+            itertools.product((0, 1), repeat=n_classes))  # binary order
+        assert [v.name for v in found] == [
+            f"M_nat_{i}" for i in range(1, 2 ** n_classes + 1)]
+    # with no nodes the variety is its own and only resolution
+    assert build_transition_graph(smooth_data()).vertex_names() == ("M_flat=V_bar",)
 
 
 def test_naive_count_reported_for_contrast():
-    data = data_with_classes(2, nodes_per_class=3)
-    assert len(enumerate_small_resolutions(data)) == 4
-    assert naive_resolution_count(data) == 2 ** 6
+    graph = build_transition_graph(data_with_classes(2, nodes_per_class=3))
+    assert len(resolutions(graph)) == 4
+    assert dict(graph.metadata)["compatible_resolutions"] == "4"
+    assert dict(graph.metadata)["naive_per_node_resolutions"] == str(2 ** 6)
 
 
 def test_resource_bound():
+    graph = build_transition_graph(data_with_classes(MAX_CLASSES))
+    assert len(graph.vertices) == 2 + 2 ** MAX_CLASSES
     with pytest.raises(ResourceLimitError):
-        enumerate_small_resolutions(data_with_classes(21))
+        build_transition_graph(data_with_classes(MAX_CLASSES + 1))
 
 
 def test_zero_classes_with_nodes_rejected():
@@ -53,23 +79,21 @@ def test_zero_classes_with_nodes_rejected():
 
 
 def test_flop_examples():
-    assert flop(ResolutionChoice((0,)), 1).orientation == (1,)
-    assert flop(ResolutionChoice((0, 1, 0)), 2).orientation == (0, 0, 0)
-    choice = ResolutionChoice((1, 0, 1, 1))
-    assert flop(flop(choice, 3), 3) == choice
-    with pytest.raises(GsvInputError):
-        flop(choice, 0)
-    with pytest.raises(GsvInputError):
-        flop(choice, 5)
+    assert flop_pairs(1) == {frozenset(((0,), (1,))): 1}
+    assert flop_pairs(3)[frozenset(((0, 1, 0), (0, 0, 0)))] == 1
+    assert flop_pairs(4)[frozenset(((1, 0, 1, 1), (1, 0, 0, 1)))] == 1
+    # no flop changes two classes at once
+    assert flop_pairs(3)[frozenset(((0, 0, 0), (1, 1, 0)))] == 0
 
 
+@settings(deadline=None)
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=12), st.data())
 def test_flop_involution(bits, draws):
-    choice = ResolutionChoice(tuple(bits))
+    bits = tuple(bits)
     k = draws.draw(st.integers(1, len(bits)))
-    flipped = flop(choice, k)
-    assert flipped != choice
-    assert flop(flipped, k) == choice
+    pairs = flop_pairs(len(bits))
+    assert pairs[frozenset((bits, flipped(bits, k)))] == 1
+    assert pairs[frozenset((bits,))] == 0  # no flop is a loop
 
 
 def test_transition_graph_n1_diagram():
@@ -157,13 +181,14 @@ def test_dot_and_json_output():
 
 
 def test_random_flop_pairs_are_involutions():
-    rng = random.Random(4242)
-    for _ in range(200):
-        width = rng.randint(1, 10)
-        bits = tuple(rng.randint(0, 1) for _ in range(width))
-        k = rng.randint(1, width)
-        choice = ResolutionChoice(bits)
-        assert flop(flop(choice, k), k) == choice
+    # For every resolution and every class k, exactly one flop edge joins it
+    # to the resolution that differs in class k only, and there are no others.
+    for n_classes in range(1, 13):
+        pairs = flop_pairs(n_classes)
+        for bits in itertools.product((0, 1), repeat=n_classes):
+            for k in range(1, n_classes + 1):
+                assert pairs[frozenset((bits, flipped(bits, k)))] == 1
+        assert sum(pairs.values()) == n_classes * 2 ** (n_classes - 1)
 
 
 @st.composite
