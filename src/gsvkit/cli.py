@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -67,11 +68,14 @@ def _read_input(what: str, path: str, as_json: bool = True):
 
 
 def _read_polynomial_argument(arg: str) -> str:
+    """The text of the file `arg` names, else `arg` as an inline expression.
+    An argument no expression can be, with a '.' or a '/' before no integer
+    denominator, names a file, so a missing one exits 1 saying so."""
     try:
         is_file = Path(arg).exists()
     except OSError:  # e.g. an inline expression too long to be a file name
         is_file = False
-    if is_file:
+    if is_file or re.search(r"\.|/(?!\s*\d)", arg):
         return _read_input("polynomial", arg, as_json=False).strip()
     return arg
 

@@ -18,8 +18,8 @@ count stays available so the discrepancy n - N is always visible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from collections import namedtuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ExactnessError, GsvInputError, MalformedIncidenceError
 
@@ -34,25 +34,23 @@ def _require_int(value, name: str) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(namedtuple("GradedSpace", "dims hodge")):
     """Dimensions of H^0..H^6, with an optional (p,q) refinement."""
 
-    dims: Tuple[int, ...]
-    hodge: Optional[Mapping[Tuple[int, int], int]] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        dims = tuple(self.dims)
+    def __new__(cls, dims: Tuple[int, ...],
+                hodge: Optional[Mapping[Tuple[int, int], int]] = None):
+        dims = tuple(dims)
         for q, d in enumerate(dims):
             _require_int(d, f"graded dimension in degree {q}")
         if len(dims) != 7:
             raise GsvInputError("expected exactly 7 graded dimensions (degrees 0..6)")
         if any(d < 0 for d in dims):
             raise GsvInputError("graded dimensions must be non-negative")
-        object.__setattr__(self, "dims", dims)
-        if self.hodge is not None:
+        if hodge is not None:
             hodge = {(int(p), int(q)): _require_int(v, f"Hodge number ({p},{q})")
-                     for (p, q), v in dict(self.hodge).items()}
+                     for (p, q), v in dict(hodge).items()}
             if any(v < 0 for v in hodge.values()):
                 raise GsvInputError("Hodge numbers must be non-negative")
             for p, q in hodge:
@@ -63,7 +61,7 @@ class GradedSpace:
                 if total != dims[k]:
                     raise GsvInputError(
                         f"Hodge numbers in total degree {k} sum to {total}, expected {dims[k]}")
-            object.__setattr__(self, "hodge", hodge)
+        return super().__new__(cls, dims, hodge)
 
     def euler(self) -> int:
         return sum((-1) ** q * d for q, d in enumerate(self.dims))
@@ -75,8 +73,7 @@ class GradedSpace:
         return out
 
 
-@dataclass(frozen=True)
-class ConifoldData:
+class ConifoldData(namedtuple("ConifoldData", "base n classes")):
     """Base cohomology plus the partition of the nodes 1..n into 4-cycle classes.
 
     `classes` may list members in any order; they are stored ascending, with
@@ -85,16 +82,14 @@ class ConifoldData:
     instance holds a valid partition.
     """
 
-    base: GradedSpace
-    n: int
-    classes: Tuple[Tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = _require_int(self.n, "node count n")
+    def __new__(cls, base: GradedSpace, n: int, classes: Tuple[Tuple[int, ...], ...]):
+        _require_int(n, "node count n")
         if n < 0:
             raise MalformedIncidenceError("negative node count")
         try:
-            classes = tuple(tuple(sorted(members)) for members in self.classes)
+            classes = tuple(tuple(sorted(members)) for members in classes)
         except TypeError:
             classes = None
         if classes is None or any(type(j) is not int for c in classes for j in c):
@@ -115,7 +110,7 @@ class ConifoldData:
         if len(owner) != n:
             missing = min(set(range(1, n + 1)) - owner.keys())
             raise MalformedIncidenceError(f"node {missing} lies on no 4-cycle class")
-        object.__setattr__(self, "classes", classes)
+        return super().__new__(cls, base, n, classes)
 
     @property
     def n_classes(self) -> int:
@@ -185,8 +180,7 @@ def cohomology_of_closure(data: ConifoldData) -> GradedSpace:
     return out
 
 
-@dataclass(frozen=True)
-class KahlerReport:
+class KahlerReport(NamedTuple):
     """Even-degree duality checks; H^3 is deliberately never consulted."""
 
     h0_equals_h6: bool

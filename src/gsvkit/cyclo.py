@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Union
@@ -161,12 +160,22 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]):
     return q, a
 
 
-@dataclass(frozen=True, eq=False)
 class Cyclo:
     """One element of a CyclotomicField; immutable and hashable."""
 
-    field: CyclotomicField
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("field", "coeffs")
+
+    def __init__(self, field: CyclotomicField, coeffs: tuple[Fraction, ...]):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Cyclo is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Cyclo, (self.field, self.coeffs)
 
     def _coerce(self, other) -> "Cyclo":
         if isinstance(other, Cyclo):

@@ -10,10 +10,9 @@ evaluated; only its fifth power enters any computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .cyclo import Cyclo
 from .errors import BranchPointError, GsvInputError, QuantumRegionError, WrongModelError
@@ -26,8 +25,7 @@ class Model(str, Enum):
     COMPACTIFIED_A_PLUS = "CompactifiedA_plus"
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     name: str
     coordinate: str
     proper: bool               # contains its limit point
@@ -38,8 +36,7 @@ class Chart:
                 "orbifold_order": self.orbifold_group_order}
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     source: str
     target: str
     exponent: int  # target coordinate = (source coordinate) ** exponent
@@ -48,8 +45,7 @@ class Transition:
         return {"from": self.source, "to": self.target, "exponent": self.exponent}
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(NamedTuple):
     model: Model
     charts: Tuple[Chart, ...]
     transitions: Tuple[Transition, ...]

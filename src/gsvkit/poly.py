@@ -8,9 +8,8 @@ construction; every operation returns a fresh polynomial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .cyclo import Cyclo, CyclotomicField, Scalar
 from .errors import DegreeUndefinedError, GsvInputError, PolynomialParseError
@@ -24,27 +23,35 @@ def _graded_lex_key(exp: Exponent):
     return (sum(exp), exp)
 
 
-@dataclass(frozen=True, eq=False)
 class Polynomial:
-    field: CyclotomicField
-    variables: Tuple[str, ...]
-    terms: Dict[Exponent, Cyclo] = dc_field(default_factory=dict)
-    _derivatives: Dict[str, object] = dc_field(default_factory=dict, init=False, repr=False)
+    __slots__ = ("field", "variables", "terms", "_derivatives")
 
-    def __post_init__(self):
+    def __init__(self, field: CyclotomicField, variables: Tuple[str, ...],
+                 terms: Mapping[Exponent, Scalar] | None = None):
         clean: Dict[Exponent, Cyclo] = {}
-        nvars = len(self.variables)
-        for exp, coeff in self.terms.items():
+        nvars = len(variables)
+        for exp, coeff in (terms or {}).items():
             exp = tuple(exp)
             if len(exp) != nvars:
                 raise GsvInputError(
                     f"exponent vector {exp} does not match {nvars} variables")
             if any(e < 0 for e in exp):
                 raise GsvInputError(f"negative exponent in {exp}")
-            coeff = self.field.element(coeff)
+            coeff = field.element(coeff)
             if not coeff.is_zero():
                 clean[exp] = coeff
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_derivatives", {})  # what `_cached` builds
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"Polynomial is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Polynomial, (self.field, self.variables, self.terms)
 
     # -- constructors ------------------------------------------------------
 

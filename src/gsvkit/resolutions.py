@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import islice, product, starmap
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
 from .errors import ResourceLimitError
@@ -24,8 +23,7 @@ DEFO_NOTE = "each node traded for a real 3-bundle over S^3"
 FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     name: str
     kind: str  # "deformation" | "stratified_union" | "resolution"
     orientation: Optional[Tuple[int, ...]] = None
@@ -43,8 +41,7 @@ class Vertex:
         return out
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     source: str
     target: str
     label: str  # "defo" | "exoflop" | "flop"
@@ -122,8 +119,7 @@ def _flop_targets(big_n: int):
     return lambda code: [code | bit for bit in flips if not code & bit]
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(NamedTuple):
     """The star plus hypercube graph, held as its closed-form parameters.
 
     Vertex rows come first, in output order: the smoothing, the union, then

@@ -35,12 +35,11 @@ certified by the same scan as any other candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import groupby, product
 from math import lcm
-from operator import mul
-from typing import Iterable, Sequence, Tuple
+from operator import attrgetter, itemgetter, mul
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import Cyclo, CyclotomicField, residue_prime
 from .errors import GsvError, GsvInputError
@@ -54,8 +53,7 @@ class Kind(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
-@dataclass(frozen=True)
-class SingularityClass:
+class SingularityClass(NamedTuple):
     kind: Kind
     corank: int | None = None
 
@@ -67,8 +65,7 @@ NODE = SingularityClass(Kind.NODE)
 UNCLASSIFIED = SingularityClass(Kind.UNCLASSIFIED)
 
 
-@dataclass(frozen=True)
-class SingularRay:
+class SingularRay(NamedTuple):
     """A normalized singular direction with its local classification."""
 
     representative: Tuple[Cyclo, ...]
@@ -77,14 +74,8 @@ class SingularRay:
     def coords_text(self) -> Tuple[str, ...]:
         return tuple(str(c) for c in self.representative)
 
-    def to_json_dict(self):
-        out = {"coords": list(self.coords_text())}
-        out.update(self.classification.to_json_dict())
-        return out
 
-
-@dataclass(frozen=True)
-class TransversalityReport:
+class TransversalityReport(NamedTuple):
     """Outcome of a transversality search.
 
     `transversal` is None when the search ended without either a ray or a
@@ -102,10 +93,18 @@ class TransversalityReport:
     def node_count(self) -> int:
         return len(self.rays)
 
+    def _coords_texts(self) -> list:
+        """Each ray's coordinates as text, formatting each coordinate object
+        once; grid rays share the field's 0 and zeta^a objects."""
+        coords = {id(c): c for ray in self.rays for c in ray.representative}
+        text = {i: str(c) for i, c in coords.items()}
+        return [[text[id(c)] for c in ray.representative] for ray in self.rays]
+
     def to_json_dict(self):
         return {
             "transversal": self.transversal,
-            "rays": [r.to_json_dict() for r in self.rays],
+            "rays": [{"coords": coords, **ray.classification.to_json_dict()}
+                     for ray, coords in zip(self.rays, self._coords_texts())],
             "isolated": self.isolated,
             "source": self.source,
             "complete": self.complete,
@@ -122,25 +121,23 @@ class TransversalityReport:
             head = "inconclusive: no rays found and no transversality certificate"
         lines = [head, f"source: {self.source}", f"complete: {self.complete}",
                  f"isolated: {self.isolated}"]
-        for ray in self.rays:
+        for ray, coords in zip(self.rays, self._coords_texts()):
             cls = ray.classification
             tag = cls.kind.value if cls.corank is None else f"{cls.kind.value} (corank {cls.corank})"
-            lines.append("  (" + ", ".join(ray.coords_text()) + f")  {tag}")
+            lines.append("  (" + ", ".join(coords) + f")  {tag}")
         return "\n".join(lines)
 
 
 # -- candidate sources ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AnsatzRoots:
+class AnsatzRoots(NamedTuple):
     """All projective points with coordinates in {0} u {zeta^a}."""
 
     name: str = "ansatz"
 
 
-@dataclass(frozen=True)
-class UserList:
+class UserList(NamedTuple):
     """Explicit candidate rays; set `exhaustive` to certify a negative search."""
 
     points: Tuple[Tuple[Cyclo, ...], ...]
@@ -148,8 +145,7 @@ class UserList:
     name: str = "user"
 
 
-@dataclass(frozen=True)
-class FloatHomotopy:
+class FloatHomotopy(NamedTuple):
     """Numeric fallback: Gauss-Newton on the gradient system, chart by chart.
 
     `starts // 5` complex starts per affine chart are drawn from
@@ -179,8 +175,16 @@ def normalize_ray(point: Sequence[Cyclo]) -> Tuple[Cyclo, ...]:
     return tuple(c * inv for c in point)
 
 
-def _ray_sort_key(point: Sequence[Cyclo]):
-    return tuple(c.coeffs for c in point)
+def _by_coords(points: Iterable[Sequence[Cyclo]]) -> list:
+    """(key, point) pairs in the order of the points' coefficient tuples.  A
+    key holds each coordinate's rank among the distinct values, so equal
+    points get equal keys, and only the distinct coordinate objects (k + 1
+    on the grid) are sorted by their Fractions."""
+    points = list(points)
+    coeffs = attrgetter("coeffs")
+    coords = sorted({id(c): c for p in points for c in p}.values(), key=coeffs)
+    rank = {id(c): r for r, (_, same) in enumerate(groupby(coords, coeffs)) for c in same}
+    return sorted(((tuple(rank[id(c)] for c in p), p) for p in points), key=itemgetter(0))
 
 
 def ansatz_candidates(field: CyclotomicField) -> Iterable[Tuple[Cyclo, ...]]:
@@ -398,18 +402,13 @@ def _exact_search(g: Polynomial,
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
-    """Normalize, dedupe, classify, sanity-check, and sort."""
-    seen = {}
-    for pt in points:
-        ray = normalize_ray(pt)
-        seen[tuple(c.coeffs for c in ray)] = ray
+    """Normalize, sort, dedupe, classify, and sanity-check."""
     rays = []
-    for ray in seen.values():
+    for ray in dict(_by_coords(map(normalize_ray, points))).values():
         if not _value_scan(g).vanishes(ray):
             # homogeneity forces G = 0 wherever dG = 0; failure means a bug
             raise GsvError("internal error: G does not vanish on a singular ray")
         rays.append(SingularRay(ray, classify_singularity(g, ray)))
-    rays.sort(key=lambda r: _ray_sort_key(r.representative))
     return tuple(rays)
 
 
@@ -504,5 +503,4 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
             certified.append(tuple(snapped))
         else:
             unresolved.append(rationalize_point(field, pt))
-    unresolved.sort(key=_ray_sort_key)
-    return certified, unresolved
+    return certified, [pt for _, pt in _by_coords(unresolved)]

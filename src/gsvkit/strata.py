@@ -7,9 +7,8 @@ symbolic formulas on the strata, never as numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import IncompleteResultError, NonIsolatedError
 from .exocurves import build_exocurve, normalize_sheet
@@ -33,8 +32,7 @@ _DIMENSIONS = {
 }
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     kind: StratumKind
     compact: bool
     index: int | None = None
@@ -61,8 +59,7 @@ class Stratum:
         }
 
 
-@dataclass(frozen=True)
-class StratifiedVariety:
+class StratifiedVariety(NamedTuple):
     sheet: int  # +1 or -1
     strata: Tuple[Stratum, ...]
     attachments: Tuple[Tuple[int, int, str], ...]  # (stratum index, stratum index, label)

@@ -275,8 +275,9 @@ def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data,
 
 
 def modules_after(argv) -> set[str]:
-    """The gsvkit and numpy modules loaded by one CLI call in a fresh
-    interpreter; other tests in this process may have loaded any of them."""
+    """The gsvkit and numpy modules, and `dataclasses` and `inspect`, loaded by
+    one CLI call in a fresh interpreter; other tests in this process may have
+    loaded any of them."""
     src = Path(__file__).resolve().parent.parent / "src"
     script = ("import sys\n"
               "from gsvkit.cli import main\n"
@@ -285,7 +286,8 @@ def modules_after(argv) -> set[str]:
               "except SystemExit as exc:\n"
               "    code = exc.code\n"
               "assert code == 0, code\n"
-              "print(*(m for m in sys.modules if m.split('.')[0] in ('gsvkit', 'numpy')))\n")
+              "print(*(m for m in sys.modules if m.split('.')[0] in ('gsvkit', 'numpy')\n"
+              "        or m in ('dataclasses', 'inspect')))\n")
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True)
@@ -309,6 +311,8 @@ ANALYZE_MODULES = {"gsvkit.cyclo", "gsvkit.poly", "gsvkit.linalg", "gsvkit.singu
     ("resolutions", {"gsvkit.cohomology", "gsvkit.resolutions"}),
 ])
 def test_each_command_loads_only_its_modules(tmp_path, conifold_file, command, loaded):
+    """Also that no command but `analyze --source float` (numpy imports
+    `inspect`) loads `dataclasses` or `inspect`."""
     report = tmp_path / "report.json"
     report.write_text(json.dumps({"transversal": True, "rays": [], "isolated": True,
                                   "complete": True}))
@@ -514,11 +518,16 @@ def test_unreadable_input_names_argument_and_path(capsys, tmp_path, argv, what, 
     assert err.count("\n") == 1 and "Errno" not in err
 
 
-def test_missing_polynomial_path_reads_as_an_expression(capsys):
-    code, out, err = run(capsys, "analyze", "/nonexistent.poly")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: PolynomialParseError: ")
+def test_missing_polynomial_file_is_named(capsys):
+    # '.' and a '/' before no integer denominator occur in no expression
+    for arg in ("/nonexistent.poly", "data/dwork_psi.poly", "no_such_dir/dwork"):
+        code, out, err = run(capsys, "analyze", arg)
+        assert (code, out) == (1, "")
+        assert err == (f"error: GsvInputError: cannot read polynomial file {arg}: "
+                       "No such file or directory\n")
+    code, out, _ = run(capsys, "analyze", "1/2*s0^5+s1^5+s2^5+s3^5+1 / 3*s4^5")
+    assert code == 0
+    assert out.startswith("transversal: ")
 
 
 def test_zeta_order_only_where_it_is_read(capsys, conifold_file):

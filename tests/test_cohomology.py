@@ -244,6 +244,19 @@ def test_conifold_json_roundtrip_with_hodge():
     assert back.base.hodge[(2, 2)] == 2
 
 
+def test_validated_records_are_immutable_values():
+    data = ConifoldData(base_space(n_classes=2), 3, [[3], [2, 1]])
+    same = ConifoldData(base_space(n_classes=2), 3, [[3], [1, 2]])
+    assert same == data and hash(same) == hash(data)
+    assert hash(data.base) == hash(base_space(n_classes=2))
+    assert data != ConifoldData(base_space(n_classes=2), 3, [[1, 2], [3]])
+    for value, name in ((data, "n"), (data, "classes"), (data.base, "dims")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            setattr(value, "extra", 1)
+
+
 @given(st.integers(1, 40), st.data())
 def test_report_discrepancy(n, draws):
     n_classes = draws.draw(st.integers(1, n))

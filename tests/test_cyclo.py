@@ -1,6 +1,7 @@
 """Cyclotomic coefficient arithmetic."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,16 @@ def test_equality_coerces_rationals():
     assert not (K.zeta() == 1)
     assert (K.zeta() ** 5) == 1
     assert hash(K.element(3)) == hash(CyclotomicField(5).element(3))
+
+
+def test_cyclo_is_immutable_and_pickles():
+    z = CyclotomicField(5).zeta()
+    for change in (lambda: setattr(z, "coeffs", ()), lambda: setattr(z, "extra", 1),
+                   lambda: delattr(z, "field")):
+        with pytest.raises(AttributeError):
+            change()
+    assert pickle.loads(pickle.dumps(z)) == z
+    assert hash(z) == hash((5, z.coeffs))
 
 
 def test_str_is_stable():

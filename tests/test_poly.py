@@ -1,5 +1,6 @@
 """Polynomial core: parsing, grading, calculus, exact evaluation."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -205,3 +206,12 @@ def test_parse_scalar():
     v = parse_scalar("1 - 2*zeta^3", K5)
     assert v == K5.one - K5.element(2) * K5.zeta_power(3)
     assert parse_scalar("-3/4", K5) == K5.element(Fraction(-3, 4))
+
+
+def test_polynomial_is_immutable_and_pickles():
+    g = parse_polynomial(DWORK, K5)
+    for change in (lambda: setattr(g, "terms", {}), lambda: setattr(g, "extra", 1),
+                   lambda: delattr(g, "variables")):
+        with pytest.raises(AttributeError):
+            change()
+    assert pickle.loads(pickle.dumps(g)) == g

@@ -487,3 +487,23 @@ def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
     assert len(calls) == 1
     rays = find_singular_rays(g, AnsatzRoots())
     assert rays == find_singular_rays(ONE_NODE, AnsatzRoots())
+
+
+def test_reports_are_immutable():
+    report = verify_transversal(ONE_NODE, AnsatzRoots())
+    for record, name in ((report, "complete"), (report.rays[0], "classification")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
+@given(st.lists(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), (0, 1), (2, 0, 1),
+                                          (Fraction(-1, 3), 1)]),
+                         min_size=5, max_size=5), max_size=12))
+def test_rank_keys_sort_like_coefficient_tuples(rows):
+    # equal values as distinct objects, as user candidates are
+    points = [tuple(K5.element(v) for v in row) for row in rows]
+    keyed = singular._by_coords(points)
+    assert [pt for _, pt in keyed] == sorted(points, key=lambda p: [c.coeffs for c in p])
+    for key_a, a in keyed:
+        for key_b, b in keyed:
+            assert (key_a == key_b) == (a == b)

@@ -1,6 +1,8 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none imports `dataclasses`.
 
-`__init__.py` is exempt, since its imports are the package's re-exports.
+`__init__.py` is exempt from the first check, since its imports are the
+package's re-exports.
 """
 
 import ast
@@ -35,3 +37,23 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module)
+    return names
+
+
+def test_no_module_imports_dataclasses():
+    """`dataclasses` loads `inspect`, `ast`, `dis` and `tokenize`, and each
+    decorated class compiles its methods at import, on every CLI start."""
+    assert imported_modules("import os, dataclasses\nfrom re import match\n") \
+        == {"os", "dataclasses", "re"}
+    offenders = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "dataclasses" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert offenders == []
