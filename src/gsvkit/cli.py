@@ -220,7 +220,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_resolutions(args) -> int:
-    from .resolutions import build_transition_graph
+    from .resolutions import build_transition_graph, pow2_text
 
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
@@ -238,7 +238,7 @@ def cmd_resolutions(args) -> int:
         text_lines = [
             f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
             f"compatible small resolutions: {2 ** data.n_classes}",
-            f"naive per-node count: {2 ** data.n}",
+            f"naive per-node count: {pow2_text(data.n)}",
             f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
         ]
         text_lines += [f"  {kind} edges: {count}" for kind, count in graph.edge_counts().items()]

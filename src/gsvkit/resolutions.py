@@ -18,6 +18,9 @@ from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
 from .errors import ResourceLimitError
 
 MAX_CLASSES = 20
+# 2^n is written in decimal up to this n (603 digits) and as "2^n" above it:
+# Python can be set to refuse to convert an int of over 640 digits to str.
+DECIMAL_POW2_MAX = 2000
 
 DEFO_NOTE = "each node traded for a real 3-bundle over S^3"
 FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
@@ -68,47 +71,43 @@ class _Rows(Sequence):
         return starmap(self._make, self._rows())
 
     def __getitem__(self, index: int):
-        if index < 0:
-            index += self._length
-        if not 0 <= index < self._length:
-            raise IndexError("graph row index out of range")
-        return next(islice(self, index, None))
+        return next(islice(self, range(self._length)[index], None))
 
     def __eq__(self, other):
         return (isinstance(other, Sequence) and len(other) == self._length
                 and all(a == b for a, b in zip(self, other)))
 
 
-# Every string the writers emit is a constant of this module or M_nat_<int>,
-# so none needs JSON or DOT escaping and names go between plain quotes.
-def _json_ints(values) -> str:
-    """An int list as json.dumps(indent=2) nests it inside a list entry."""
-    if not values:
-        return "[]"
-    return "[\n        " + ",\n        ".join(map(str, values)) + "\n      ]"
-
-
-def _json_vertex(name, kind, h2, dims) -> str:
-    """A vertex without orientation as an entry of the JSON vertex list, its
-    fields in the sorted order of json.dumps(sort_keys=True)."""
-    fields = []
-    if dims is not None:
-        fields.append(f'"dims": {_json_ints(dims)}')
-    if h2 is not None:
-        fields.append(f'"h2": {h2}')
-    fields += (f'"kind": "{kind}"', f'"name": "{name}"')
-    return "    {\n      " + ",\n      ".join(fields) + "\n    }"
-
-
-# Resolution codes per block: each writer formats a block's rows from fixed
-# templates and writes them at once.  A few dozen codes keep a block small,
-# so memory stays flat in N.
-_BLOCK = 64
+# Each writer builds the rows of a block of _BLOCK codes with a few string joins
+# and writes them at once, so memory stays flat in N.  Blocks are aligned: their
+# codes differ only in the _LOW_BITS low bits.  Row strings are module constants
+# or M_nat_<int>, so none needs JSON or DOT escaping and names go in plain quotes.
+_LOW_BITS = 6
+_BLOCK = 1 << _LOW_BITS
 
 
 def _blocks(count: int):
-    """Ranges of at most _BLOCK consecutive codes covering 0..count-1."""
-    return (range(lo, min(lo + _BLOCK, count)) for lo in range(0, count, _BLOCK))
+    """Per block of at most _BLOCK consecutive codes covering 0..count-1, the
+    range of their names' numbers: code i names resolution M_nat_<i+1>."""
+    return (range(lo + 1, min(lo + _BLOCK, count) + 1) for lo in range(0, count, _BLOCK))
+
+
+def _names(names: range, head: str, tail: str) -> str:
+    """head + name + tail for each name number in names."""
+    return head + (tail + head).join(map(str, names)) + tail
+
+
+def _flops(names: range, big_n: int, head: str, mid: str, tail: str) -> str:
+    """head + source + mid + target + tail for each flop edge out of names, in
+    _flop_targets order.  A flop sets a clear bit: it adds the bit to the name."""
+    flips, out = [1 << k for k in reversed(range(big_n))], []
+    for name in names:
+        code = name - 1
+        targets = [str(name + bit) for bit in flips if not code & bit]
+        if targets:
+            source = head + str(name) + mid
+            out.append(source + (tail + source).join(targets) + tail)
+    return "".join(out)
 
 
 def _flop_targets(big_n: int):
@@ -117,6 +116,10 @@ def _flop_targets(big_n: int):
     code with that bit set."""
     flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
     return lambda code: [code | bit for bit in flips if not code & bit]
+
+
+def pow2_text(n: int) -> str:
+    return str(2 ** n) if n <= DECIMAL_POW2_MAX else f"2^{n}"
 
 
 class TransitionGraph(NamedTuple):
@@ -179,7 +182,7 @@ class TransitionGraph(NamedTuple):
             return (("note", "transversal case: nothing to resolve"),)
         return (("flop_connectivity", FLOP_NOTE),
                 ("compatible_resolutions", str(2 ** self.n_classes)),
-                ("naive_per_node_resolutions", str(2 ** self.n)))
+                ("naive_per_node_resolutions", pow2_text(self.n)))
 
     def vertex_names(self) -> Tuple[str, ...]:
         return tuple(v.name for v in self.vertices)
@@ -194,56 +197,52 @@ class TransitionGraph(NamedTuple):
     def write_json(self, fh) -> None:
         """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
         and a newline to a text file, a block of resolution codes at a time."""
-        metadata = json.dumps(dict(self.metadata), indent=2, sort_keys=True)
-        metadata = ',\n  "metadata": ' + metadata.replace("\n", "\n  ") + ',\n  "vertices": [\n'
         if self.n == 0:
-            fh.write('{\n  "edges": []' + metadata
-                     + _json_vertex("M_flat=V_bar", "deformation", None, self.smooth_dims)
-                     + "\n  ]\n}\n")
+            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
             return
-        count, targets = 2 ** self.n_classes, _flop_targets(self.n_classes)
-        fh.write('{\n  "edges": [\n    {\n      "label": "defo",\n'
-                 f'      "note": "{DEFO_NOTE}",\n'
-                 '      "source": "M_flat",\n      "target": "V_bar"\n    }')
-        for codes in _blocks(count):
-            fh.write("".join([',\n    {\n      "label": "exoflop",\n      "source": "V_bar",\n'
-                              f'      "target": "M_nat_{code + 1}"\n    }}' for code in codes]))
-        for codes in _blocks(count):
-            fh.write("".join([',\n    {\n      "label": "flop",\n'
-                              f'      "note": "{FLOP_NOTE}",\n'
-                              f'      "source": "M_nat_{code + 1}",\n'
-                              f'      "target": "M_nat_{target + 1}"\n    }}'
-                              for code in codes for target in targets(code)]))
-        fh.write("\n  ]" + metadata
-                 + _json_vertex("M_flat", "deformation", None, self.smooth_dims) + ",\n"
-                 + _json_vertex("V_bar", "stratified_union", self.closure_dims[2],
-                                self.closure_dims))
-        h2 = f'"h2": {self.closure_dims[2]},\n      "kind": "resolution",\n'
-        bits, sep = f"0{self.n_classes}b", ",\n        "
-        for codes in _blocks(count):
-            fh.write("".join([f',\n    {{\n      {h2}'
-                              f'      "name": "M_nat_{code + 1}",\n      "orientation": [\n'
-                              f'        {sep.join(format(code, bits))}\n      ]\n    }}'
-                              for code in codes]))
-        fh.write("\n  ]\n}\n")
+        # json.dumps writes the rows that do not repeat per resolution code,
+        # and the blocks go in at the end of each list, before its "\n  ]".
+        fixed = {"edges": [Edge("M_flat", "V_bar", "defo", DEFO_NOTE).to_json_dict()],
+                 "metadata": dict(self.metadata),
+                 "vertices": [v.to_json_dict() for v in islice(self.vertices, 2)]}
+        edges, vertices, end = json.dumps(fixed, indent=2, sort_keys=True).split("\n  ]")
+        big_n, count = self.n_classes, 2 ** self.n_classes
+        fh.write(edges)
+        for names in _blocks(count):
+            fh.write(_names(names, ',\n    {\n      "label": "exoflop",\n'
+                            '      "source": "V_bar",\n      "target": "M_nat_', '"\n    }'))
+        for names in _blocks(count):
+            fh.write(_flops(names, big_n, ',\n    {\n      "label": "flop",\n'
+                            f'      "note": "{FLOP_NOTE}",\n      "source": "M_nat_',
+                            '",\n      "target": "M_nat_', '"\n    }'))
+        fh.write("\n  ]" + vertices)
+        # A code's orientation is its N bits: the high ones are its block's,
+        # the low ones index a table of every low-bit pattern's text.
+        sep = ",\n        "
+        head = (f',\n    {{\n      "h2": {self.closure_dims[2]},\n      "kind": "resolution",\n'
+                '      "name": "M_nat_')
+        low = [sep.join(bits) + "\n      ]\n    }"
+               for bits in product("01", repeat=min(big_n, _LOW_BITS))]
+        for names, high in zip(_blocks(count), product("01", repeat=max(big_n - _LOW_BITS, 0))):
+            mid = '",\n      "orientation": [\n        ' + sep.join((*high, ""))
+            fh.write("".join([head + name + mid + bits
+                              for name, bits in zip(map(str, names), low)]))
+        fh.write("\n  ]" + end + "\n")
 
     def write_dot(self, fh) -> None:
-        """Write the graph in DOT format to a text file, a block of resolution
-        codes at a time."""
+        """Write the graph in DOT to a text file, a block of resolution codes at a time."""
         if self.n == 0:
             fh.write('graph transitions {\n  "M_flat=V_bar" [shape=ellipse];\n}\n')
             return
-        count, targets = 2 ** self.n_classes, _flop_targets(self.n_classes)
+        big_n, count = self.n_classes, 2 ** self.n_classes
         fh.write('graph transitions {\n  "M_flat" [shape=ellipse];\n  "V_bar" [shape=box];\n')
-        for codes in _blocks(count):
-            fh.write("".join([f'  "M_nat_{code + 1}" [shape=diamond];\n' for code in codes]))
+        for names in _blocks(count):
+            fh.write(_names(names, '  "M_nat_', '" [shape=diamond];\n'))
         fh.write('  "M_flat" -- "V_bar" [label="defo"];\n')
-        for codes in _blocks(count):
-            fh.write("".join([f'  "V_bar" -- "M_nat_{code + 1}" [label="exoflop"];\n'
-                              for code in codes]))
-        for codes in _blocks(count):
-            fh.write("".join([f'  "M_nat_{code + 1}" -- "M_nat_{target + 1}" [label="flop"];\n'
-                              for code in codes for target in targets(code)]))
+        for names in _blocks(count):
+            fh.write(_names(names, '  "V_bar" -- "M_nat_', '" [label="exoflop"];\n'))
+        for names in _blocks(count):
+            fh.write(_flops(names, big_n, '  "M_nat_', '" -- "M_nat_', '" [label="flop"];\n'))
         fh.write("}\n")
 
 

@@ -396,6 +396,19 @@ def test_resolutions_command(capsys, conifold_file, tmp_path):
     assert sum(1 for e in obj["edges"] if e["label"] == "flop") == 4
 
 
+def test_resolutions_huge_node_count(capsys, tmp_path):
+    # 2^15000 has more digits than Python converts to str by default.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"base_dims": [1, 0, 1, 2, 2, 0, 1], "n": 15000,
+                                "classes": [list(range(1, 15001))]}))
+    code, out, err = run(capsys, "resolutions", str(path))
+    assert (code, err) == (0, "")
+    assert "naive per-node count: 2^15000\n" in out
+    code, out, err = run(capsys, "resolutions", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["metadata"]["naive_per_node_resolutions"] == "2^15000"
+
+
 def test_resolutions_dot_format(capsys, conifold_file):
     code, out, _ = run(capsys, "resolutions", conifold_file, "--format", "dot")
     assert code == 0

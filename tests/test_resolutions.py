@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import sys
 from collections import Counter
 from functools import lru_cache
 from unittest import mock
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from gsvkit.cohomology import ConifoldData, GradedSpace
 from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
-from gsvkit.resolutions import MAX_CLASSES, TransitionGraph, build_transition_graph
+from gsvkit.resolutions import (DECIMAL_POW2_MAX, MAX_CLASSES, TransitionGraph,
+                                build_transition_graph)
 
 
 def data_with_classes(n_classes, nodes_per_class=1, b3=10):
@@ -63,6 +65,25 @@ def test_naive_count_reported_for_contrast():
     assert len(resolutions(graph)) == 4
     assert dict(graph.metadata)["compatible_resolutions"] == "4"
     assert dict(graph.metadata)["naive_per_node_resolutions"] == str(2 ** 6)
+
+
+@pytest.mark.parametrize("n", [DECIMAL_POW2_MAX, DECIMAL_POW2_MAX + 1, 15000])
+def test_naive_count_text_ignores_the_int_conversion_limit(n):
+    # 2^15000 has 4,516 digits, over Python's default limit of 4,300 for
+    # int-to-str conversion; the bound keeps the text the same at its lowest
+    # setting, 640 digits, too.
+    data = ConifoldData(GradedSpace((1, 0, 1, 2, 2, 0, 1)), n, [range(1, n + 1)])
+    expected = str(2 ** n) if n <= DECIMAL_POW2_MAX else f"2^{n}"
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        graph = build_transition_graph(data)
+        assert dict(graph.metadata)["naive_per_node_resolutions"] == expected
+        out = io.StringIO()
+        graph.write_json(out)
+        assert json.loads(out.getvalue())["metadata"]["naive_per_node_resolutions"] == expected
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_resource_bound():
@@ -243,10 +264,12 @@ def dot_from_rows(vertices, edges) -> str:
     return "\n".join(dot) + "\n"
 
 
-@pytest.mark.parametrize("n_classes,nodes_per_class", [(8, 3), (11, 2)])
+@pytest.mark.parametrize("n_classes,nodes_per_class",
+                         [(1, 2), (5, 1), (6, 2), (7, 1), (8, 3), (11, 2)])
 def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
-    # Past N = 7, which the hypothesis test reaches, so the writers cross
-    # many blocks of resolution codes.
+    # N = 1, 5, 6 and 7 are the edges of the writers' 64-entry orientation
+    # table: fewer low bits than a block holds, exactly a block's, and one
+    # high bit.  N = 8 and 11 cross many blocks of resolution codes.
     data = data_with_classes(n_classes, nodes_per_class, b3=57)
     graph = build_transition_graph(data, smooth_dims=GradedSpace((1, 0, 3, 88, 3, 0, 1)))
     out = io.StringIO()
@@ -257,16 +280,28 @@ def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
     assert out.getvalue() == dot_from_rows(graph.vertices, graph.edges)
 
 
+class WriteOnlyFile:
+    """A text file that records the size of each write and has no other method,
+    so a writer that used writelines or anything else would fail."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+
+
 def test_writers_write_one_small_block_at_a_time():
     # Memory stays flat in N only while each write holds a bounded block of
     # rows; one write per row would cost a call per edge.
     graph = build_transition_graph(data_with_classes(14))
     blocks = 3 * 2 ** 14 // 64
     for write in (graph.write_json, graph.write_dot):
-        sizes = []
-        write(mock.Mock(write=lambda text: sizes.append(len(text))))
-        assert len(sizes) <= blocks + 4
-        assert max(sizes) < 256 * 1024
+        fh = WriteOnlyFile()
+        write(fh)
+        assert sum(fh.sizes) > 0
+        assert len(fh.sizes) <= blocks + 4
+        assert max(fh.sizes) < 256 * 1024
 
 
 def test_n14_output_is_pinned():
