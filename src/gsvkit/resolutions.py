@@ -125,13 +125,13 @@ def pow2_text(n: int) -> str:
 class TransitionGraph(NamedTuple):
     """The star plus hypercube graph, held as its closed-form parameters.
 
-    Vertex rows come first, in output order: the smoothing, the union, then
-    resolution ``M_nat_{i+1}`` for each orientation code i in binary order.
-    Edge rows follow: the defo edge, one exoflop edge per resolution, and
-    for each code i and class k (1-based) with bit N-k of i clear, the flop
-    to ``i | 1 << (N-k)``.  With ``n == 0`` the graph is the single vertex
-    ``M_flat=V_bar``.  Rows are generated when read, so memory stays flat
-    in N.
+    Vertex rows, in output order: the smoothing, the union, then resolution
+    ``M_nat_{i+1}`` for each orientation code i in binary order.  Edge rows:
+    the defo edge, one exoflop edge per resolution, and for each code i and
+    class k (1-based) with bit N-k of i clear, the flop to ``i | 1 << (N-k)``.
+    With ``n == 0`` the graph is the single vertex ``M_flat=V_bar``.  Each
+    kind of row is generated when read, apart from the other, so memory stays
+    flat in N and the first edge costs no vertex row.
     """
 
     n_classes: int
@@ -139,24 +139,26 @@ class TransitionGraph(NamedTuple):
     closure_dims: Optional[Tuple[int, ...]] = None
     smooth_dims: Optional[Tuple[int, ...]] = None
 
-    def _rows(self):
-        """Vertex rows (name, kind, orientation, h2, dims), then edge rows
-        (source, target, label, note)."""
-        if self.n == 0:
-            yield ("M_flat=V_bar", "deformation", None, None, self.smooth_dims)
-            return
+    def _rows(self, edges: bool = False):
+        """Vertex rows (name, kind, orientation, h2, dims) or, with `edges`,
+        edge rows (source, target, label, note)."""
         big_n = self.n_classes
-        yield ("M_flat", "deformation", None, None, self.smooth_dims)
-        yield ("V_bar", "stratified_union", None, self.closure_dims[2], self.closure_dims)
-        for i, bits in enumerate(product((0, 1), repeat=big_n), 1):
-            yield (f"M_nat_{i}", "resolution", bits, self.closure_dims[2], None)
-        yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
-        for i in range(1, 2 ** big_n + 1):
-            yield ("V_bar", f"M_nat_{i}", "exoflop", None)
-        targets = _flop_targets(big_n)
-        for code in range(2 ** big_n):
-            for target in targets(code):
-                yield (f"M_nat_{code + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
+        if self.n == 0:
+            if not edges:
+                yield ("M_flat=V_bar", "deformation", None, None, self.smooth_dims)
+        elif edges:
+            yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
+            for i in range(1, 2 ** big_n + 1):
+                yield ("V_bar", f"M_nat_{i}", "exoflop", None)
+            targets = _flop_targets(big_n)
+            for code in range(2 ** big_n):
+                for target in targets(code):
+                    yield (f"M_nat_{code + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
+        else:
+            yield ("M_flat", "deformation", None, None, self.smooth_dims)
+            yield ("V_bar", "stratified_union", None, self.closure_dims[2], self.closure_dims)
+            for i, bits in enumerate(product((0, 1), repeat=big_n), 1):
+                yield (f"M_nat_{i}", "resolution", bits, self.closure_dims[2], None)
 
     def edge_counts(self) -> Dict[str, int]:
         """Edges per label, from the closed forms."""
@@ -167,14 +169,11 @@ class TransitionGraph(NamedTuple):
 
     @property
     def vertices(self) -> Sequence:
-        count = 1 if self.n == 0 else 2 + 2 ** self.n_classes
-        return _Rows(count, lambda: islice(self._rows(), count), Vertex)
+        return _Rows(1 if self.n == 0 else 2 + 2 ** self.n_classes, self._rows, Vertex)
 
     @property
     def edges(self) -> Sequence:
-        skip = len(self.vertices)
-        return _Rows(sum(self.edge_counts().values()),
-                     lambda: islice(self._rows(), skip, None), Edge)
+        return _Rows(sum(self.edge_counts().values()), lambda: self._rows(True), Edge)
 
     @property
     def metadata(self) -> Tuple[Tuple[str, str], ...]:

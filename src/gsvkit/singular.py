@@ -29,8 +29,8 @@ a denominator divisible by p, falls back to the exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
-runs Gauss-Newton on all starts of a chart as one batch; its hits are
-certified by the same scan as any other candidate.
+runs Gauss-Newton on the starts of all five charts as one batch; its hits
+are certified by the same scan as any other candidate.
 """
 
 from __future__ import annotations
@@ -146,13 +146,14 @@ class UserList(NamedTuple):
 
 
 class FloatHomotopy(NamedTuple):
-    """Numeric fallback: Gauss-Newton on the gradient system, chart by chart.
+    """Numeric fallback: Gauss-Newton on the gradient system in the affine charts.
 
     `starts // 5` complex starts per affine chart are drawn from
     `default_rng(seed)` (real then imaginary parts, start by start, chart by
-    chart) and iterated together as one batch.  Solutions are snapped to the
-    root-of-unity grid and certified by the exact grid scan when possible;
-    anything else stays Unclassified and the report is never complete.
+    chart), and the starts of all five charts are iterated as one batch.
+    Solutions are snapped to the root-of-unity grid and certified by the
+    exact grid scan when possible; anything else stays Unclassified and the
+    report is never complete.
     """
 
     starts: int = 400
@@ -474,33 +475,28 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
     field = g.field
     per_chart = max(search.starts // 5, 1)
-    rng = np.random.default_rng(search.seed)
-    raw: dict[tuple, np.ndarray] = {}
-    for chart in range(5):
-        # the same stream as drawing re(4) then im(4) start after start
-        z = rng.standard_normal((per_chart, 2, 4))
-        pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], chart, gradient, hessian,
-                               search.tolerance)
-        for pt in pts[ok]:
-            lead = next(i for i in range(5) if abs(pt[i]) > 1e-8)
-            pt = pt / pt[lead]
-            key = tuple(np.round(pt, 6))
-            raw.setdefault(key, pt)
+    # chart after chart, the same stream as drawing re(4) then im(4) start after start
+    z = np.random.default_rng(search.seed).standard_normal((5 * per_chart, 2, 4))
+    pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
+                           gradient, hessian, search.tolerance)
+    pts = pts[ok]
+    lead = (abs(pts) > 1e-8).argmax(axis=1)
+    pts = pts / np.take_along_axis(pts, lead[:, None], axis=1)
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(np.round(pts, 6).tolist()):
+        first.setdefault(tuple(key), i)
+    pts = pts[list(first.values())]
 
     grid = [field.zero] + [field.zeta_power(a) for a in range(field.order)]
-    grid_values = [z.to_complex() for z in grid]
-
+    dists = abs(pts[:, :, None] - np.array([c.to_complex() for c in grid]))
+    near = (dists.min(axis=2) < 1e-6).all(axis=1)
     vanishes = _scan(g).vanishes
     certified: list[Tuple[Cyclo, ...]] = []
     unresolved: list[Tuple[Cyclo, ...]] = []
-    for pt in raw.values():
-        snapped = []
-        for v in pt:
-            dists = [abs(v - w) for w in grid_values]
-            best = min(range(len(grid)), key=dists.__getitem__)
-            snapped.append(grid[best] if dists[best] < 1e-6 else None)
-        if all(s is not None for s in snapped) and vanishes(tuple(snapped)):
-            certified.append(tuple(snapped))
+    for pt, best, snaps in zip(pts, dists.argmin(axis=2).tolist(), near.tolist()):
+        ray = tuple(map(grid.__getitem__, best))
+        if snaps and vanishes(ray):
+            certified.append(ray)
         else:
             unresolved.append(rationalize_point(field, pt))
     return certified, [pt for _, pt in _by_coords(unresolved)]

@@ -331,6 +331,19 @@ def test_counts_need_no_rows():
         build_transition_graph(data_with_classes(MAX_CLASSES + 1))
 
 
+def test_edge_rows_need_no_vertex_rows():
+    # itertools.product builds the vertex orientations; the edges never call it
+    graph = build_transition_graph(data_with_classes(3))
+    oracle = ([("M_flat", "V_bar", "defo")]
+              + [("V_bar", f"M_nat_{i}", "exoflop") for i in range(1, 9)]
+              + [(f"M_nat_{code + 1}", f"M_nat_{(code | bit) + 1}", "flop")
+                 for code in range(8) for bit in (4, 2, 1) if not code & bit])
+    with mock.patch("gsvkit.resolutions.product", side_effect=AssertionError):
+        edges = graph.edges
+        assert edges[0][:3] == oracle[0] and edges[-1][:3] == oracle[-1]
+        assert [e[:3] for e in edges] == oracle
+
+
 def test_graph_rows_are_indexable_sequences():
     graph = build_transition_graph(data_with_classes(3, nodes_per_class=2))
     for rows in (graph.vertices, graph.edges):

@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -369,7 +370,9 @@ COORDS = st.one_of(st.just(0j), st.complex_numbers(min_magnitude=0.01, max_magni
 def test_compiled_evaluator_matches_evaluate_complex(g, points):
     # relative to the sum of the terms' magnitudes, so that cancellation to
     # about 0 does not demand an impossible relative accuracy
-    polys = list(g.gradient()) + [h for row in g.hessian() for h in row]
+    # g and the constant 1 are the power table's ends: top exponents 5 and 0
+    polys = ([g, Polynomial.constant(g.field, 1)] + list(g.gradient())
+             + [h for row in g.hessian() for h in row])
     values = homotopy.complex_evaluator(polys)(np.array(points))
     assert values.shape == (len(points), len(polys))
     for row, pt in zip(values, points):
@@ -394,10 +397,55 @@ def test_newton_batch_drops_non_finite_starts():
         return values
 
     starts = np.vstack([nodes + 1e-3, np.full((1, 4), np.nan)])
-    pts, ok = homotopy.newton_batch(starts, 0, gradient, poisoned_hessian, 1e-10)
+    pts, ok = homotopy.newton_batch(starts, np.zeros(4, int), gradient, poisoned_hessian,
+                                    1e-10)
     assert ok.tolist() == [True, False, True, False]
     assert np.allclose(pts[ok][:, 1:], nodes[[0, 2]])
     assert np.array_equal(pts[1, 1:], starts[1])  # left the batch untouched
+
+
+def test_newton_batch_mixes_charts_like_one_call_per_chart():
+    # starts near Dwork nodes (zeta^a0, .., zeta^a4), sum a = 0 mod 5, in
+    # every chart, and one start whose gradient overflows to inf
+    rng = np.random.default_rng(7)
+    z = np.exp(2j * np.pi / 5)
+    chart = np.array([3, 0, 4, 1, 1, 2, 0, 3, 4, 2, 0, 1])
+    starts = []
+    for c in chart:
+        a = rng.integers(0, 5, 4)
+        node = z ** np.append(a, -a.sum())
+        starts.append(np.delete(node / node[c], c) + 1e-3 * rng.standard_normal(4))
+    starts = np.array(starts)
+    starts[5] = 1e80
+    gradient = homotopy.complex_evaluator(DWORK.gradient())
+    hessian = homotopy.complex_evaluator([h for row in DWORK.hessian() for h in row])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pts, ok = homotopy.newton_batch(starts, chart, gradient, hessian, 1e-10)
+        per_chart = [homotopy.newton_batch(starts[chart == c], chart[chart == c], gradient,
+                                           hessian, 1e-10) for c in range(5)]
+    assert not ok[5] and ok.sum() == len(chart) - 1
+    for c, (one, one_ok) in enumerate(per_chart):
+        rows = chart == c
+        assert ok[rows].tolist() == one_ok.tolist()
+        assert np.allclose(pts[rows], one, rtol=0, atol=1e-12)
+        assert (pts[rows, c] == 1).all()
+
+
+def test_float_search_runs_one_newton_batch():
+    with mock.patch.object(homotopy, "newton_batch", wraps=homotopy.newton_batch) as batch:
+        certified, _ = singular._float_search(DWORK, FloatHomotopy(starts=50, seed=2))
+    assert batch.call_count == 1
+    assert len(batch.call_args.args[0]) == 50 and certified
+
+
+def test_float_homotopy_on_dwork_at_zeta_order_10():
+    # the default search, pinned: 119 of the 125 nodes, all of them on the grid
+    g = parse_polynomial((DATA / "dwork_psi1.poly").read_text(), CyclotomicField(10))
+    rays = find_singular_rays(g, FloatHomotopy())
+    assert all(r.classification.kind is Kind.NODE for r in rays)
+    exact = {r.coords_text() for r in find_singular_rays(g, AnsatzRoots())}
+    found = {r.coords_text() for r in rays}
+    assert len(rays) == len(found) == 119 and found <= exact
 
 
 def offgrid_sixteen_nodes() -> Polynomial:
