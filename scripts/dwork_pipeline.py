@@ -76,9 +76,10 @@ def main():
 
     banner("6. transition graph")
     graph = build_transition_graph(data)
-    print(f"vertices: {graph.vertex_names()}")
-    for edge in graph.edges:
-        print(f"  {edge.source} --{edge.label}-- {edge.target}")
+    counts = graph.edge_counts()
+    print(f"vertices: {graph.vertex_count()}, edges: {sum(counts.values())}")
+    for label, count in counts.items():
+        print(f"  {label} edges: {count}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             graph.write_dot(handle)

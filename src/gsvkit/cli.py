@@ -235,13 +235,14 @@ def cmd_resolutions(args) -> int:
         if args.format != "text":
             (graph.write_dot if args.format == "dot" else graph.write_json)(out)
             return 0
+        counts = graph.edge_counts()
         text_lines = [
             f"4-cycle classes: {data.n_classes}, nodes: {data.n}",
             f"compatible small resolutions: {2 ** data.n_classes}",
             f"naive per-node count: {pow2_text(data.n)}",
-            f"graph: {len(graph.vertices)} vertices, {len(graph.edges)} edges",
+            f"graph: {graph.vertex_count()} vertices, {sum(counts.values())} edges",
         ]
-        text_lines += [f"  {kind} edges: {count}" for kind, count in graph.edge_counts().items()]
+        text_lines += [f"  {kind} edges: {count}" for kind, count in counts.items()]
         out.write("\n".join(text_lines) + "\n")
     return 0
 
@@ -266,8 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="JSON candidate list for --source user")
     p.add_argument("--exhaustive", action="store_true",
                    help="treat the user candidate list as exhaustive")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="accepted for compatibility; the scan is serial")
     common(p, zeta_order=True)
     p.set_defaults(func=cmd_analyze)
 

@@ -66,10 +66,6 @@ class Atlas(NamedTuple):
         # punctured charts and all overlaps are C*-like (chi 0)
         return sum(1 for c in self.charts if c.proper)
 
-    def orbifold_points(self) -> Tuple[str, ...]:
-        return tuple(c.name for c in self.charts
-                     if c.proper and c.orbifold_group_order > 1)
-
     def to_json_dict(self):
         return {
             "model": self.model.value,

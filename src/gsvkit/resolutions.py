@@ -10,11 +10,10 @@ pair is flagged in the graph metadata.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
-from itertools import islice, product, starmap
+from itertools import product
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .cohomology import ConifoldData, GradedSpace, cohomology_of_closure
+from .cohomology import ConifoldData, cohomology_of_closure
 from .errors import ResourceLimitError
 
 MAX_CLASSES = 20
@@ -24,58 +23,6 @@ DECIMAL_POW2_MAX = 2000
 
 DEFO_NOTE = "each node traded for a real 3-bundle over S^3"
 FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
-
-
-class Vertex(NamedTuple):
-    name: str
-    kind: str  # "deformation" | "stratified_union" | "resolution"
-    orientation: Optional[Tuple[int, ...]] = None
-    h2: Optional[int] = None
-    dims: Optional[Tuple[int, ...]] = None
-
-    def to_json_dict(self):
-        out: Dict[str, object] = {"name": self.name, "kind": self.kind}
-        if self.orientation is not None:
-            out["orientation"] = list(self.orientation)
-        if self.h2 is not None:
-            out["h2"] = self.h2
-        if self.dims is not None:
-            out["dims"] = list(self.dims)
-        return out
-
-
-class Edge(NamedTuple):
-    source: str
-    target: str
-    label: str  # "defo" | "exoflop" | "flop"
-    note: Optional[str] = None
-
-    def to_json_dict(self):
-        out: Dict[str, object] = {"source": self.source, "target": self.target,
-                                  "label": self.label}
-        if self.note:
-            out["note"] = self.note
-        return out
-
-
-class _Rows(Sequence):
-    """A read-only view of one slice of a graph's rows, built as it is read."""
-
-    def __init__(self, length, rows, make):
-        self._length, self._rows, self._make = length, rows, make
-
-    def __len__(self):
-        return self._length
-
-    def __iter__(self):
-        return starmap(self._make, self._rows())
-
-    def __getitem__(self, index: int):
-        return next(islice(self, range(self._length)[index], None))
-
-    def __eq__(self, other):
-        return (isinstance(other, Sequence) and len(other) == self._length
-                and all(a == b for a, b in zip(self, other)))
 
 
 # Each writer builds the rows of a block of _BLOCK codes with a few string joins
@@ -99,7 +46,8 @@ def _names(names: range, head: str, tail: str) -> str:
 
 def _flops(names: range, big_n: int, head: str, mid: str, tail: str) -> str:
     """head + source + mid + target + tail for each flop edge out of names, in
-    _flop_targets order.  A flop sets a clear bit: it adds the bit to the name."""
+    output order: per source, class k = 1..N with bit N-k of its code clear.  A
+    flop sets a clear bit: it adds the bit to the name."""
     flips, out = [1 << k for k in reversed(range(big_n))], []
     for name in names:
         code = name - 1
@@ -110,14 +58,6 @@ def _flops(names: range, big_n: int, head: str, mid: str, tail: str) -> str:
     return "".join(out)
 
 
-def _flop_targets(big_n: int):
-    """A map from a resolution code to the targets of its flop edges, in
-    output order: for class k = 1..N with bit N-k of the code clear, the
-    code with that bit set."""
-    flips = [1 << (big_n - k) for k in range(1, big_n + 1)]
-    return lambda code: [code | bit for bit in flips if not code & bit]
-
-
 def pow2_text(n: int) -> str:
     return str(2 ** n) if n <= DECIMAL_POW2_MAX else f"2^{n}"
 
@@ -125,40 +65,23 @@ def pow2_text(n: int) -> str:
 class TransitionGraph(NamedTuple):
     """The star plus hypercube graph, held as its closed-form parameters.
 
-    Vertex rows, in output order: the smoothing, the union, then resolution
-    ``M_nat_{i+1}`` for each orientation code i in binary order.  Edge rows:
-    the defo edge, one exoflop edge per resolution, and for each code i and
-    class k (1-based) with bit N-k of i clear, the flop to ``i | 1 << (N-k)``.
-    With ``n == 0`` the graph is the single vertex ``M_flat=V_bar``.  Each
-    kind of row is generated when read, apart from the other, so memory stays
-    flat in N and the first edge costs no vertex row.
+    Vertices, in output order: the smoothing ``M_flat``, the union ``V_bar``,
+    then resolution ``M_nat_{i+1}`` for each orientation code i in binary
+    order.  Edges: the defo edge, one exoflop edge per resolution, and for
+    each code i and class k (1-based) with bit N-k of i clear, the flop to
+    ``i | 1 << (N-k)``.  With ``n == 0`` the graph is the single vertex
+    ``M_flat=V_bar``.  No row is held: the writers build their text a block
+    of codes at a time, so memory stays flat in N, and the counts come from
+    the closed forms.
     """
 
     n_classes: int
     n: int
     closure_dims: Optional[Tuple[int, ...]] = None
-    smooth_dims: Optional[Tuple[int, ...]] = None
 
-    def _rows(self, edges: bool = False):
-        """Vertex rows (name, kind, orientation, h2, dims) or, with `edges`,
-        edge rows (source, target, label, note)."""
-        big_n = self.n_classes
-        if self.n == 0:
-            if not edges:
-                yield ("M_flat=V_bar", "deformation", None, None, self.smooth_dims)
-        elif edges:
-            yield ("M_flat", "V_bar", "defo", DEFO_NOTE)
-            for i in range(1, 2 ** big_n + 1):
-                yield ("V_bar", f"M_nat_{i}", "exoflop", None)
-            targets = _flop_targets(big_n)
-            for code in range(2 ** big_n):
-                for target in targets(code):
-                    yield (f"M_nat_{code + 1}", f"M_nat_{target + 1}", "flop", FLOP_NOTE)
-        else:
-            yield ("M_flat", "deformation", None, None, self.smooth_dims)
-            yield ("V_bar", "stratified_union", None, self.closure_dims[2], self.closure_dims)
-            for i, bits in enumerate(product((0, 1), repeat=big_n), 1):
-                yield (f"M_nat_{i}", "resolution", bits, self.closure_dims[2], None)
+    def vertex_count(self) -> int:
+        """Vertices, from the closed form."""
+        return 1 if self.n == 0 else 2 + 2 ** self.n_classes
 
     def edge_counts(self) -> Dict[str, int]:
         """Edges per label, from the closed forms."""
@@ -168,14 +91,6 @@ class TransitionGraph(NamedTuple):
         return {"defo": 1, "exoflop": 2 ** big_n, "flop": (big_n << big_n) >> 1}
 
     @property
-    def vertices(self) -> Sequence:
-        return _Rows(1 if self.n == 0 else 2 + 2 ** self.n_classes, self._rows, Vertex)
-
-    @property
-    def edges(self) -> Sequence:
-        return _Rows(sum(self.edge_counts().values()), lambda: self._rows(True), Edge)
-
-    @property
     def metadata(self) -> Tuple[Tuple[str, str], ...]:
         if self.n == 0:
             return (("note", "transversal case: nothing to resolve"),)
@@ -183,27 +98,23 @@ class TransitionGraph(NamedTuple):
                 ("compatible_resolutions", str(2 ** self.n_classes)),
                 ("naive_per_node_resolutions", pow2_text(self.n)))
 
-    def vertex_names(self) -> Tuple[str, ...]:
-        return tuple(v.name for v in self.vertices)
-
-    def to_json_dict(self):
-        return {
-            "vertices": [v.to_json_dict() for v in self.vertices],
-            "edges": [e.to_json_dict() for e in self.edges],
-            "metadata": dict(self.metadata),
-        }
-
     def write_json(self, fh) -> None:
-        """Write ``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)``
-        and a newline to a text file, a block of resolution codes at a time."""
+        """Write the graph as sorted-key JSON with indent 2, and a newline, to a
+        text file, a block of resolution codes at a time."""
         if self.n == 0:
-            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+            graph = {"edges": [], "metadata": dict(self.metadata),
+                     "vertices": [{"kind": "deformation", "name": "M_flat=V_bar"}]}
+            fh.write(json.dumps(graph, indent=2, sort_keys=True) + "\n")
             return
         # json.dumps writes the rows that do not repeat per resolution code,
         # and the blocks go in at the end of each list, before its "\n  ]".
-        fixed = {"edges": [Edge("M_flat", "V_bar", "defo", DEFO_NOTE).to_json_dict()],
+        dims = self.closure_dims
+        fixed = {"edges": [{"label": "defo", "note": DEFO_NOTE,
+                            "source": "M_flat", "target": "V_bar"}],
                  "metadata": dict(self.metadata),
-                 "vertices": [v.to_json_dict() for v in islice(self.vertices, 2)]}
+                 "vertices": [{"kind": "deformation", "name": "M_flat"},
+                              {"dims": list(dims), "h2": dims[2],
+                               "kind": "stratified_union", "name": "V_bar"}]}
         edges, vertices, end = json.dumps(fixed, indent=2, sort_keys=True).split("\n  ]")
         big_n, count = self.n_classes, 2 ** self.n_classes
         fh.write(edges)
@@ -218,7 +129,7 @@ class TransitionGraph(NamedTuple):
         # A code's orientation is its N bits: the high ones are its block's,
         # the low ones index a table of every low-bit pattern's text.
         sep = ",\n        "
-        head = (f',\n    {{\n      "h2": {self.closure_dims[2]},\n      "kind": "resolution",\n'
+        head = (f',\n    {{\n      "h2": {dims[2]},\n      "kind": "resolution",\n'
                 '      "name": "M_nat_')
         low = [sep.join(bits) + "\n      ]\n    }"
                for bits in product("01", repeat=min(big_n, _LOW_BITS))]
@@ -245,21 +156,17 @@ class TransitionGraph(NamedTuple):
         fh.write("}\n")
 
 
-def build_transition_graph(data: ConifoldData,
-                           smooth_dims: Optional[GradedSpace] = None) -> TransitionGraph:
+def build_transition_graph(data: ConifoldData) -> TransitionGraph:
     """Vertices: the smoothing, the compactified union, and all resolutions.
 
     Edge rules: one defo edge (smoothing to union), one exoflop edge from
     the union to every resolution, and flop edges between resolutions at
-    Hamming distance one.  The class bound is checked here, before any row
-    exists or any output is opened.
+    Hamming distance one.  The class bound is checked here, before any
+    output is opened.
     """
     if data.n_classes > MAX_CLASSES:
         raise ResourceLimitError(f"2^{data.n_classes} resolutions exceed the "
                                  f"enumeration bound 2^{MAX_CLASSES}")
-    smooth = smooth_dims.dims if smooth_dims else None
     if data.n == 0:
-        return TransitionGraph(0, 0, smooth_dims=smooth)
-    return TransitionGraph(data.n_classes, data.n,
-                           closure_dims=cohomology_of_closure(data).dims,
-                           smooth_dims=smooth)
+        return TransitionGraph(0, 0)
+    return TransitionGraph(data.n_classes, data.n, cohomology_of_closure(data).dims)

@@ -573,11 +573,11 @@ def test_parser_defaults(capsys):
     assert "root-of-unity order must be >= 1" in err
 
 
-def test_analyze_jobs_is_accepted_and_changes_nothing(capsysbinary):
-    assert main(["analyze", DWORK]) == 0
-    default = capsysbinary.readouterr().out
-    assert main(["analyze", DWORK, "--jobs", "3"]) == 0
-    assert capsysbinary.readouterr().out == default
+def test_analyze_rejects_jobs(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", DWORK, "--jobs", "3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
 
 def test_json_outputs_are_byte_identical(capsys, conifold_file, tmp_path):

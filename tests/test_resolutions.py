@@ -7,14 +7,13 @@ import json
 import sys
 from collections import Counter
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsvkit.cohomology import ConifoldData, GradedSpace
+from gsvkit.cohomology import ConifoldData, GradedSpace, cohomology_of_closure
 from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
-from gsvkit.resolutions import (DECIMAL_POW2_MAX, MAX_CLASSES, TransitionGraph,
+from gsvkit.resolutions import (DECIMAL_POW2_MAX, DEFO_NOTE, FLOP_NOTE, MAX_CLASSES,
                                 build_transition_graph)
 
 
@@ -30,18 +29,31 @@ def smooth_data():
     return ConifoldData(GradedSpace((1, 0, 1, 204, 1, 0, 1)), 0, [])
 
 
-def resolutions(graph):
-    return [v for v in graph.vertices if v.kind == "resolution"]
+def written(graph):
+    """The graph as its JSON writer writes it, parsed back."""
+    out = io.StringIO()
+    graph.write_json(out)
+    return json.loads(out.getvalue())
+
+
+def resolutions(obj):
+    """The resolution vertices of a written graph, orientations as tuples."""
+    return [{**v, "orientation": tuple(v["orientation"])}
+            for v in obj["vertices"] if v["kind"] == "resolution"]
+
+
+def names(obj):
+    return [v["name"] for v in obj["vertices"]]
 
 
 @lru_cache(maxsize=None)
 def flop_pairs(n_classes):
     """The flop edges of the graph on N singleton classes, each as the set of
     its endpoints' orientations, counted with multiplicity."""
-    graph = build_transition_graph(data_with_classes(n_classes))
-    orientation = {v.name: v.orientation for v in resolutions(graph)}
-    return Counter(frozenset((orientation[e.source], orientation[e.target]))
-                   for e in graph.edges if e.label == "flop")
+    obj = written(build_transition_graph(data_with_classes(n_classes)))
+    orientation = {v["name"]: v["orientation"] for v in resolutions(obj)}
+    return Counter(frozenset((orientation[e["source"]], orientation[e["target"]]))
+                   for e in obj["edges"] if e["label"] == "flop")
 
 
 def flipped(bits, k):
@@ -49,20 +61,63 @@ def flipped(bits, k):
     return bits[:k - 1] + (1 - bits[k - 1],) + bits[k:]
 
 
+def oracle_graph(data):
+    """The graph's rows in output order, built from the definitions: the
+    orientations in binary order by itertools.product, from each one a flop
+    to its twin in every class it has at 0, and the union's dimensions from
+    cohomology_of_closure."""
+    if data.n == 0:
+        return {"vertices": [{"kind": "deformation", "name": "M_flat=V_bar"}],
+                "edges": [], "metadata": {"note": "transversal case: nothing to resolve"}}
+    big_n = data.n_classes
+    dims = list(cohomology_of_closure(data).dims)
+    orientations = list(itertools.product((0, 1), repeat=big_n))
+    name = {bits: f"M_nat_{i}" for i, bits in enumerate(orientations, 1)}
+    vertices = [{"kind": "deformation", "name": "M_flat"},
+                {"dims": dims, "h2": dims[2], "kind": "stratified_union", "name": "V_bar"}]
+    vertices += [{"h2": dims[2], "kind": "resolution", "name": name[bits],
+                  "orientation": list(bits)} for bits in orientations]
+    edges = [{"label": "defo", "note": DEFO_NOTE, "source": "M_flat", "target": "V_bar"}]
+    edges += [{"label": "exoflop", "source": "V_bar", "target": name[bits]}
+              for bits in orientations]
+    edges += [{"label": "flop", "note": FLOP_NOTE, "source": name[bits],
+               "target": name[flipped(bits, k)]}
+              for bits in orientations for k in range(1, big_n + 1) if not bits[k - 1]]
+    return {"vertices": vertices, "edges": edges,
+            "metadata": {"flop_connectivity": FLOP_NOTE,
+                         "compatible_resolutions": str(2 ** big_n),
+                         "naive_per_node_resolutions": str(2 ** data.n)}}
+
+
+def oracle_json(data) -> str:
+    return json.dumps(oracle_graph(data), indent=2, sort_keys=True) + "\n"
+
+
+def oracle_dot(data) -> str:
+    graph = oracle_graph(data)
+    shapes = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
+    dot = (["graph transitions {"]
+           + [f'  "{v["name"]}" [shape={shapes[v["kind"]]}];' for v in graph["vertices"]]
+           + [f'  "{e["source"]}" -- "{e["target"]}" [label="{e["label"]}"];'
+              for e in graph["edges"]]
+           + ["}"])
+    return "\n".join(dot) + "\n"
+
+
 def test_counts():
     for n_classes in (1, 3):
-        found = resolutions(build_transition_graph(data_with_classes(n_classes)))
-        assert [v.orientation for v in found] == list(
+        found = resolutions(written(build_transition_graph(data_with_classes(n_classes))))
+        assert [v["orientation"] for v in found] == list(
             itertools.product((0, 1), repeat=n_classes))  # binary order
-        assert [v.name for v in found] == [
+        assert [v["name"] for v in found] == [
             f"M_nat_{i}" for i in range(1, 2 ** n_classes + 1)]
     # with no nodes the variety is its own and only resolution
-    assert build_transition_graph(smooth_data()).vertex_names() == ("M_flat=V_bar",)
+    assert names(written(build_transition_graph(smooth_data()))) == ["M_flat=V_bar"]
 
 
 def test_naive_count_reported_for_contrast():
     graph = build_transition_graph(data_with_classes(2, nodes_per_class=3))
-    assert len(resolutions(graph)) == 4
+    assert len(resolutions(written(graph))) == 4
     assert dict(graph.metadata)["compatible_resolutions"] == "4"
     assert dict(graph.metadata)["naive_per_node_resolutions"] == str(2 ** 6)
 
@@ -88,7 +143,7 @@ def test_naive_count_text_ignores_the_int_conversion_limit(n):
 
 def test_resource_bound():
     graph = build_transition_graph(data_with_classes(MAX_CLASSES))
-    assert len(graph.vertices) == 2 + 2 ** MAX_CLASSES
+    assert graph.vertex_count() == 2 + 2 ** MAX_CLASSES
     with pytest.raises(ResourceLimitError):
         build_transition_graph(data_with_classes(MAX_CLASSES + 1))
 
@@ -118,9 +173,9 @@ def test_flop_involution(bits, draws):
 
 
 def test_transition_graph_n1_diagram():
-    graph = build_transition_graph(data_with_classes(1, nodes_per_class=2))
-    assert graph.vertex_names() == ("M_flat", "V_bar", "M_nat_1", "M_nat_2")
-    edges = {(e.source, e.target, e.label) for e in graph.edges}
+    obj = written(build_transition_graph(data_with_classes(1, nodes_per_class=2)))
+    assert names(obj) == ["M_flat", "V_bar", "M_nat_1", "M_nat_2"]
+    edges = {(e["source"], e["target"], e["label"]) for e in obj["edges"]}
     assert edges == {
         ("M_flat", "V_bar", "defo"),
         ("V_bar", "M_nat_1", "exoflop"),
@@ -130,9 +185,9 @@ def test_transition_graph_n1_diagram():
 
 
 def test_transition_graph_n2_hypercube():
-    graph = build_transition_graph(data_with_classes(2))
-    assert len(graph.vertices) == 1 + 1 + 4
-    labels = [e.label for e in graph.edges]
+    obj = written(build_transition_graph(data_with_classes(2)))
+    assert len(obj["vertices"]) == 1 + 1 + 4
+    labels = [e["label"] for e in obj["edges"]]
     assert labels.count("defo") == 1
     assert labels.count("exoflop") == 4
     assert labels.count("flop") == 4
@@ -140,53 +195,52 @@ def test_transition_graph_n2_hypercube():
 
 def test_transition_graph_smooth_case():
     graph = build_transition_graph(smooth_data())
-    assert len(graph.vertices) == 1
-    assert graph.vertices[0].name == "M_flat=V_bar"
-    assert graph.edges == ()
+    assert (graph.vertex_count(), sum(graph.edge_counts().values())) == (1, 0)
+    obj = written(graph)
+    assert obj["vertices"] == [{"kind": "deformation", "name": "M_flat=V_bar"}]
+    assert obj["edges"] == []
 
 
 @pytest.mark.parametrize("n_classes", [1, 2, 3, 4])
 def test_hypercube_degrees(n_classes):
-    graph = build_transition_graph(data_with_classes(n_classes))
-    flops = [e for e in graph.edges if e.label == "flop"]
+    obj = written(build_transition_graph(data_with_classes(n_classes)))
+    edges = [(e["source"], e["target"], e["label"]) for e in obj["edges"]]
+    flops = [e[:2] for e in edges if e[2] == "flop"]
     assert len(flops) == n_classes * 2 ** (n_classes - 1)
-    exoflops = [e for e in graph.edges if e.label == "exoflop"]
+    exoflops = [e for e in edges if e[2] == "exoflop"]
     assert len(exoflops) == 2 ** n_classes
     # every resolution touches exactly one exoflop and n_classes flop edges
-    degree = {}
-    for e in flops:
-        degree[e.source] = degree.get(e.source, 0) + 1
-        degree[e.target] = degree.get(e.target, 0) + 1
-    resolutions = [v.name for v in graph.vertices if v.kind == "resolution"]
-    assert all(degree[name] == n_classes for name in resolutions)
+    degree = Counter(itertools.chain.from_iterable(flops))
+    orientation = {v["name"]: v["orientation"] for v in resolutions(obj)}
+    assert all(degree[name] == n_classes for name in orientation)
+    assert sorted(target for _, target, _ in exoflops) == sorted(orientation)
     # flop edges join orientations at Hamming distance one
-    orientation = {v.name: v.orientation for v in graph.vertices
-                   if v.kind == "resolution"}
-    for e in flops:
-        a, b = orientation[e.source], orientation[e.target]
+    for source, target in flops:
+        a, b = orientation[source], orientation[target]
         assert sum(x != y for x, y in zip(a, b)) == 1
     # flop graph is connected
-    adjacency = {name: set() for name in resolutions}
-    for e in flops:
-        adjacency[e.source].add(e.target)
-        adjacency[e.target].add(e.source)
-    seen, stack = {resolutions[0]}, [resolutions[0]]
+    adjacency = {name: set() for name in orientation}
+    for source, target in flops:
+        adjacency[source].add(target)
+        adjacency[target].add(source)
+    first = next(iter(orientation))
+    seen, stack = {first}, [first]
     while stack:
         for other in adjacency[stack.pop()]:
             if other not in seen:
                 seen.add(other)
                 stack.append(other)
-    assert seen == set(resolutions)
+    assert seen == set(orientation)
 
 
 def test_vertex_betti_bookkeeping():
     data = data_with_classes(2, nodes_per_class=2)
-    smooth = GradedSpace((1, 0, 1, 204, 1, 0, 1))
-    graph = build_transition_graph(data, smooth_dims=smooth)
-    by_name = {v.name: v for v in graph.vertices}
-    assert by_name["M_flat"].dims == smooth.dims
-    assert by_name["V_bar"].h2 == data.base.dims[2] + data.n_classes
-    assert by_name["M_nat_1"].h2 == data.base.dims[2] + data.n_classes
+    by_name = {v["name"]: v for v in written(build_transition_graph(data))["vertices"]}
+    assert by_name["M_flat"] == {"kind": "deformation", "name": "M_flat"}  # no dims
+    h2 = data.base.dims[2] + data.n_classes
+    assert by_name["V_bar"]["dims"] == [1, 0, h2, *data.base.dims[3:]]
+    assert by_name["V_bar"]["h2"] == h2
+    assert all(by_name[f"M_nat_{i}"]["h2"] == h2 for i in range(1, 5))
 
 
 def test_dot_and_json_output():
@@ -196,8 +250,8 @@ def test_dot_and_json_output():
     dot = out.getvalue()
     assert dot.startswith("graph transitions {")
     assert '"M_flat" -- "V_bar" [label="defo"];' in dot
-    obj = graph.to_json_dict()
-    assert {v["name"] for v in obj["vertices"]} == set(graph.vertex_names())
+    obj = written(graph)
+    assert names(obj) == ["M_flat", "V_bar", "M_nat_1", "M_nat_2"]
     assert obj["metadata"]["compatible_resolutions"] == "2"
 
 
@@ -226,42 +280,20 @@ def partitioned_data(draw):
     return ConifoldData(base, n, classes)
 
 
-smooth_spaces = st.none() | st.builds(
-    lambda b2, b3: GradedSpace((1, 0, b2, b3, b2, 0, 1)),
-    st.integers(0, 9), st.integers(0, 400))
-
-
 @settings(max_examples=60, deadline=None)
-@given(partitioned_data(), smooth_spaces)
-def test_streamed_output_matches_iterated_graph(data, smooth):
-    graph = build_transition_graph(data, smooth_dims=smooth)
-    big_n = data.n_classes
-    with mock.patch.object(TransitionGraph, "_rows", side_effect=AssertionError):
-        if data.n:
-            assert len(graph.vertices) == 2 + 2 ** big_n
-            assert len(graph.edges) == 1 + 2 ** big_n + big_n * 2 ** big_n // 2
-        else:
-            assert (len(graph.vertices), len(graph.edges)) == (1, 0)
-    vertices, edges = list(graph.vertices), list(graph.edges)
-    assert (len(vertices), len(edges)) == (len(graph.vertices), len(graph.edges))
-    oracle = {"vertices": [v.to_json_dict() for v in vertices],
-              "edges": [e.to_json_dict() for e in edges],
-              "metadata": dict(graph.metadata)}
+@given(partitioned_data())
+def test_streamed_output_matches_iterated_graph(data):
+    graph = build_transition_graph(data)
+    oracle = oracle_graph(data)
+    assert graph.vertex_count() == len(oracle["vertices"])
+    assert graph.edge_counts() == {label: sum(e["label"] == label for e in oracle["edges"])
+                                   for label in ("defo", "exoflop", "flop")}
     out = io.StringIO()
     graph.write_json(out)
-    assert out.getvalue() == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == oracle_json(data)
     out = io.StringIO()
     graph.write_dot(out)
-    assert out.getvalue() == dot_from_rows(vertices, edges)
-
-
-def dot_from_rows(vertices, edges) -> str:
-    shapes = {"deformation": "ellipse", "stratified_union": "box", "resolution": "diamond"}
-    dot = (["graph transitions {"]
-           + [f'  "{v.name}" [shape={shapes[v.kind]}];' for v in vertices]
-           + [f'  "{e.source}" -- "{e.target}" [label="{e.label}"];' for e in edges]
-           + ["}"])
-    return "\n".join(dot) + "\n"
+    assert out.getvalue() == oracle_dot(data)
 
 
 @pytest.mark.parametrize("n_classes,nodes_per_class",
@@ -271,13 +303,13 @@ def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
     # table: fewer low bits than a block holds, exactly a block's, and one
     # high bit.  N = 8 and 11 cross many blocks of resolution codes.
     data = data_with_classes(n_classes, nodes_per_class, b3=57)
-    graph = build_transition_graph(data, smooth_dims=GradedSpace((1, 0, 3, 88, 3, 0, 1)))
+    graph = build_transition_graph(data)
     out = io.StringIO()
     graph.write_json(out)
-    assert out.getvalue() == json.dumps(graph.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    assert out.getvalue() == oracle_json(data)
     out = io.StringIO()
     graph.write_dot(out)
-    assert out.getvalue() == dot_from_rows(graph.vertices, graph.edges)
+    assert out.getvalue() == oracle_dot(data)
 
 
 class WriteOnlyFile:
@@ -323,34 +355,9 @@ def test_n14_output_is_pinned():
 
 def test_counts_need_no_rows():
     graph = build_transition_graph(data_with_classes(16))
-    with mock.patch.object(TransitionGraph, "_rows", side_effect=AssertionError):
-        assert len(graph.vertices) == 2 + 2 ** 16
-        assert len(graph.edges) == 1 + 2 ** 16 + 16 * 2 ** 15
-        assert graph.edge_counts() == {"defo": 1, "exoflop": 2 ** 16, "flop": 16 * 2 ** 15}
+    assert graph == (16, 16, (1, 0, 17, 10, 17, 0, 1))  # parameters only, no rows
+    assert graph.vertex_count() == 2 + 2 ** 16
+    assert graph.edge_counts() == {"defo": 1, "exoflop": 2 ** 16, "flop": 16 * 2 ** 15}
+    assert sum(graph.edge_counts().values()) == 1 + 2 ** 16 + 16 * 2 ** 15
     with pytest.raises(ResourceLimitError):
         build_transition_graph(data_with_classes(MAX_CLASSES + 1))
-
-
-def test_edge_rows_need_no_vertex_rows():
-    # itertools.product builds the vertex orientations; the edges never call it
-    graph = build_transition_graph(data_with_classes(3))
-    oracle = ([("M_flat", "V_bar", "defo")]
-              + [("V_bar", f"M_nat_{i}", "exoflop") for i in range(1, 9)]
-              + [(f"M_nat_{code + 1}", f"M_nat_{(code | bit) + 1}", "flop")
-                 for code in range(8) for bit in (4, 2, 1) if not code & bit])
-    with mock.patch("gsvkit.resolutions.product", side_effect=AssertionError):
-        edges = graph.edges
-        assert edges[0][:3] == oracle[0] and edges[-1][:3] == oracle[-1]
-        assert [e[:3] for e in edges] == oracle
-
-
-def test_graph_rows_are_indexable_sequences():
-    graph = build_transition_graph(data_with_classes(3, nodes_per_class=2))
-    for rows in (graph.vertices, graph.edges):
-        listed = list(rows)
-        assert [rows[i] for i in range(len(rows))] == listed
-        assert rows[-1] == listed[-1]
-        assert rows == listed and rows == tuple(listed)
-        with pytest.raises(IndexError):
-            rows[len(rows)]
-    assert graph.edges[-1].source == "M_nat_7" and graph.edges[-1].target == "M_nat_8"
