@@ -46,7 +46,7 @@ def main():
     t0 = time.perf_counter()
     report = verify_transversal(g, AnsatzRoots())
     print(f"polynomial: {g}")
-    print(f"rays found: {report.node_count} "
+    print(f"rays found: {len(report.rays)} "
           f"(all nodes: {report.isolated}) in {time.perf_counter() - t0:.2f}s")
     print("first three rays:")
     for ray in report.rays[:3]:
@@ -86,7 +86,7 @@ def main():
         print(f"wrote {args.dot}")
 
     banner("summary JSON (analysis report)")
-    print(json.dumps({"rays": report.node_count, "transversal": report.transversal,
+    print(json.dumps({"rays": len(report.rays), "transversal": report.transversal,
                       "refined_h2": cohomology_report(data)["refined_dims"][2]},
                      sort_keys=True))
 

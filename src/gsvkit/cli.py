@@ -109,7 +109,7 @@ def _build_source(args, field: CyclotomicField):
 def cmd_analyze(args) -> int:
     from .cyclo import CyclotomicField
     from .poly import parse_polynomial
-    from .singular import verify_transversal
+    from .singular import Kind, verify_transversal
 
     field = CyclotomicField(args.zeta_order)
     text = _read_polynomial_argument(args.polynomial)
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
     source = _build_source(args, field)
     report = verify_transversal(g, source)
     _emit(args, report.summary_text, report.to_json_dict)
-    if report.rays and not report.isolated:
+    if any(r.classification.kind is Kind.NON_NODE for r in report.rays):
         sys.stderr.write("error: NonIsolated: some singular rays are not nodes\n")
         return 1
     if not report.complete:

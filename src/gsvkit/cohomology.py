@@ -116,14 +116,6 @@ class ConifoldData(namedtuple("ConifoldData", "base n classes")):
     def n_classes(self) -> int:
         return len(self.classes)
 
-    def to_json_dict(self):
-        out = {"base_dims": list(self.base.dims), "n": self.n,
-               "classes": [list(c) for c in self.classes]}
-        if self.base.hodge is not None:
-            out["base_hodge"] = {f"{p},{q}": v
-                                 for (p, q), v in sorted(self.base.hodge.items())}
-        return out
-
     @classmethod
     def from_json_dict(cls, obj) -> "ConifoldData":
         if not isinstance(obj, dict):

@@ -174,9 +174,6 @@ class Cyclo:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return Cyclo, (self.field, self.coeffs)
-
     def _coerce(self, other) -> "Cyclo":
         if isinstance(other, Cyclo):
             if other.field != self.field:

@@ -31,18 +31,11 @@ class Chart(NamedTuple):
     proper: bool               # contains its limit point
     orbifold_group_order: int = 1
 
-    def to_json_dict(self):
-        return {"name": self.name, "proper": self.proper,
-                "orbifold_order": self.orbifold_group_order}
-
 
 class Transition(NamedTuple):
     source: str
     target: str
     exponent: int  # target coordinate = (source coordinate) ** exponent
-
-    def to_json_dict(self):
-        return {"from": self.source, "to": self.target, "exponent": self.exponent}
 
 
 class Atlas(NamedTuple):
@@ -65,14 +58,6 @@ class Atlas(NamedTuple):
         # chart decomposition: proper charts are cones over a point (chi 1),
         # punctured charts and all overlaps are C*-like (chi 0)
         return sum(1 for c in self.charts if c.proper)
-
-    def to_json_dict(self):
-        return {
-            "model": self.model.value,
-            "charts": [c.to_json_dict() for c in self.charts],
-            "transitions": [t.to_json_dict() for t in self.transitions],
-            "global_type": self.global_type,
-        }
 
 
 def normalize_sheet(sheet) -> int:

@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials with exact cyclotomic coefficients.
 
 A polynomial is a map from exponent vectors to nonzero Cyclo coefficients
-over a fixed ordered variable tuple.  Values are immutable after
-construction; every operation returns a fresh polynomial.
+over a fixed ordered variable tuple.  The pipeline parses, differentiates
+and evaluates polynomials exactly and needs nothing more; values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -50,32 +51,7 @@ class Polynomial:
 
     __delattr__ = __setattr__
 
-    def __reduce__(self):
-        return Polynomial, (self.field, self.variables, self.terms)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: CyclotomicField, variables=DEFAULT_VARIABLES) -> "Polynomial":
-        return cls(field, tuple(variables), {})
-
-    @classmethod
-    def constant(cls, field: CyclotomicField, value, variables=DEFAULT_VARIABLES) -> "Polynomial":
-        variables = tuple(variables)
-        return cls(field, variables, {(0,) * len(variables): field.element(value)})
-
-    @classmethod
-    def variable(cls, field: CyclotomicField, name: str, variables=DEFAULT_VARIABLES) -> "Polynomial":
-        variables = tuple(variables)
-        exp = [0] * len(variables)
-        exp[variables.index(name)] = 1
-        return cls(field, variables, {tuple(exp): field.one})
-
-    # -- ring structure ----------------------------------------------------
-
-    def _compatible(self, other: "Polynomial"):
-        if self.field != other.field or self.variables != other.variables:
-            raise GsvInputError("polynomials live over different variables or fields")
+    # -- queries ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -83,53 +59,8 @@ class Polynomial:
         return (self.field == other.field and self.variables == other.variables
                 and self.terms == other.terms)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._compatible(other)
-        merged = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            merged[exp] = merged.get(exp, self.field.zero) + coeff
-        return Polynomial(self.field, self.variables, merged)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.variables,
-                          {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction, Cyclo)):
-            scale = self.field.element(other)
-            return Polynomial(self.field, self.variables,
-                              {e: c * scale for e, c in self.terms.items()})
-        self._compatible(other)
-        out: Dict[Exponent, Cyclo] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prev = out.get(exp)
-                out[exp] = c1 * c2 if prev is None else prev + c1 * c2
-        return Polynomial(self.field, self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "Polynomial":
-        if exponent < 0:
-            raise GsvInputError("negative polynomial powers are not defined")
-        result = Polynomial.constant(self.field, 1, self.variables)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    # -- structure queries ---------------------------------------------------
-
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        if not self.terms:
-            raise DegreeUndefinedError("the zero polynomial has no degree")
-        return max(sum(e) for e in self.terms)
 
     def is_homogeneous(self, d: int) -> bool:
         """True iff every term has total degree d (zero polynomial rejected)."""
@@ -200,19 +131,6 @@ class Polynomial:
                     term = term * power(i, e)
             if not dead:
                 total = total + term
-        return total
-
-    def evaluate_complex(self, point: Sequence[complex]) -> complex:
-        """Floating shadow of `evaluate`, for numeric search and sanity checks."""
-        if len(point) != len(self.variables):
-            raise GsvInputError("point length mismatch")
-        total = 0j
-        for exp, coeff in self.terms.items():
-            term = coeff.to_complex()
-            for x, e in zip(point, exp):
-                if e:
-                    term *= x ** e
-            total += term
         return total
 
     # -- printing ---------------------------------------------------------------

@@ -89,10 +89,6 @@ class TransversalityReport(NamedTuple):
     source: str
     complete: bool
 
-    @property
-    def node_count(self) -> int:
-        return len(self.rays)
-
     def _coords_texts(self) -> list:
         """Each ray's coordinates as text, formatting each coordinate object
         once; grid rays share the field's 0 and zeta^a objects."""
@@ -134,7 +130,7 @@ class TransversalityReport(NamedTuple):
 class AnsatzRoots(NamedTuple):
     """All projective points with coordinates in {0} u {zeta^a}."""
 
-    name: str = "ansatz"
+    name = "ansatz"
 
 
 class UserList(NamedTuple):
@@ -142,7 +138,7 @@ class UserList(NamedTuple):
 
     points: Tuple[Tuple[Cyclo, ...], ...]
     exhaustive: bool = False
-    name: str = "user"
+    name = "user"
 
 
 class FloatHomotopy(NamedTuple):
@@ -150,16 +146,18 @@ class FloatHomotopy(NamedTuple):
 
     `starts // 5` complex starts per affine chart are drawn from
     `default_rng(seed)` (real then imaginary parts, start by start, chart by
-    chart), and the starts of all five charts are iterated as one batch.
-    Solutions are snapped to the root-of-unity grid and certified by the
-    exact grid scan when possible; anything else stays Unclassified and the
-    report is never complete.
+    chart), and the starts of all five charts are iterated as one batch
+    until max|dG| < `tolerance`.  Each solution, scaled so its largest
+    coordinate is 1, is snapped to the root-of-unity grid when every
+    coordinate lies within 1e-2 of a grid value, and certified by the exact
+    grid scan when possible; anything else stays Unclassified and the report
+    is never complete.
     """
 
     starts: int = 400
     seed: int = 20260809
-    tolerance: float = 1e-10
-    name: str = "float"
+    name = "float"
+    tolerance = 1e-10
 
 
 CandidateSource = AnsatzRoots | UserList | FloatHomotopy
@@ -455,8 +453,7 @@ def verify_transversal(g: Polynomial, source: CandidateSource) -> Transversality
     isolated = all(r.classification.kind is Kind.NODE for r in rays)
     name = source.name
     if rays:
-        complete = not isinstance(source, FloatHomotopy) and all(
-            r.classification.kind is not Kind.UNCLASSIFIED for r in rays)
+        complete = not isinstance(source, FloatHomotopy)
         return TransversalityReport(False, rays, isolated, name, complete)
     if _pure_power_gradient(g) or (isinstance(source, UserList) and source.exhaustive):
         return TransversalityReport(True, (), True, name, True)
@@ -487,9 +484,12 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
         first.setdefault(tuple(key), i)
     pts = pts[list(first.values())]
 
+    # Newton converges only linearly at a non-node and can stop ~1e-3 off the
+    # ray, hence the wide radius; the exact scan still checks every snap
     grid = [field.zero] + [field.zeta_power(a) for a in range(field.order)]
-    dists = abs(pts[:, :, None] - np.array([c.to_complex() for c in grid]))
-    near = (dists.min(axis=2) < 1e-6).all(axis=1)
+    top = np.take_along_axis(pts, abs(pts).argmax(axis=1)[:, None], axis=1)
+    dists = abs((pts / top)[:, :, None] - np.array([c.to_complex() for c in grid]))
+    near = (dists.min(axis=2) < 1e-2).all(axis=1)
     vanishes = _scan(g).vanishes
     certified: list[Tuple[Cyclo, ...]] = []
     unresolved: list[Tuple[Cyclo, ...]] = []

@@ -74,6 +74,22 @@ def test_analyze_inconclusive_exits_2(capsys):
     assert "incomplete" in err
 
 
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+def test_analyze_float_exits_1_only_on_a_certified_non_node(capsys):
+    code, out, err = run(capsys, "analyze", str(DATA / "degenerate.poly"), "--source", "float")
+    assert code == 1 and "NonIsolated" in err
+    assert out.splitlines()[-1] == "  (0, 0, 0, 0, 1)  non_node (corank 4)"
+    # one node and uncertified hits: incomplete, not non-isolated
+    code, out, err = run(capsys, "analyze", str(DATA / "offgrid16.poly"), "--source", "float",
+                         "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and "incomplete" in err and "NonIsolated" not in err
+    assert not report["complete"] and not report["isolated"]
+    assert {r["class"] for r in report["rays"]} == {"node", "unclassified"}
+
+
 def test_analyze_parse_error_exits_1(capsys):
     code, _, err = run(capsys, "analyze", "s0^5 + q")
     assert code == 1

@@ -125,9 +125,3 @@ def test_transition_exponents_are_pm5():
                   build_comparison_p151(), compactify(build_exocurve(1))):
         assert all(abs(t.exponent) == 5 for t in atlas.transitions)
 
-
-def test_atlas_json_shape():
-    obj = compactify(build_exocurve(1)).to_json_dict()
-    assert obj["model"] == "CompactifiedA_plus"
-    assert {c["name"] for c in obj["charts"]} == {"U_s", "U_p_tilde"}
-    assert obj["transitions"][0]["exponent"] == -5
