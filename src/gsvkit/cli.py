@@ -23,7 +23,6 @@ from .errors import GsvError, GsvInputError, IncompleteResultError
 if TYPE_CHECKING:
     from .cohomology import ConifoldData
     from .cyclo import CyclotomicField
-    from .singular import TransversalityReport
 
 # Each command imports the stages it runs inside its own function, so a call
 # loads only those modules: `--help` loads none, `cohomology` no Cyclo code.
@@ -84,6 +83,10 @@ def _build_source(args, field: CyclotomicField):
     from .poly import parse_scalar
     from .singular import AnsatzRoots, FloatHomotopy, UserList
 
+    if args.source != "user":
+        for flag, value in (("--candidates", args.candidates), ("--exhaustive", args.exhaustive)):
+            if value:
+                raise GsvInputError(f"{flag} applies only to --source user")
     if args.source == "ansatz":
         return AnsatzRoots()
     if args.source == "float":
@@ -126,79 +129,13 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _require_fields(obj, names, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise GsvInputError(f"{where} must be a JSON object, got {type(obj).__name__}")
-    for name in names:
-        if name not in obj:
-            raise GsvInputError(f"{where} has no field {name!r}")
-
-
-def _report_from_json(obj, field: CyclotomicField) -> TransversalityReport:
-    from .poly import parse_scalar
-    from .singular import Kind, SingularityClass, SingularRay, TransversalityReport
-
-    _require_fields(obj, ("transversal", "isolated", "complete"), "report")
-    for name in ("transversal", "isolated", "complete"):
-        value = obj[name]
-        if not (isinstance(value, bool) or (value is None and name == "transversal")):
-            allowed = "true, false or null" if name == "transversal" else "true or false"
-            raise GsvInputError(f"report flag {name} must be {allowed}, "
-                                f"got {json.dumps(value)}")
-    entries = obj.get("rays", [])
-    if not isinstance(entries, list):
-        raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
-    kinds = [k.value for k in Kind]
-    scalars = {}  # a report repeats few distinct strings (5 of 625 for Dwork)
-    rays = []
-    for i, entry in enumerate(entries):
-        _require_fields(entry, ("coords", "class"), f"report ray {i}")
-        coords = entry["coords"]
-        if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
-            raise GsvInputError(f"report ray {i} field 'coords' must be a list of "
-                                f"strings, got {json.dumps(coords)}")
-        if len(coords) != 5:
-            raise GsvInputError(f"report ray {i} has {len(coords)} coordinates, "
-                                f"expected 5")
-        if entry["class"] not in kinds:
-            raise GsvInputError(f"report ray {i} field 'class' must be one of "
-                                f"{', '.join(kinds)}, got {json.dumps(entry['class'])}")
-        for c in coords:
-            if c not in scalars:
-                scalars[c] = parse_scalar(c, field)
-        kind, corank = Kind(entry["class"]), entry.get("corank")
-        non_node = kind is Kind.NON_NODE
-        if not (type(corank) is int and 1 <= corank <= 4 if non_node else corank is None):
-            allowed = "an integer from 1 to 4" if non_node else "null"
-            raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for class "
-                                f"{kind.value}, got {json.dumps(corank)}")
-        cls = SingularityClass(kind, corank)
-        rays.append(SingularRay(tuple(map(scalars.__getitem__, coords)), cls))
-    transversal, isolated = obj["transversal"], obj["isolated"]
-    if (transversal is True and rays) or (transversal is False and not rays):
-        raise GsvInputError(
-            f"report flag transversal: {json.dumps(transversal)} disagrees with "
-            f"its {len(rays)} singular rays")
-    non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
-    if isolated != (non_nodes == 0):
-        raise GsvInputError(
-            f"report flag isolated: {json.dumps(isolated)} disagrees with its rays "
-            f"({non_nodes} of {len(rays)} are not nodes)")
-    return TransversalityReport(
-        transversal=transversal,
-        rays=tuple(rays),
-        isolated=isolated,
-        source=str(obj.get("source", "file")),
-        complete=obj["complete"],
-    )
-
-
 def cmd_stratify(args) -> int:
     from .cyclo import CyclotomicField
+    from .singular import TransversalityReport
     from .strata import build_ground_state_variety, strata_report
 
     field = CyclotomicField(args.zeta_order)
-    report = _report_from_json(_read_input("report", args.report), field)
+    report = TransversalityReport.from_json_dict(_read_input("report", args.report), field)
     variety = build_ground_state_variety(report, args.sheet)
     _emit(args, lambda: strata_report(variety), variety.to_json_dict)
     return 0

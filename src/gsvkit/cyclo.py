@@ -80,8 +80,6 @@ class CyclotomicField:
             shifted = (Fraction(0),) + cur[:-1]
             cur = tuple(s + cur[-1] * h for s, h in zip(shifted, head))
         self._reduction = tuple(rows)
-        # Phi_k is monic with integer coefficients, so the table is integral
-        self._int_reduction = tuple(tuple(int(c) for c in row) for row in rows)
         self._zero = Cyclo(self, (Fraction(0),) * self.degree)
         one = [Fraction(0)] * self.degree
         one[0] = Fraction(1)
@@ -221,16 +219,8 @@ class Cyclo:
         a, b = self.coeffs, other.coeffs
         if d == 1:
             return Cyclo(self.field, (a[0] * b[0],))
-        integral = all(x.denominator == 1 for x in a) and all(x.denominator == 1 for x in b)
-        if integral:
-            # the same product in int arithmetic, which skips Fraction's gcds
-            a = [x.numerator for x in a]
-            b = [x.numerator for x in b]
-            reduction = self.field._int_reduction
-            prod = [0] * (2 * d - 1)
-        else:
-            reduction = self.field._reduction
-            prod = [Fraction(0)] * (2 * d - 1)
+        reduction = self.field._reduction
+        prod = [Fraction(0)] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
@@ -244,7 +234,7 @@ class Cyclo:
                 for j in range(d):
                     if row[j]:
                         out[j] += c * row[j]
-        return Cyclo(self.field, tuple(map(Fraction, out)) if integral else tuple(out))
+        return Cyclo(self.field, tuple(out))
 
     __rmul__ = __mul__
 

@@ -1,18 +1,15 @@
 """Array helpers of the numeric search behind `singular.FloatHomotopy`.
 
 Imported only under `--source float`, like numpy itself: batched complex
-evaluators of polynomials, a batched Gauss-Newton step loop, and a
-coefficient-domain representative for a hit that stays uncertified.
+evaluators of polynomials and a batched Gauss-Newton step loop.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
-from .cyclo import Cyclo, CyclotomicField
 from .poly import Polynomial
 
 
@@ -79,17 +76,3 @@ def newton_batch(x, chart, gradient, hessian, tol: float):
         active = active[~(np.abs(step).max(axis=1) < 1e-14)]
     ok = np.isfinite(pts).all(axis=1) & (np.abs(gradient(pts)).max(axis=1) < tol)
     return pts, ok
-
-
-def rationalize_point(field: CyclotomicField, pt) -> Tuple[Cyclo, ...]:
-    """Nearest small-height coefficient-domain point to a complex vector.
-
-    Used only to give Unclassified numeric hits an exact-typed representative;
-    it carries no exactness claim.
-    """
-    d = field.degree
-    basis = [field.zeta_power(a).to_complex() for a in range(d)]
-    mat = np.array([[b.real for b in basis], [b.imag for b in basis]])
-    sol, *_ = np.linalg.lstsq(mat, np.array([pt.real, pt.imag]), rcond=None)
-    return tuple(field.element([Fraction(float(c)).limit_denominator(10 ** 6) for c in col])
-                 for col in sol.T)

@@ -21,20 +21,24 @@ source does not visit the grid point by point: it solves one zero pattern
 a single monomial has no solutions.  Otherwise a component's verdict depends
 only on its monomials' phase differences, so it is a memoized k-bit mask
 over the last free phase, ANDed over the components for each phase prefix
-of the other free coordinates.  The same test checks user candidates,
-numeric hits and, over G alone, G = 0 on every reported ray.  A chart
+of the other free coordinates.  The same test checks user candidates and
+numeric hits.  G = 0 needs no test of its own: G is homogeneous of degree 5,
+so Euler's identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart
 Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order k),
 reduced mod p once per polynomial, certifies a node; a lower rank mod p, or
 a denominator divisible by p, falls back to the exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
-runs Gauss-Newton on the starts of all five charts as one batch; its hits
-are certified by the same scan as any other candidate.
+runs Gauss-Newton on the starts of all five charts as one batch.  A hit
+that snaps to the grid becomes a normalized grid ray and is certified by the
+same scan as any other candidate; every other hit is only counted, as
+`unresolved`, so a report lists certified rays alone.
 """
 
 from __future__ import annotations
 
+import json
 from enum import Enum
 from itertools import groupby, product
 from math import lcm
@@ -42,15 +46,14 @@ from operator import attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import Cyclo, CyclotomicField, residue_prime
-from .errors import GsvError, GsvInputError
+from .errors import GsvInputError
 from .linalg import matrix_rank, rank_mod_p
-from .poly import Polynomial
+from .poly import Polynomial, parse_scalar
 
 
 class Kind(str, Enum):
     NODE = "node"
     NON_NODE = "non_node"
-    UNCLASSIFIED = "unclassified"
 
 
 class SingularityClass(NamedTuple):
@@ -62,7 +65,6 @@ class SingularityClass(NamedTuple):
 
 
 NODE = SingularityClass(Kind.NODE)
-UNCLASSIFIED = SingularityClass(Kind.UNCLASSIFIED)
 
 
 class SingularRay(NamedTuple):
@@ -78,9 +80,12 @@ class SingularRay(NamedTuple):
 class TransversalityReport(NamedTuple):
     """Outcome of a transversality search.
 
-    `transversal` is None when the search ended without either a ray or a
-    certificate; `complete` records whether the verdict is certified.
-    `isolated` is the node-based isolation certificate over all found rays.
+    `rays` holds certified singular rays only.  `transversal` is None when
+    the search ended without either a certified ray or a certificate;
+    `complete` records whether the verdict is certified.  `unresolved`
+    counts the numeric hits that could not be certified, and `isolated` is
+    the node-based isolation certificate: every ray is a node and no hit is
+    unresolved.
     """
 
     transversal: bool | None
@@ -88,6 +93,7 @@ class TransversalityReport(NamedTuple):
     isolated: bool
     source: str
     complete: bool
+    unresolved: int = 0
 
     def _coords_texts(self) -> list:
         """Each ray's coordinates as text, formatting each coordinate object
@@ -104,7 +110,66 @@ class TransversalityReport(NamedTuple):
             "isolated": self.isolated,
             "source": self.source,
             "complete": self.complete,
+            "unresolved": self.unresolved,
         }
+
+    @classmethod
+    def from_json_dict(cls, obj, field: CyclotomicField) -> "TransversalityReport":
+        """The report `to_json_dict` writes, read back over `field`; a field
+        of the wrong type or flags that disagree with the rays raise
+        GsvInputError naming the field."""
+        _require_fields(obj, ("transversal", "isolated", "complete"), "report")
+        for name in ("transversal", "isolated", "complete"):
+            value = obj[name]
+            if not (isinstance(value, bool) or (value is None and name == "transversal")):
+                allowed = "true, false or null" if name == "transversal" else "true or false"
+                raise GsvInputError(f"report flag {name} must be {allowed}, "
+                                    f"got {json.dumps(value)}")
+        unresolved = obj.get("unresolved", 0)
+        if not (type(unresolved) is int and unresolved >= 0):
+            raise GsvInputError(f"report field 'unresolved' must be a non-negative "
+                                f"integer, got {json.dumps(unresolved)}")
+        entries = obj.get("rays", [])
+        if not isinstance(entries, list):
+            raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
+        kinds = [k.value for k in Kind]
+        scalars = {}  # a report repeats few distinct strings (5 of 625 for Dwork)
+        rays = []
+        for i, entry in enumerate(entries):
+            _require_fields(entry, ("coords", "class"), f"report ray {i}")
+            coords = entry["coords"]
+            if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
+                raise GsvInputError(f"report ray {i} field 'coords' must be a list of "
+                                    f"strings, got {json.dumps(coords)}")
+            if len(coords) != 5:
+                raise GsvInputError(f"report ray {i} has {len(coords)} coordinates, "
+                                    f"expected 5")
+            if entry["class"] not in kinds:
+                raise GsvInputError(f"report ray {i} field 'class' must be one of "
+                                    f"{', '.join(kinds)}, got {json.dumps(entry['class'])}")
+            for c in coords:
+                if c not in scalars:
+                    scalars[c] = parse_scalar(c, field)
+            kind, corank = Kind(entry["class"]), entry.get("corank")
+            non_node = kind is Kind.NON_NODE
+            if not (type(corank) is int and 1 <= corank <= 4 if non_node else corank is None):
+                allowed = "an integer from 1 to 4" if non_node else "null"
+                raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for "
+                                    f"class {kind.value}, got {json.dumps(corank)}")
+            rays.append(SingularRay(tuple(map(scalars.__getitem__, coords)),
+                                    SingularityClass(kind, corank)))
+        transversal, isolated = obj["transversal"], obj["isolated"]
+        if (transversal is True and (rays or unresolved)) or (transversal is False and not rays):
+            raise GsvInputError(
+                f"report flag transversal: {json.dumps(transversal)} disagrees with "
+                f"its {len(rays)} singular rays and {unresolved} unresolved hits")
+        non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
+        if isolated != (non_nodes == 0 and unresolved == 0):
+            raise GsvInputError(
+                f"report flag isolated: {json.dumps(isolated)} disagrees with its rays "
+                f"({non_nodes} of {len(rays)} are not nodes, {unresolved} hits unresolved)")
+        return cls(transversal, tuple(rays), isolated, str(obj.get("source", "file")),
+                   obj["complete"], unresolved)
 
     def summary_text(self) -> str:
         if self.transversal is True:
@@ -117,11 +182,21 @@ class TransversalityReport(NamedTuple):
             head = "inconclusive: no rays found and no transversality certificate"
         lines = [head, f"source: {self.source}", f"complete: {self.complete}",
                  f"isolated: {self.isolated}"]
+        if self.unresolved:
+            lines.append(f"unresolved numeric hits: {self.unresolved}")
         for ray, coords in zip(self.rays, self._coords_texts()):
             cls = ray.classification
             tag = cls.kind.value if cls.corank is None else f"{cls.kind.value} (corank {cls.corank})"
             lines.append("  (" + ", ".join(coords) + f")  {tag}")
         return "\n".join(lines)
+
+
+def _require_fields(obj, names, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise GsvInputError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    for name in names:
+        if name not in obj:
+            raise GsvInputError(f"{where} has no field {name!r}")
 
 
 # -- candidate sources ----------------------------------------------------------
@@ -149,14 +224,15 @@ class FloatHomotopy(NamedTuple):
     chart), and the starts of all five charts are iterated as one batch
     until max|dG| < `tolerance`.  Each solution, scaled so its largest
     coordinate is 1, is snapped to the root-of-unity grid when every
-    coordinate lies within 1e-2 of a grid value, and certified by the exact
-    grid scan when possible; anything else stays Unclassified and the report
-    is never complete.
+    coordinate lies within 1e-2 of a grid value, rotated by a power of zeta
+    so its first nonzero coordinate is 1, and certified by the exact grid
+    scan.  A hit that does not snap, or whose snap is not singular, is only
+    counted as unresolved; the report is never complete.
     """
 
-    starts: int = 400
-    seed: int = 20260809
     name = "float"
+    starts = 400
+    seed = 20260809
     tolerance = 1e-10
 
 
@@ -201,21 +277,20 @@ _ZERO, _OFF_GRID = -1, -2
 
 
 class _GridScan:
-    """Exact test that polynomials in the variables of `g` all vanish at
-    candidate points, in integers on the grid; by default the polynomials
-    are the gradient of `g`, so the test is dG = 0.
+    """Exact test that the gradient of `g` vanishes at candidate points, in
+    integers on the grid.
 
     At a point whose coordinates are 0 or zeta^a, a monomial c*x^m that
-    avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each
-    polynomial, with denominators cleared, thus becomes an integer vector of
+    avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each gradient
+    component, with denominators cleared, thus becomes an integer vector of
     length k binned by exponent mod k; it vanishes iff the vector's image in
     the power basis, through the integer table of zeta^t, is zero.  Any
     other point is evaluated exactly with Cyclo arithmetic.
     """
 
-    def __init__(self, g: Polynomial, polys: Sequence[Polynomial] | None = None):
+    def __init__(self, g: Polynomial):
         field = g.field
-        self.polys = g.gradient() if polys is None else tuple(polys)
+        self.polys = g.gradient()
         self.n = len(g.variables)
         self.k = field.order
         units = [field.zeta_power(a) for a in range(self.k)]
@@ -330,11 +405,6 @@ def _scan(g: Polynomial) -> _GridScan:
     return g._cached("scan", lambda: _GridScan(g))
 
 
-def _value_scan(g: Polynomial) -> _GridScan:
-    """The grid scan of G itself, built once per polynomial."""
-    return g._cached("value_scan", lambda: _GridScan(g, (g,)))
-
-
 def _require_quintic(g: Polynomial):
     if len(g.variables) != 5:
         raise GsvInputError("expected a polynomial in the five variables s0..s4")
@@ -401,32 +471,30 @@ def _exact_search(g: Polynomial,
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
-    """Normalize, sort, dedupe, classify, and sanity-check."""
-    rays = []
-    for ray in dict(_by_coords(map(normalize_ray, points))).values():
-        if not _value_scan(g).vanishes(ray):
-            # homogeneity forces G = 0 wherever dG = 0; failure means a bug
-            raise GsvError("internal error: G does not vanish on a singular ray")
-        rays.append(SingularRay(ray, classify_singularity(g, ray)))
-    return tuple(rays)
+    """Normalize, sort, dedupe and classify."""
+    return tuple(SingularRay(ray, classify_singularity(g, ray))
+                 for ray in dict(_by_coords(map(normalize_ray, points))).values())
+
+
+def _search(g: Polynomial, source: CandidateSource) -> Tuple[list, int]:
+    """The exactly verified singular points the source reaches, and the
+    number of numeric hits it could not certify."""
+    _require_quintic(g)
+    if isinstance(source, AnsatzRoots):
+        return _scan(g).grid_zeros(), 0
+    if isinstance(source, UserList):
+        pts = [tuple(g.field.element(c) for c in p) for p in source.points]
+        pts = [p for p in pts if any(not c.is_zero() for c in p)]  # origin is excised
+        return _exact_search(g, pts), 0
+    if isinstance(source, FloatHomotopy):
+        return _float_search(g)
+    raise GsvInputError(f"unknown candidate source {source!r}")
 
 
 def find_singular_rays(g: Polynomial, source: CandidateSource) -> Tuple[SingularRay, ...]:
     """All exactly-verified singular rays reachable from the candidate source,
     deduplicated up to scaling, in a deterministic order."""
-    _require_quintic(g)
-    if isinstance(source, AnsatzRoots):
-        return _finish_rays(g, _scan(g).grid_zeros())
-    if isinstance(source, UserList):
-        pts = [tuple(g.field.element(c) for c in p) for p in source.points]
-        pts = [p for p in pts if any(not c.is_zero() for c in p)]  # origin is excised
-        return _finish_rays(g, _exact_search(g, pts))
-    if isinstance(source, FloatHomotopy):
-        certified, unresolved = _float_search(g, source)
-        rays = list(_finish_rays(g, certified))
-        rays.extend(SingularRay(pt, UNCLASSIFIED) for pt in unresolved)
-        return tuple(rays)
-    raise GsvInputError(f"unknown candidate source {source!r}")
+    return _finish_rays(g, _search(g, source)[0])
 
 
 def _pure_power_gradient(g: Polynomial) -> bool:
@@ -445,37 +513,40 @@ def _pure_power_gradient(g: Polynomial) -> bool:
 def verify_transversal(g: Polynomial, source: CandidateSource) -> TransversalityReport:
     """Search for singular rays and certify transversality when possible.
 
-    Exit states: rays found (non-transversal, certified), no rays plus a
-    certificate (transversal), or no rays and no certificate (inconclusive;
-    never silently reported as transversal).
+    Exit states: certified rays found (non-transversal), no rays plus a
+    certificate (transversal), or no certified ray and no certificate
+    (inconclusive; never silently reported as transversal, nor as
+    non-transversal on uncertified numeric hits alone).
     """
-    rays = find_singular_rays(g, source)
-    isolated = all(r.classification.kind is Kind.NODE for r in rays)
+    points, unresolved = _search(g, source)
+    rays = _finish_rays(g, points)
+    isolated = not unresolved and all(r.classification.kind is Kind.NODE for r in rays)
     name = source.name
     if rays:
         complete = not isinstance(source, FloatHomotopy)
-        return TransversalityReport(False, rays, isolated, name, complete)
+        return TransversalityReport(False, rays, isolated, name, complete, unresolved)
     if _pure_power_gradient(g) or (isinstance(source, UserList) and source.exhaustive):
         return TransversalityReport(True, (), True, name, True)
-    return TransversalityReport(None, (), True, name, False)
+    return TransversalityReport(None, (), isolated, name, False, unresolved)
 
 
 # -- numeric fallback -------------------------------------------------------------
 
 
-def _float_search(g: Polynomial, search: FloatHomotopy):
+def _float_search(g: Polynomial) -> Tuple[list, int]:
+    """The normalized grid rays where `FloatHomotopy` hits certify, and the
+    number of distinct hits that do not."""
     import numpy as np
 
-    from .homotopy import complex_evaluator, newton_batch, rationalize_point
+    from .homotopy import complex_evaluator, newton_batch
 
     gradient = complex_evaluator(g.gradient())
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
-    field = g.field
-    per_chart = max(search.starts // 5, 1)
+    per_chart = max(FloatHomotopy.starts // 5, 1)
     # chart after chart, the same stream as drawing re(4) then im(4) start after start
-    z = np.random.default_rng(search.seed).standard_normal((5 * per_chart, 2, 4))
+    z = np.random.default_rng(FloatHomotopy.seed).standard_normal((5 * per_chart, 2, 4))
     pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
-                           gradient, hessian, search.tolerance)
+                           gradient, hessian, FloatHomotopy.tolerance)
     pts = pts[ok]
     lead = (abs(pts) > 1e-8).argmax(axis=1)
     pts = pts / np.take_along_axis(pts, lead[:, None], axis=1)
@@ -486,17 +557,15 @@ def _float_search(g: Polynomial, search: FloatHomotopy):
 
     # Newton converges only linearly at a non-node and can stop ~1e-3 off the
     # ray, hence the wide radius; the exact scan still checks every snap
-    grid = [field.zero] + [field.zeta_power(a) for a in range(field.order)]
+    scan = _scan(g)
+    grid, k = scan._grid, scan.k  # 0, then zeta^a at index 1 + a
     top = np.take_along_axis(pts, abs(pts).argmax(axis=1)[:, None], axis=1)
     dists = abs((pts / top)[:, :, None] - np.array([c.to_complex() for c in grid]))
-    near = (dists.min(axis=2) < 1e-2).all(axis=1)
-    vanishes = _scan(g).vanishes
-    certified: list[Tuple[Cyclo, ...]] = []
-    unresolved: list[Tuple[Cyclo, ...]] = []
-    for pt, best, snaps in zip(pts, dists.argmin(axis=2).tolist(), near.tolist()):
-        ray = tuple(map(grid.__getitem__, best))
-        if snaps and vanishes(ray):
-            certified.append(ray)
-        else:
-            unresolved.append(rationalize_point(field, pt))
-    return certified, [pt for _, pt in _by_coords(unresolved)]
+    idx = dists.argmin(axis=2)[(dists.min(axis=2) < 1e-2).all(axis=1)]
+    # rotate by zeta^-a, a the phase of the first nonzero coordinate, so that
+    # coordinate is 1 and the snap is a normalized ray of grid objects
+    shift = np.take_along_axis(idx, (idx > 0).argmax(axis=1)[:, None], axis=1)
+    idx = np.where(idx > 0, (idx - shift) % k + 1, 0)
+    certified = list(filter(scan.vanishes, (tuple(map(grid.__getitem__, i))
+                                            for i in idx.tolist())))
+    return certified, len(pts) - len(certified)

@@ -77,17 +77,55 @@ def test_analyze_inconclusive_exits_2(capsys):
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 
-def test_analyze_float_exits_1_only_on_a_certified_non_node(capsys):
+def test_analyze_float_exits_1_only_on_a_certified_non_node(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", str(DATA / "degenerate.poly"), "--source", "float")
     assert code == 1 and "NonIsolated" in err
     assert out.splitlines()[-1] == "  (0, 0, 0, 0, 1)  non_node (corank 4)"
     # one node and uncertified hits: incomplete, not non-isolated
-    code, out, err = run(capsys, "analyze", str(DATA / "offgrid16.poly"), "--source", "float",
-                         "--format", "json")
-    report = json.loads(out)
+    report_path = tmp_path / "report.json"
+    code, _, err = run(capsys, "analyze", str(DATA / "offgrid16.poly"), "--source", "float",
+                       "--format", "json", "--output", str(report_path))
+    report = json.loads(report_path.read_text())
     assert code == 2 and "incomplete" in err and "NonIsolated" not in err
     assert not report["complete"] and not report["isolated"]
-    assert {r["class"] for r in report["rays"]} == {"node", "unclassified"}
+    assert [r["class"] for r in report["rays"]] == ["node"]
+    assert report["unresolved"] == 12
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 2 and out == "" and "inconclusive" in err
+
+
+# s0^5 + s1^5 + s0*B(s2) - s1*B(s3), B(x) = (x - 2*s4)(x - 3*s4)(x - 4*s4)(x - 5*s4):
+# every node (0, 0, a, b, 1), a, b in 2..5, lies off the root-of-unity grid
+OFF_GRID_2_TO_5 = ("s0^5 + s1^5 + s0*s2^4 - 14*s0*s2^3*s4 + 71*s0*s2^2*s4^2"
+                   " - 154*s0*s2*s4^3 + 120*s0*s4^4 - s1*s3^4 + 14*s1*s3^3*s4"
+                   " - 71*s1*s3^2*s4^2 + 154*s1*s3*s4^3 - 120*s1*s4^4")
+
+
+def test_analyze_float_without_a_certified_ray_is_inconclusive(capsys):
+    code, out, err = run(capsys, "analyze", OFF_GRID_2_TO_5, "--source", "float",
+                         "--format", "json")
+    report = json.loads(out)
+    assert code == 2 and "incomplete" in err
+    assert report["transversal"] is None and report["rays"] == []
+    assert report["unresolved"] > 0 and not report["isolated"]
+    code, out, _ = run(capsys, "analyze", OFF_GRID_2_TO_5, "--source", "float")
+    assert code == 2
+    assert out.splitlines() == [
+        "inconclusive: no rays found and no transversality certificate", "source: float",
+        "complete: False", "isolated: False",
+        f"unresolved numeric hits: {report['unresolved']}"]
+
+
+@pytest.mark.parametrize("source", ["ansatz", "float"])
+@pytest.mark.parametrize("flags,named", [
+    (["--candidates", "c.json"], "--candidates"),
+    (["--exhaustive"], "--exhaustive"),
+    (["--candidates", "c.json", "--exhaustive"], "--candidates"),
+])
+def test_analyze_rejects_user_flags_without_source_user(capsys, source, flags, named):
+    code, out, err = run(capsys, "analyze", FERMAT, "--source", source, *flags)
+    assert code == 1 and out == ""
+    assert f"error: GsvInputError: {named} applies only to --source user" in err
 
 
 def test_analyze_parse_error_exits_1(capsys):
@@ -165,8 +203,10 @@ NON_NODE_RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "non_node", "coran
     {"transversal": True, "rays": [NON_NODE_RAY], "isolated": False, "complete": True},
     {"transversal": False, "rays": [], "isolated": True, "complete": True},
     {"transversal": False, "rays": [NON_NODE_RAY], "isolated": True, "complete": True},
+    {"transversal": True, "rays": [], "isolated": False, "complete": True, "unresolved": 3},
+    {"transversal": None, "rays": [], "isolated": True, "complete": False, "unresolved": 3},
 ], ids=["transversal-with-rays", "transversal-with-non-node", "rays-missing",
-        "isolated-with-non-node"])
+        "isolated-with-non-node", "transversal-with-unresolved", "isolated-with-unresolved"])
 def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -216,8 +256,7 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
      "report ray 1 has 2 coordinates, expected 5"),
     ({"transversal": False, "isolated": True, "complete": True,
       "rays": [dict(RAY, **{"class": "nodez"})]},
-     "report ray 0 field 'class' must be one of node, non_node, unclassified, "
-     "got \"nodez\""),
+     "report ray 0 field 'class' must be one of node, non_node, got \"nodez\""),
     ({"transversal": False, "isolated": True, "complete": True,
       "rays": [dict(RAY, corank="x")]},
      "report ray 0 field 'corank' must be null for class node, got \"x\""),
@@ -225,8 +264,8 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
       "rays": [RAY, dict(RAY, corank=-7)]},
      "report ray 1 field 'corank' must be null for class node, got -7"),
     ({"transversal": False, "isolated": False, "complete": False,
-      "rays": [dict(RAY, **{"class": "unclassified", "corank": 2})]},
-     "report ray 0 field 'corank' must be null for class unclassified, got 2"),
+      "rays": [dict(RAY, **{"class": "unclassified"})]},
+     "report ray 0 field 'class' must be one of node, non_node, got \"unclassified\""),
     ({"transversal": False, "isolated": False, "complete": True,
       "rays": [dict(RAY, **{"class": "non_node", "corank": None})]},
      "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
@@ -251,12 +290,19 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
       "rays": [dict(RAY, **{"class": "non_node", "corank": "2"})]},
      "report ray 0 field 'corank' must be an integer from 1 to 4 for class non_node, "
      "got \"2\""),
+    ({"transversal": None, "isolated": False, "complete": False, "unresolved": -1},
+     "report field 'unresolved' must be a non-negative integer, got -1"),
+    ({"transversal": None, "isolated": False, "complete": False, "unresolved": 2.0},
+     "report field 'unresolved' must be a non-negative integer, got 2.0"),
+    ({"transversal": None, "isolated": False, "complete": False, "unresolved": True},
+     "report field 'unresolved' must be a non-negative integer, got true"),
 ], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
         "transversal-string", "isolated-string", "complete-int", "coords-count",
         "class-unknown", "corank-node-string", "corank-node-negative",
-        "corank-unclassified-int", "corank-non-node-null", "corank-non-node-missing",
+        "class-unclassified", "corank-non-node-null", "corank-non-node-missing",
         "corank-non-node-zero", "corank-non-node-five", "corank-non-node-bool",
-        "corank-non-node-string"])
+        "corank-non-node-string", "unresolved-negative", "unresolved-float",
+        "unresolved-bool"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
