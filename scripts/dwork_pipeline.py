@@ -82,7 +82,7 @@ def main():
         print(f"  {label} edges: {count}")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            graph.write_dot(handle)
+            graph.write(dot_file=handle)
         print(f"wrote {args.dot}")
 
     banner("summary JSON (analysis report)")

@@ -33,7 +33,7 @@ def main():
     for n_classes in range(9):
         graph = build_transition_graph(conifold(n_classes))
         out = io.StringIO()
-        graph.write_json(out)
+        graph.write(json_file=out)
         rows = json.loads(out.getvalue())
         labels = [e["label"] for e in rows["edges"]]
         counts = {k: labels.count(k) for k in ("defo", "exoflop", "flop")}

@@ -167,10 +167,10 @@ def cmd_resolutions(args) -> int:
     # opened exits 1 before any graph bytes are written.
     with _open_output(args) as out, \
             (_open_for_writing("--dot", args.dot) if args.dot else nullcontext()) as dot:
-        if dot is not None:
-            graph.write_dot(dot)
+        if args.format == "dot":
+            graph.write(dot_file=out)
+        graph.write(json_file=out if args.format == "json" else None, dot_file=dot)
         if args.format != "text":
-            (graph.write_dot if args.format == "dot" else graph.write_json)(out)
             return 0
         counts = graph.edge_counts()
         text_lines = [

@@ -10,7 +10,7 @@ pair is flagged in the graph metadata.
 from __future__ import annotations
 
 import json
-from itertools import product
+from itertools import product, repeat
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .cohomology import ConifoldData, cohomology_of_closure
@@ -25,7 +25,7 @@ DEFO_NOTE = "each node traded for a real 3-bundle over S^3"
 FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
 
 
-# Each writer builds the rows of a block of _BLOCK codes with a few string joins
+# The writer builds the rows of a block of _BLOCK codes with a few string joins
 # and writes them at once, so memory stays flat in N.  Blocks are aligned: their
 # codes differ only in the _LOW_BITS low bits.  Row strings are module constants
 # or M_nat_<int>, so none needs JSON or DOT escaping and names go in plain quotes.
@@ -39,23 +39,22 @@ def _blocks(count: int):
     return (range(lo + 1, min(lo + _BLOCK, count) + 1) for lo in range(0, count, _BLOCK))
 
 
-def _names(names: range, head: str, tail: str) -> str:
-    """head + name + tail for each name number in names."""
-    return head + (tail + head).join(map(str, names)) + tail
+def _write_names(fh, count: int, head: str, tail: str) -> None:
+    """Write head + name + tail for each resolution name, a block at a time."""
+    for names in _blocks(count):
+        fh.write(head + (tail + head).join(map(str, names)) + tail)
 
 
-def _flops(names: range, big_n: int, head: str, mid: str, tail: str) -> str:
-    """head + source + mid + target + tail for each flop edge out of names, in
-    output order: per source, class k = 1..N with bit N-k of its code clear.  A
-    flop sets a clear bit: it adds the bit to the name."""
-    flips, out = [1 << k for k in reversed(range(big_n))], []
-    for name in names:
-        code = name - 1
-        targets = [str(name + bit) for bit in flips if not code & bit]
-        if targets:
-            source = head + str(name) + mid
-            out.append(source + (tail + source).join(targets) + tail)
-    return "".join(out)
+def _flop_rows(names: range, big_n: int, lows) -> list:
+    """(source, targets) per code of a block as name texts, the targets in output
+    order: class k = 1..N with bit N-k of the code clear.  A flop adds that bit to
+    the name.  A clear high bit, shared by the block, gives a column of shifted
+    names; lows[low bits] holds the offsets of the other targets in the block."""
+    text, code = list(map(str, names)), names.start - 1
+    high = [map(str, range(names.start + bit, names.stop + bit))
+            for bit in (1 << k for k in reversed(range(_LOW_BITS, big_n))) if not code & bit]
+    return [(name, [*column, *map(text.__getitem__, low)])
+            for name, column, low in zip(text, zip(*high) if high else repeat(()), lows)]
 
 
 def pow2_text(n: int) -> str:
@@ -70,7 +69,7 @@ class TransitionGraph(NamedTuple):
     order.  Edges: the defo edge, one exoflop edge per resolution, and for
     each code i and class k (1-based) with bit N-k of i clear, the flop to
     ``i | 1 << (N-k)``.  With ``n == 0`` the graph is the single vertex
-    ``M_flat=V_bar``.  No row is held: the writers build their text a block
+    ``M_flat=V_bar``.  No row is held: the writer builds its text a block
     of codes at a time, so memory stays flat in N, and the counts come from
     the closed forms.
     """
@@ -98,62 +97,67 @@ class TransitionGraph(NamedTuple):
                 ("compatible_resolutions", str(2 ** self.n_classes)),
                 ("naive_per_node_resolutions", pow2_text(self.n)))
 
-    def write_json(self, fh) -> None:
-        """Write the graph as sorted-key JSON with indent 2, and a newline, to a
-        text file, a block of resolution codes at a time."""
+    def write(self, json_file=None, dot_file=None) -> None:
+        """Write the graph to whichever text files are given: as sorted-key JSON
+        with indent 2 and a newline, and in DOT.  One pass over the blocks of
+        resolution codes builds each block's flop rows once for both files."""
         if self.n == 0:
             graph = {"edges": [], "metadata": dict(self.metadata),
                      "vertices": [{"kind": "deformation", "name": "M_flat=V_bar"}]}
-            fh.write(json.dumps(graph, indent=2, sort_keys=True) + "\n")
+            if json_file is not None:
+                json_file.write(json.dumps(graph, indent=2, sort_keys=True) + "\n")
+            if dot_file is not None:
+                dot_file.write('graph transitions {\n  "M_flat=V_bar" [shape=ellipse];\n}\n')
             return
-        # json.dumps writes the rows that do not repeat per resolution code,
-        # and the blocks go in at the end of each list, before its "\n  ]".
-        dims = self.closure_dims
-        fixed = {"edges": [{"label": "defo", "note": DEFO_NOTE,
-                            "source": "M_flat", "target": "V_bar"}],
-                 "metadata": dict(self.metadata),
-                 "vertices": [{"kind": "deformation", "name": "M_flat"},
-                              {"dims": list(dims), "h2": dims[2],
-                               "kind": "stratified_union", "name": "V_bar"}]}
-        edges, vertices, end = json.dumps(fixed, indent=2, sort_keys=True).split("\n  ]")
-        big_n, count = self.n_classes, 2 ** self.n_classes
-        fh.write(edges)
-        for names in _blocks(count):
-            fh.write(_names(names, ',\n    {\n      "label": "exoflop",\n'
-                            '      "source": "V_bar",\n      "target": "M_nat_', '"\n    }'))
-        for names in _blocks(count):
-            fh.write(_flops(names, big_n, ',\n    {\n      "label": "flop",\n'
-                            f'      "note": "{FLOP_NOTE}",\n      "source": "M_nat_',
-                            '",\n      "target": "M_nat_', '"\n    }'))
-        fh.write("\n  ]" + vertices)
+        big_n, count, dims = self.n_classes, 2 ** self.n_classes, self.closure_dims
+        flops = []  # per file: (file, head, mid, tail) of its flop edge rows
+        if dot_file is not None:
+            dot_file.write('graph transitions {\n  "M_flat" [shape=ellipse];\n'
+                           '  "V_bar" [shape=box];\n')
+            _write_names(dot_file, count, '  "M_nat_', '" [shape=diamond];\n')
+            dot_file.write('  "M_flat" -- "V_bar" [label="defo"];\n')
+            _write_names(dot_file, count, '  "V_bar" -- "M_nat_', '" [label="exoflop"];\n')
+            flops.append((dot_file, '  "M_nat_', '" -- "M_nat_', '" [label="flop"];\n'))
+        if json_file is not None:
+            # json.dumps writes the rows that do not repeat per resolution code,
+            # and the blocks go in at the end of each list, before its "\n  ]".
+            fixed = {"edges": [{"label": "defo", "note": DEFO_NOTE,
+                                "source": "M_flat", "target": "V_bar"}],
+                     "metadata": dict(self.metadata),
+                     "vertices": [{"kind": "deformation", "name": "M_flat"},
+                                  {"dims": list(dims), "h2": dims[2],
+                                   "kind": "stratified_union", "name": "V_bar"}]}
+            edges, vertices, end = json.dumps(fixed, indent=2, sort_keys=True).split("\n  ]")
+            json_file.write(edges)
+            _write_names(json_file, count, ',\n    {\n      "label": "exoflop",\n'
+                         '      "source": "V_bar",\n      "target": "M_nat_', '"\n    }')
+            flops.append((json_file, ',\n    {\n      "label": "flop",\n'
+                          f'      "note": "{FLOP_NOTE}",\n      "source": "M_nat_',
+                          '",\n      "target": "M_nat_', '"\n    }'))
+        low_n = min(big_n, _LOW_BITS)
+        lows = [[p | 1 << k for k in reversed(range(low_n)) if not p >> k & 1]
+                for p in range(1 << low_n)]
+        for names in _blocks(count) if flops else ():
+            rows = _flop_rows(names, big_n, lows)
+            for fh, head, mid, tail in flops:  # head + source + mid + target + tail per edge
+                fh.write("".join([(prefix := head + source + mid) + (tail + prefix).join(targets)
+                                  + tail for source, targets in rows if targets]))
+        if dot_file is not None:
+            dot_file.write("}\n")
+        if json_file is None:
+            return
+        json_file.write("\n  ]" + vertices)
         # A code's orientation is its N bits: the high ones are its block's,
         # the low ones index a table of every low-bit pattern's text.
         sep = ",\n        "
         head = (f',\n    {{\n      "h2": {dims[2]},\n      "kind": "resolution",\n'
                 '      "name": "M_nat_')
-        low = [sep.join(bits) + "\n      ]\n    }"
-               for bits in product("01", repeat=min(big_n, _LOW_BITS))]
+        low = [sep.join(bits) + "\n      ]\n    }" for bits in product("01", repeat=low_n)]
         for names, high in zip(_blocks(count), product("01", repeat=max(big_n - _LOW_BITS, 0))):
             mid = '",\n      "orientation": [\n        ' + sep.join((*high, ""))
-            fh.write("".join([head + name + mid + bits
-                              for name, bits in zip(map(str, names), low)]))
-        fh.write("\n  ]" + end + "\n")
-
-    def write_dot(self, fh) -> None:
-        """Write the graph in DOT to a text file, a block of resolution codes at a time."""
-        if self.n == 0:
-            fh.write('graph transitions {\n  "M_flat=V_bar" [shape=ellipse];\n}\n')
-            return
-        big_n, count = self.n_classes, 2 ** self.n_classes
-        fh.write('graph transitions {\n  "M_flat" [shape=ellipse];\n  "V_bar" [shape=box];\n')
-        for names in _blocks(count):
-            fh.write(_names(names, '  "M_nat_', '" [shape=diamond];\n'))
-        fh.write('  "M_flat" -- "V_bar" [label="defo"];\n')
-        for names in _blocks(count):
-            fh.write(_names(names, '  "V_bar" -- "M_nat_', '" [label="exoflop"];\n'))
-        for names in _blocks(count):
-            fh.write(_flops(names, big_n, '  "M_nat_', '" -- "M_nat_', '" [label="flop"];\n'))
-        fh.write("}\n")
+            json_file.write("".join([head + name + mid + bits
+                                     for name, bits in zip(map(str, names), low)]))
+        json_file.write("\n  ]" + end + "\n")
 
 
 def build_transition_graph(data: ConifoldData) -> TransitionGraph:

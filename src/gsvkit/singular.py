@@ -85,7 +85,7 @@ class TransversalityReport(NamedTuple):
     `complete` records whether the verdict is certified.  `unresolved`
     counts the numeric hits that could not be certified, and `isolated` is
     the node-based isolation certificate: every ray is a node and no hit is
-    unresolved.
+    unresolved.  `field_order` is the k of the field Q(zeta_k) of the rays.
     """
 
     transversal: bool | None
@@ -94,6 +94,7 @@ class TransversalityReport(NamedTuple):
     source: str
     complete: bool
     unresolved: int = 0
+    field_order: int | None = None
 
     def _coords_texts(self) -> list:
         """Each ray's coordinates as text, formatting each coordinate object
@@ -111,13 +112,14 @@ class TransversalityReport(NamedTuple):
             "source": self.source,
             "complete": self.complete,
             "unresolved": self.unresolved,
+            "field_order": self.field_order,
         }
 
     @classmethod
     def from_json_dict(cls, obj, field: CyclotomicField) -> "TransversalityReport":
-        """The report `to_json_dict` writes, read back over `field`; a field
-        of the wrong type or flags that disagree with the rays raise
-        GsvInputError naming the field."""
+        """The report `to_json_dict` writes, read back over `field`; a field of the
+        wrong type or order, a ray no search writes (the origin, not normalized or
+        repeated), or flags that disagree with the rays raise GsvInputError."""
         _require_fields(obj, ("transversal", "isolated", "complete"), "report")
         for name in ("transversal", "isolated", "complete"):
             value = obj[name]
@@ -125,6 +127,10 @@ class TransversalityReport(NamedTuple):
                 allowed = "true, false or null" if name == "transversal" else "true or false"
                 raise GsvInputError(f"report flag {name} must be {allowed}, "
                                     f"got {json.dumps(value)}")
+        order = obj.get("field_order", field.order)
+        if not (type(order) is int and order == field.order):
+            raise GsvInputError(f"report field_order {json.dumps(order)} is not the "
+                                f"--zeta-order {field.order}")
         unresolved = obj.get("unresolved", 0)
         if not (type(unresolved) is int and unresolved >= 0):
             raise GsvInputError(f"report field 'unresolved' must be a non-negative "
@@ -134,7 +140,7 @@ class TransversalityReport(NamedTuple):
             raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
         kinds = [k.value for k in Kind]
         scalars = {}  # a report repeats few distinct strings (5 of 625 for Dwork)
-        rays = []
+        rays, seen = [], {}
         for i, entry in enumerate(entries):
             _require_fields(entry, ("coords", "class"), f"report ray {i}")
             coords = entry["coords"]
@@ -156,8 +162,14 @@ class TransversalityReport(NamedTuple):
                 allowed = "an integer from 1 to 4" if non_node else "null"
                 raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for "
                                     f"class {kind.value}, got {json.dumps(corank)}")
-            rays.append(SingularRay(tuple(map(scalars.__getitem__, coords)),
-                                    SingularityClass(kind, corank)))
+            ray = tuple(map(scalars.__getitem__, coords))
+            lead = next(filter(None, ray), None)  # the first nonzero coordinate
+            if lead != field.one:
+                what = "the origin" if lead is None else f"not normalized: it starts with {lead}"
+                raise GsvInputError(f"report ray {i} is {what}")
+            if seen.setdefault(ray, i) != i:  # Cyclo compares by its coefficients
+                raise GsvInputError(f"report ray {i} repeats report ray {seen[ray]}")
+            rays.append(SingularRay(ray, SingularityClass(kind, corank)))
         transversal, isolated = obj["transversal"], obj["isolated"]
         if (transversal is True and (rays or unresolved)) or (transversal is False and not rays):
             raise GsvInputError(
@@ -169,7 +181,7 @@ class TransversalityReport(NamedTuple):
                 f"report flag isolated: {json.dumps(isolated)} disagrees with its rays "
                 f"({non_nodes} of {len(rays)} are not nodes, {unresolved} hits unresolved)")
         return cls(transversal, tuple(rays), isolated, str(obj.get("source", "file")),
-                   obj["complete"], unresolved)
+                   obj["complete"], unresolved, order)
 
     def summary_text(self) -> str:
         if self.transversal is True:
@@ -521,13 +533,13 @@ def verify_transversal(g: Polynomial, source: CandidateSource) -> Transversality
     points, unresolved = _search(g, source)
     rays = _finish_rays(g, points)
     isolated = not unresolved and all(r.classification.kind is Kind.NODE for r in rays)
-    name = source.name
+    name, order = source.name, g.field.order
     if rays:
         complete = not isinstance(source, FloatHomotopy)
-        return TransversalityReport(False, rays, isolated, name, complete, unresolved)
+        return TransversalityReport(False, rays, isolated, name, complete, unresolved, order)
     if _pure_power_gradient(g) or (isinstance(source, UserList) and source.exhaustive):
-        return TransversalityReport(True, (), True, name, True)
-    return TransversalityReport(None, (), isolated, name, False, unresolved)
+        return TransversalityReport(True, (), True, name, True, 0, order)
+    return TransversalityReport(None, (), isolated, name, False, unresolved, order)
 
 
 # -- numeric fallback -------------------------------------------------------------

@@ -260,9 +260,9 @@ def test_criterion_8_kahler_package():
 
 
 def _written_graph(data):
-    """The transition graph of data as its JSON writer writes it, parsed back."""
+    """The transition graph of data as its writer writes it in JSON, parsed back."""
     out = io.StringIO()
-    build_transition_graph(data).write_json(out)
+    build_transition_graph(data).write(json_file=out)
     return json.loads(out.getvalue())
 
 

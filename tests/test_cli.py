@@ -296,13 +296,25 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
      "report field 'unresolved' must be a non-negative integer, got 2.0"),
     ({"transversal": None, "isolated": False, "complete": False, "unresolved": True},
      "report field 'unresolved' must be a non-negative integer, got true"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [RAY, dict(RAY, coords=["zeta^5", "2/2", "1", "1", "0"])]},
+     "report ray 1 repeats report ray 0"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [dict(RAY, coords=["0", "0", "0", "0", "0"])]},
+     "report ray 0 is the origin"),
+    ({"transversal": False, "isolated": True, "complete": True,
+      "rays": [RAY, dict(RAY, coords=["2", "1", "1", "1", "1"])]},
+     "report ray 1 is not normalized: it starts with 2"),
+    ({"transversal": True, "isolated": True, "complete": True, "field_order": "5"},
+     "report field_order \"5\" is not the --zeta-order 5"),
 ], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
         "transversal-string", "isolated-string", "complete-int", "coords-count",
         "class-unknown", "corank-node-string", "corank-node-negative",
         "class-unclassified", "corank-non-node-null", "corank-non-node-missing",
         "corank-non-node-zero", "corank-non-node-five", "corank-non-node-bool",
         "corank-non-node-string", "unresolved-negative", "unresolved-float",
-        "unresolved-bool"])
+        "unresolved-bool", "ray-repeated", "ray-origin", "ray-not-normalized",
+        "field-order-string"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -310,6 +322,19 @@ def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     assert code == 1
     assert out == ""
     assert "GsvInputError" in err and message in err
+
+
+def test_stratify_rejects_a_report_of_another_field_order(capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    run(capsys, "analyze", DWORK, "--zeta-order", "10", "--format", "json",
+        "--output", str(report_path))
+    assert json.loads(report_path.read_text())["field_order"] == 10
+    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert (code, out) == (1, "")
+    assert "GsvInputError: report field_order 10 is not the --zeta-order 5" in err
+    code, out, _ = run(capsys, "stratify", str(report_path), "--sheet", "pos",
+                       "--zeta-order", "10")
+    assert code == 0 and "Exocurve#125" in out
 
 
 @pytest.mark.parametrize("command", ["cohomology", "resolutions"])
@@ -485,6 +510,20 @@ def _singleton_conifold(path, n_classes):
         "classes": [[k] for k in range(1, n_classes + 1)],
     }))
     return str(path)
+
+
+@pytest.mark.parametrize("n_classes", [0, 6, 7])
+def test_resolutions_writes_both_files_as_each_alone(tmp_path, n_classes):
+    # N = 6 fills one block of resolution codes; N = 7 adds a high bit.
+    data = _singleton_conifold(tmp_path / "data.json", n_classes)
+    for fmt, output, dot in (("json", "both.json", "both.dot"), ("json", "json", None),
+                             ("dot", "dot", "dot.dot"), ("text", "text", "text.dot")):
+        dot_args = ["--dot", str(tmp_path / dot)] if dot else []
+        assert main(["resolutions", data, "--format", fmt, "--output",
+                     str(tmp_path / output), *dot_args]) == 0
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    assert written["both.json"] == written["json"]
+    assert written["both.dot"] == written["dot.dot"] == written["text.dot"] == written["dot"]
 
 
 def test_resolutions_streams_with_flat_memory(tmp_path):

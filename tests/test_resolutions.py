@@ -30,9 +30,9 @@ def smooth_data():
 
 
 def written(graph):
-    """The graph as its JSON writer writes it, parsed back."""
+    """The graph as its writer writes it in JSON, parsed back."""
     out = io.StringIO()
-    graph.write_json(out)
+    graph.write(json_file=out)
     return json.loads(out.getvalue())
 
 
@@ -135,7 +135,7 @@ def test_naive_count_text_ignores_the_int_conversion_limit(n):
         graph = build_transition_graph(data)
         assert dict(graph.metadata)["naive_per_node_resolutions"] == expected
         out = io.StringIO()
-        graph.write_json(out)
+        graph.write(json_file=out)
         assert json.loads(out.getvalue())["metadata"]["naive_per_node_resolutions"] == expected
     finally:
         sys.set_int_max_str_digits(limit)
@@ -246,7 +246,7 @@ def test_vertex_betti_bookkeeping():
 def test_dot_and_json_output():
     graph = build_transition_graph(data_with_classes(1))
     out = io.StringIO()
-    graph.write_dot(out)
+    graph.write(dot_file=out)
     dot = out.getvalue()
     assert dot.startswith("graph transitions {")
     assert '"M_flat" -- "V_bar" [label="defo"];' in dot
@@ -289,26 +289,26 @@ def test_streamed_output_matches_iterated_graph(data):
     assert graph.edge_counts() == {label: sum(e["label"] == label for e in oracle["edges"])
                                    for label in ("defo", "exoflop", "flop")}
     out = io.StringIO()
-    graph.write_json(out)
+    graph.write(json_file=out)
     assert out.getvalue() == oracle_json(data)
     out = io.StringIO()
-    graph.write_dot(out)
+    graph.write(dot_file=out)
     assert out.getvalue() == oracle_dot(data)
 
 
 @pytest.mark.parametrize("n_classes,nodes_per_class",
                          [(1, 2), (5, 1), (6, 2), (7, 1), (8, 3), (11, 2)])
 def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
-    # N = 1, 5, 6 and 7 are the edges of the writers' 64-entry orientation
+    # N = 1, 5, 6 and 7 are the edges of the writer's 64-entry orientation
     # table: fewer low bits than a block holds, exactly a block's, and one
     # high bit.  N = 8 and 11 cross many blocks of resolution codes.
     data = data_with_classes(n_classes, nodes_per_class, b3=57)
     graph = build_transition_graph(data)
     out = io.StringIO()
-    graph.write_json(out)
+    graph.write(json_file=out)
     assert out.getvalue() == oracle_json(data)
     out = io.StringIO()
-    graph.write_dot(out)
+    graph.write(dot_file=out)
     assert out.getvalue() == oracle_dot(data)
 
 
@@ -328,12 +328,18 @@ def test_writers_write_one_small_block_at_a_time():
     # rows; one write per row would cost a call per edge.
     graph = build_transition_graph(data_with_classes(14))
     blocks = 3 * 2 ** 14 // 64
-    for write in (graph.write_json, graph.write_dot):
-        fh = WriteOnlyFile()
-        write(fh)
-        assert sum(fh.sizes) > 0
-        assert len(fh.sizes) <= blocks + 4
-        assert max(fh.sizes) < 256 * 1024
+    json_file, dot_file = WriteOnlyFile(), WriteOnlyFile()
+    files = [{"json_file": WriteOnlyFile()}, {"dot_file": WriteOnlyFile()},
+             {"json_file": json_file, "dot_file": dot_file}]
+    for handles in files:
+        graph.write(**handles)
+        for fh in handles.values():
+            assert sum(fh.sizes) > 0
+            assert len(fh.sizes) <= blocks + 4
+            assert max(fh.sizes) < 256 * 1024
+    # one call writing both files writes each as a call for it alone does
+    assert json_file.sizes == files[0]["json_file"].sizes
+    assert dot_file.sizes == files[1]["dot_file"].sizes
 
 
 def test_n14_output_is_pinned():
@@ -344,9 +350,9 @@ def test_n14_output_is_pinned():
                         [[k] for k in range(1, big_n + 1)])
     graph = build_transition_graph(data)
     digests = []
-    for write in (graph.write_json, graph.write_dot):
+    for target in ("json_file", "dot_file"):
         out = io.StringIO()
-        write(out)
+        graph.write(**{target: out})
         digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
     assert digests == [
         "06dbcc4870a8fbab88d36f3d8db4f3eb948db09d1696619337ff8467fef3f044",
