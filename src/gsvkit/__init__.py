@@ -26,8 +26,7 @@ _HOME = {name: module for module, names in {
     "resolutions": ("TransitionGraph", "build_transition_graph"),
     "singular": ("AnsatzRoots", "FloatHomotopy", "Kind", "SingularRay", "SingularityClass",
                  "TransversalityReport", "UserList", "ansatz_candidates",
-                 "classify_singularity", "find_singular_rays", "normalize_ray",
-                 "verify_transversal"),
+                 "classify_singularity", "normalize_ray", "verify_transversal"),
     "strata": ("StratifiedVariety", "Stratum", "StratumKind", "build_ground_state_variety",
                "strata_report"),
 }.items() for name in names}

@@ -84,29 +84,24 @@ def _build_source(args, field: CyclotomicField):
     from .singular import AnsatzRoots, FloatHomotopy, UserList
 
     if args.source != "user":
-        for flag, value in (("--candidates", args.candidates), ("--exhaustive", args.exhaustive)):
-            if value:
-                raise GsvInputError(f"{flag} applies only to --source user")
-    if args.source == "ansatz":
-        return AnsatzRoots()
-    if args.source == "float":
-        return FloatHomotopy()
-    if args.source == "user":
-        if not args.candidates:
-            raise GsvInputError("--source user requires --candidates FILE")
-        rows = _read_input("--candidates", args.candidates)
-        if not isinstance(rows, list):
-            raise GsvInputError("--candidates file must hold a JSON list of rows")
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise GsvInputError(f"--candidates row {i} is not a list of strings")
-            for j, entry in enumerate(row):
-                if not isinstance(entry, str):
-                    raise GsvInputError(f"--candidates row {i} entry {j} is "
-                                        f"{json.dumps(entry)}, not a string")
-        points = tuple(tuple(parse_scalar(c, field) for c in row) for row in rows)
-        return UserList(points, exhaustive=args.exhaustive)
-    raise GsvInputError(f"unknown candidate source {args.source!r}")
+        if args.candidates:
+            raise GsvInputError("--candidates applies only to --source user")
+        return AnsatzRoots() if args.source == "ansatz" else FloatHomotopy()
+    if not args.candidates:
+        raise GsvInputError("--source user requires --candidates FILE")
+    rows = _read_input("--candidates", args.candidates)
+    if not isinstance(rows, list):
+        raise GsvInputError("--candidates file must hold a JSON list of rows")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list):
+            raise GsvInputError(f"--candidates row {i} is not a list of strings")
+        if len(row) != 5:
+            raise GsvInputError(f"--candidates row {i} has {len(row)} coordinates, expected 5")
+        for j, entry in enumerate(row):
+            if not isinstance(entry, str):
+                raise GsvInputError(f"--candidates row {i} entry {j} is "
+                                    f"{json.dumps(entry)}, not a string")
+    return UserList(tuple(tuple(parse_scalar(c, field) for c in row) for row in rows))
 
 
 def cmd_analyze(args) -> int:
@@ -130,12 +125,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_stratify(args) -> int:
-    from .cyclo import CyclotomicField
     from .singular import TransversalityReport
     from .strata import build_ground_state_variety, strata_report
 
-    field = CyclotomicField(args.zeta_order)
-    report = TransversalityReport.from_json_dict(_read_input("report", args.report), field)
+    report = TransversalityReport.from_json_dict(_read_input("report", args.report))
     variety = build_ground_state_variety(report, args.sheet)
     _emit(args, lambda: strata_report(variety), variety.to_json_dict)
     return 0
@@ -191,26 +184,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "cohomology, and small-resolution transition graphs")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json"), zeta_order=False):
+    def common(p, formats=("text", "json")):
         p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", help="write the report here instead of stdout")
-        if zeta_order:
-            p.add_argument("--zeta-order", dest="zeta_order", type=int, default=5,
-                           help="order of the declared root of unity (default %(default)s)")
 
     p = sub.add_parser("analyze", help="transversality and singular-ray report")
     p.add_argument("polynomial", help="polynomial file or inline expression")
     p.add_argument("--source", choices=("ansatz", "user", "float"), default="ansatz")
     p.add_argument("--candidates", help="JSON candidate list for --source user")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="treat the user candidate list as exhaustive")
-    common(p, zeta_order=True)
+    common(p)
+    p.add_argument("--zeta-order", dest="zeta_order", type=int, default=5,
+                   help="order of the declared root of unity (default %(default)s)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("stratify", help="build one sheet of the ground state variety")
     p.add_argument("report", help="analyze report in JSON form")
     p.add_argument("--sheet", choices=("pos", "neg"), required=True)
-    common(p, zeta_order=True)
+    common(p)
     p.set_defaults(func=cmd_stratify)
 
     p = sub.add_parser("cohomology", help="Mayer-Vietoris tables and Kahler check")

@@ -45,7 +45,7 @@ from math import lcm
 from operator import attrgetter, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
-from .cyclo import Cyclo, CyclotomicField, residue_prime
+from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
 from .errors import GsvInputError
 from .linalg import matrix_rank, rank_mod_p
 from .poly import Polynomial, parse_scalar
@@ -80,21 +80,28 @@ class SingularRay(NamedTuple):
 class TransversalityReport(NamedTuple):
     """Outcome of a transversality search.
 
-    `rays` holds certified singular rays only.  `transversal` is None when
-    the search ended without either a certified ray or a certificate;
-    `complete` records whether the verdict is certified.  `unresolved`
-    counts the numeric hits that could not be certified, and `isolated` is
-    the node-based isolation certificate: every ray is a node and no hit is
-    unresolved.  `field_order` is the k of the field Q(zeta_k) of the rays.
+    `rays` holds certified singular rays only.  `complete` records whether
+    the verdict is certified, and `unresolved` counts the numeric hits that
+    could not be.  `field_order` is the k of the field Q(zeta_k) of the
+    rays.  The verdict `transversal` and the isolation certificate
+    `isolated` are derived from these, never stored.
     """
 
-    transversal: bool | None
     rays: Tuple[SingularRay, ...]
-    isolated: bool
     source: str
     complete: bool
     unresolved: int = 0
-    field_order: int | None = None
+    field_order: int = 5
+
+    @property
+    def transversal(self) -> bool | None:
+        """False with a certified ray, True if complete without one, else None."""
+        return False if self.rays else True if self.complete else None
+
+    @property
+    def isolated(self) -> bool:
+        """Every ray is a node and no hit is unresolved."""
+        return not self.unresolved and all(r.classification.kind is Kind.NODE for r in self.rays)
 
     def _coords_texts(self) -> list:
         """Each ray's coordinates as text, formatting each coordinate object
@@ -116,10 +123,11 @@ class TransversalityReport(NamedTuple):
         }
 
     @classmethod
-    def from_json_dict(cls, obj, field: CyclotomicField) -> "TransversalityReport":
-        """The report `to_json_dict` writes, read back over `field`; a field of the
-        wrong type or order, a ray no search writes (the origin, not normalized or
-        repeated), or flags that disagree with the rays raise GsvInputError."""
+    def from_json_dict(cls, obj) -> "TransversalityReport":
+        """The report `to_json_dict` writes, read back over the field of its
+        `field_order` (5 when absent); a field of the wrong type or range, a
+        ray no search writes (the origin, not normalized or repeated), or
+        flags that disagree with the derived ones raise GsvInputError."""
         _require_fields(obj, ("transversal", "isolated", "complete"), "report")
         for name in ("transversal", "isolated", "complete"):
             value = obj[name]
@@ -127,10 +135,11 @@ class TransversalityReport(NamedTuple):
                 allowed = "true, false or null" if name == "transversal" else "true or false"
                 raise GsvInputError(f"report flag {name} must be {allowed}, "
                                     f"got {json.dumps(value)}")
-        order = obj.get("field_order", field.order)
-        if not (type(order) is int and order == field.order):
-            raise GsvInputError(f"report field_order {json.dumps(order)} is not the "
-                                f"--zeta-order {field.order}")
+        order = obj.get("field_order", 5)
+        if not (type(order) is int and 1 <= order <= MAX_ORDER):
+            raise GsvInputError(f"report field_order must be an integer from 1 to "
+                                f"{MAX_ORDER}, got {json.dumps(order)}")
+        field = CyclotomicField(order)
         unresolved = obj.get("unresolved", 0)
         if not (type(unresolved) is int and unresolved >= 0):
             raise GsvInputError(f"report field 'unresolved' must be a non-negative "
@@ -170,18 +179,21 @@ class TransversalityReport(NamedTuple):
             if seen.setdefault(ray, i) != i:  # Cyclo compares by its coefficients
                 raise GsvInputError(f"report ray {i} repeats report ray {seen[ray]}")
             rays.append(SingularRay(ray, SingularityClass(kind, corank)))
-        transversal, isolated = obj["transversal"], obj["isolated"]
-        if (transversal is True and (rays or unresolved)) or (transversal is False and not rays):
+        complete = obj["complete"]
+        if complete and unresolved:
+            raise GsvInputError(f"report flag complete: true disagrees with its "
+                                f"{unresolved} unresolved hits")
+        report = cls(tuple(rays), str(obj.get("source", "file")), complete, unresolved, order)
+        if obj["transversal"] is not report.transversal:
             raise GsvInputError(
-                f"report flag transversal: {json.dumps(transversal)} disagrees with "
-                f"its {len(rays)} singular rays and {unresolved} unresolved hits")
-        non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
-        if isolated != (non_nodes == 0 and unresolved == 0):
+                f"report flag transversal: {json.dumps(obj['transversal'])} disagrees with "
+                f"its {len(rays)} singular rays and complete: {json.dumps(complete)}")
+        if obj["isolated"] is not report.isolated:
+            non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
             raise GsvInputError(
-                f"report flag isolated: {json.dumps(isolated)} disagrees with its rays "
+                f"report flag isolated: {json.dumps(obj['isolated'])} disagrees with its rays "
                 f"({non_nodes} of {len(rays)} are not nodes, {unresolved} hits unresolved)")
-        return cls(transversal, tuple(rays), isolated, str(obj.get("source", "file")),
-                   obj["complete"], unresolved, order)
+        return report
 
     def summary_text(self) -> str:
         if self.transversal is True:
@@ -221,10 +233,9 @@ class AnsatzRoots(NamedTuple):
 
 
 class UserList(NamedTuple):
-    """Explicit candidate rays; set `exhaustive` to certify a negative search."""
+    """Explicit candidate rays; a list proves no count, so only a certificate completes it."""
 
     points: Tuple[Tuple[Cyclo, ...], ...]
-    exhaustive: bool = False
     name = "user"
 
 
@@ -503,12 +514,6 @@ def _search(g: Polynomial, source: CandidateSource) -> Tuple[list, int]:
     raise GsvInputError(f"unknown candidate source {source!r}")
 
 
-def find_singular_rays(g: Polynomial, source: CandidateSource) -> Tuple[SingularRay, ...]:
-    """All exactly-verified singular rays reachable from the candidate source,
-    deduplicated up to scaling, in a deterministic order."""
-    return _finish_rays(g, _search(g, source)[0])
-
-
 def _pure_power_gradient(g: Polynomial) -> bool:
     """Certificate: if every dG/ds_i is c * s_i^e, joint vanishing forces s = 0."""
     for i, comp in enumerate(g.gradient()):
@@ -532,14 +537,10 @@ def verify_transversal(g: Polynomial, source: CandidateSource) -> Transversality
     """
     points, unresolved = _search(g, source)
     rays = _finish_rays(g, points)
-    isolated = not unresolved and all(r.classification.kind is Kind.NODE for r in rays)
-    name, order = source.name, g.field.order
-    if rays:
-        complete = not isinstance(source, FloatHomotopy)
-        return TransversalityReport(False, rays, isolated, name, complete, unresolved, order)
-    if _pure_power_gradient(g) or (isinstance(source, UserList) and source.exhaustive):
-        return TransversalityReport(True, (), True, name, True, 0, order)
-    return TransversalityReport(None, (), isolated, name, False, unresolved, order)
+    # a user list or numeric hits prove no count; the ansatz grid counts as searched whole
+    complete = isinstance(source, AnsatzRoots) if rays else _pure_power_gradient(g)
+    return TransversalityReport(rays, source.name, complete, 0 if complete else unresolved,
+                                g.field.order)
 
 
 # -- numeric fallback -------------------------------------------------------------

@@ -78,7 +78,7 @@ def build_ground_state_variety(report: TransversalityReport, sheet) -> Stratifie
     """One sheet of the ground-state variety.  Orbifold groups and exocurve
     compactness are read from the sheet's exocurve atlas."""
     sheet = normalize_sheet(sheet)
-    if not report.complete or report.transversal is None:
+    if not report.complete:
         raise IncompleteResultError(
             "transversality search was inconclusive; cannot stratify")
     bad = [r for r in report.rays if r.classification.kind is not Kind.NODE]

@@ -26,8 +26,7 @@ from gsvkit.exocurves import build_exocurve, compactify, deficit_angle, transiti
 from gsvkit.poly import parse_polynomial
 from gsvkit.resolutions import build_transition_graph
 from gsvkit.singular import (NODE, AnsatzRoots, Kind, SingularRay,
-                             TransversalityReport, find_singular_rays,
-                             verify_transversal)
+                             TransversalityReport, verify_transversal)
 from gsvkit.strata import StratumKind, build_ground_state_variety
 
 K5 = CyclotomicField(5)
@@ -70,7 +69,7 @@ def test_criterion_1_transversal_case():
 def test_criterion_2_dwork_node_oracle():
     start = time.perf_counter()
     g = parse_polynomial(DWORK, K5)
-    rays = find_singular_rays(g, AnsatzRoots())
+    rays = verify_transversal(g, AnsatzRoots()).rays
     assert len(rays) == 125
     assert all(r.classification.kind is Kind.NODE for r in rays)
 
@@ -136,7 +135,7 @@ def test_criterion_2_dwork_node_oracle():
 @pytest.mark.parametrize("n", [1, 2, 5, 125])
 def test_criterion_3_stratification_structure(n):
     rays = tuple(SingularRay((K5.one,) * 5, NODE) for _ in range(n))
-    report = TransversalityReport(False, rays, True, "synthetic", True)
+    report = TransversalityReport(rays, "synthetic", True)
 
     positive = build_ground_state_variety(report, "pos")
     assert len(positive.strata) == 1 + 2 * n

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, formats, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -119,8 +120,6 @@ def test_analyze_float_without_a_certified_ray_is_inconclusive(capsys):
 @pytest.mark.parametrize("source", ["ansatz", "float"])
 @pytest.mark.parametrize("flags,named", [
     (["--candidates", "c.json"], "--candidates"),
-    (["--exhaustive"], "--exhaustive"),
-    (["--candidates", "c.json", "--exhaustive"], "--candidates"),
 ])
 def test_analyze_rejects_user_flags_without_source_user(capsys, source, flags, named):
     code, out, err = run(capsys, "analyze", FERMAT, "--source", source, *flags)
@@ -138,15 +137,19 @@ def test_analyze_user_source(capsys, tmp_path):
     candidates = tmp_path / "candidates.json"
     candidates.write_text(json.dumps([["1", "1", "1", "1", "1"],
                                       ["1", "zeta", "1", "1", "1"]]))
-    code, out, _ = run(capsys, "analyze", DWORK, "--source", "user",
-                       "--candidates", str(candidates))
-    assert code == 0
-    assert "1 singular rays (1 nodes)" in out
+    code, out, err = run(capsys, "analyze", DWORK, "--source", "user",
+                         "--candidates", str(candidates))
+    # 1 of Dwork's 125 rays: a user list proves no count
+    assert code == 2 and "incomplete" in err
+    assert "1 singular rays (1 nodes)" in out and "complete: False" in out
 
 
 @pytest.mark.parametrize("rows,message", [
     ([["1", "1", "1", "1", 1]], "row 0 entry 4 is 1, not a string"),
     ([["1", "1", "1", "1", "1"], "1,1,1,1,1"], "row 1 is not a list of strings"),
+    ([["1", "1", "1", "1", "1"], ["1", "1", "1", "1"]],
+     "--candidates row 1 has 4 coordinates, expected 5"),
+    ([["1", "1", "1", "1", "1", "1"]], "--candidates row 0 has 6 coordinates, expected 5"),
 ])
 def test_analyze_rejects_malformed_candidates(capsys, tmp_path, rows, message):
     candidates = tmp_path / "candidates.json"
@@ -205,8 +208,13 @@ NON_NODE_RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "non_node", "coran
     {"transversal": False, "rays": [NON_NODE_RAY], "isolated": True, "complete": True},
     {"transversal": True, "rays": [], "isolated": False, "complete": True, "unresolved": 3},
     {"transversal": None, "rays": [], "isolated": True, "complete": False, "unresolved": 3},
+    {"transversal": None, "rays": [NON_NODE_RAY], "isolated": False, "complete": False},
+    {"transversal": True, "rays": [], "isolated": True, "complete": False},
+    {"transversal": False, "rays": [NON_NODE_RAY], "isolated": False, "complete": True,
+     "unresolved": 3},
 ], ids=["transversal-with-rays", "transversal-with-non-node", "rays-missing",
-        "isolated-with-non-node", "transversal-with-unresolved", "isolated-with-unresolved"])
+        "isolated-with-non-node", "transversal-with-unresolved", "isolated-with-unresolved",
+        "inconclusive-with-rays", "transversal-incomplete", "complete-with-unresolved"])
 def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -306,7 +314,11 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
       "rays": [RAY, dict(RAY, coords=["2", "1", "1", "1", "1"])]},
      "report ray 1 is not normalized: it starts with 2"),
     ({"transversal": True, "isolated": True, "complete": True, "field_order": "5"},
-     "report field_order \"5\" is not the --zeta-order 5"),
+     "report field_order must be an integer from 1 to 200, got \"5\""),
+    ({"transversal": True, "isolated": True, "complete": True, "field_order": 0},
+     "report field_order must be an integer from 1 to 200, got 0"),
+    ({"transversal": True, "isolated": True, "complete": True, "field_order": 10007},
+     "report field_order must be an integer from 1 to 200, got 10007"),
 ], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
         "transversal-string", "isolated-string", "complete-int", "coords-count",
         "class-unknown", "corank-node-string", "corank-node-negative",
@@ -314,7 +326,7 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
         "corank-non-node-zero", "corank-non-node-five", "corank-non-node-bool",
         "corank-non-node-string", "unresolved-negative", "unresolved-float",
         "unresolved-bool", "ray-repeated", "ray-origin", "ray-not-normalized",
-        "field-order-string"])
+        "field-order-string", "field-order-zero", "field-order-too-large"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -324,17 +336,13 @@ def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     assert "GsvInputError" in err and message in err
 
 
-def test_stratify_rejects_a_report_of_another_field_order(capsys, tmp_path):
+def test_stratify_reads_the_report_field_order(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     run(capsys, "analyze", DWORK, "--zeta-order", "10", "--format", "json",
         "--output", str(report_path))
     assert json.loads(report_path.read_text())["field_order"] == 10
-    code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
-    assert (code, out) == (1, "")
-    assert "GsvInputError: report field_order 10 is not the --zeta-order 5" in err
-    code, out, _ = run(capsys, "stratify", str(report_path), "--sheet", "pos",
-                       "--zeta-order", "10")
-    assert code == 0 and "Exocurve#125" in out
+    code, out, _ = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 0 and "strata: 251" in out and "Exocurve#125" in out
 
 
 @pytest.mark.parametrize("command", ["cohomology", "resolutions"])
@@ -645,9 +653,9 @@ def test_missing_polynomial_file_is_named(capsys):
 
 
 def test_zeta_order_only_where_it_is_read(capsys, conifold_file):
-    for command in ("cohomology", "resolutions"):
+    for command, *rest in (["cohomology"], ["resolutions"], ["stratify", "--sheet", "pos"]):
         with pytest.raises(SystemExit) as exit_info:
-            main([command, conifold_file, "--zeta-order", "5"])
+            main([command, conifold_file, *rest, "--zeta-order", "5"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --zeta-order 5" in capsys.readouterr().err
 
@@ -668,10 +676,10 @@ def test_parser_defaults(capsys):
     args = parser.parse_args(["analyze", FERMAT])
     assert (args.zeta_order, args.source, args.format) == (5, "ansatz", "text")
     assert parser.parse_args(["cohomology", "data.json"]).mode == "refined"
-    code, out, err = run(capsys, "analyze", FERMAT, "--zeta-order", "0")
-    assert code == 1
-    assert out == ""
-    assert "root-of-unity order must be >= 1" in err
+    for order in ("0", "201"):
+        code, out, err = run(capsys, "analyze", FERMAT, "--zeta-order", order)
+        assert (code, out) == (1, "")
+        assert f"GsvInputError: root-of-unity order must be from 1 to 200, got {order}" in err
 
 
 def test_analyze_rejects_jobs(capsys):
@@ -679,6 +687,16 @@ def test_analyze_rejects_jobs(capsys):
         main(["analyze", DWORK, "--jobs", "3"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
+
+
+def test_analyze_rejects_exhaustive(capsys, tmp_path):
+    candidates = tmp_path / "candidates.json"
+    candidates.write_text(json.dumps([["1", "1", "1", "1", "1"]]))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["analyze", DWORK, "--source", "user", "--candidates", str(candidates),
+              "--exhaustive"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
 
 
 def test_json_outputs_are_byte_identical(capsys, conifold_file, tmp_path):
@@ -699,5 +717,35 @@ def test_json_outputs_are_byte_identical(capsys, conifold_file, tmp_path):
     for argv in commands:
         code1, out1, _ = run(capsys, *argv)
         code2, out2, _ = run(capsys, *argv)
-        assert code1 == code2 == 0
+        # a user list proves no count, so its search is incomplete (exit 2)
+        assert code1 == code2 == (2 if "user" in argv else 0)
         assert out1.encode() == out2.encode()
+
+
+def test_every_parsed_flag_is_read(capsys, conifold_file, tmp_path):
+    """One real run per subcommand reads every option its parser defines, so
+    no flag is accepted and then ignored."""
+    report = tmp_path / "report.json"
+    runs = {
+        "analyze": ["analyze", DWORK, "--format", "json", "--output", str(report)],
+        "stratify": ["stratify", str(report), "--sheet", "neg"],
+        "cohomology": ["cohomology", conifold_file, "--mode", "raw"],
+        "resolutions": ["resolutions", conifold_file, "--dot", str(tmp_path / "g.dot")],
+    }
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(subparsers) == set(runs)
+    for command, argv in runs.items():
+        reads = set()
+
+        class Recording(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = parser.parse_args(argv, namespace=Recording())
+        reads.clear()  # drop argparse's own reads
+        assert args.func(args) == 0
+        dests = {a.dest for a in subparsers[command]._actions} - {"help", "command", "func"}
+        assert dests and dests <= reads, (command, dests - reads)

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from gsvkit.cli import main
+from gsvkit.singular import TransversalityReport
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -74,3 +75,14 @@ def test_stratify_matches_golden(capsysbinary, tmp_path, stem, sheet, fmt):
     out = capsysbinary.readouterr().out
     assert code == 0
     assert out == (GOLDEN / f"{stem}.stratify.{sheet}.{fmt}").read_bytes()
+
+
+ANALYZE_JSON = [f"{s}.analyze.k{k}.json" for s, k, f in ANALYZE if f == "json"]
+ANALYZE_JSON.append("dwork_psi1.analyze_float.k5.json")
+
+
+@pytest.mark.parametrize("golden", ANALYZE_JSON)
+def test_analyze_json_round_trips_through_the_reader(golden):
+    text = (GOLDEN / golden).read_text(encoding="utf-8")
+    report = TransversalityReport.from_json_dict(json.loads(text))
+    assert json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n" == text

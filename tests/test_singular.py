@@ -16,8 +16,8 @@ from gsvkit.errors import GsvInputError
 from gsvkit.linalg import matrix_rank, rank_mod_p
 from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (AnsatzRoots, FloatHomotopy, Kind, UserList,
-                             ansatz_candidates, classify_singularity,
-                             find_singular_rays, normalize_ray, verify_transversal)
+                             ansatz_candidates, classify_singularity, normalize_ray,
+                             verify_transversal)
 
 K5 = CyclotomicField(5)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -52,7 +52,7 @@ def test_cone_over_fermat_quartic_surface():
 
 
 def test_single_node_polynomial():
-    rays = find_singular_rays(ONE_NODE, AnsatzRoots())
+    rays = verify_transversal(ONE_NODE, AnsatzRoots()).rays
     assert len(rays) == 1
     assert rays[0].coords_text() == ("0", "0", "0", "0", "1")
     assert rays[0].classification.kind is Kind.NODE
@@ -83,7 +83,7 @@ def test_classification_is_scaling_invariant():
 
 
 def test_dwork_ray_structure():
-    rays = find_singular_rays(DWORK, AnsatzRoots())
+    rays = verify_transversal(DWORK, AnsatzRoots()).rays
     assert len(rays) == 125
     # every ray is normalized, exactly singular, and G vanishes on it
     gradient = DWORK.gradient()
@@ -117,8 +117,8 @@ def test_dwork_exponent_oracle():
 
 
 def test_find_rays_deterministic():
-    first = find_singular_rays(DWORK, AnsatzRoots())
-    second = find_singular_rays(DWORK, AnsatzRoots())
+    first = verify_transversal(DWORK, AnsatzRoots()).rays
+    second = verify_transversal(DWORK, AnsatzRoots()).rays
     assert first == second
 
 
@@ -130,22 +130,20 @@ def test_user_list_source():
         (K5.one, K5.one, K5.one, K5.one, z),      # exponent sum 1: not singular
         tuple([K5.zero] * 5),                     # origin: excised, not a ray
     )
-    rays = find_singular_rays(DWORK, UserList(points))
-    assert len(rays) == 2
     report = verify_transversal(DWORK, UserList(points))
-    assert report.transversal is False and report.complete
+    assert len(report.rays) == 2
+    # 2 of Dwork's 125 rays: a list proves no count
+    assert report.transversal is False and not report.complete
 
 
-def test_user_list_exhaustive_certifies_transversality():
+def test_user_list_never_certifies_transversality():
     not_singular = ((K5.one,) * 5,)
     open_report = verify_transversal(FERMAT, UserList(not_singular))
     # the certificate still fires for a diagonal quintic
-    assert open_report.transversal is True
+    assert open_report.transversal is True and open_report.complete
     mixed = parse_polynomial("s0^5+s1^5+s2^5+s3^5+s4^5+s0^2*s1^3", K5)
     report = verify_transversal(mixed, UserList(not_singular))
     assert report.transversal is None and not report.complete
-    report = verify_transversal(mixed, UserList(not_singular, exhaustive=True))
-    assert report.transversal is True and report.complete
 
 
 def test_inconclusive_search_is_flagged():
@@ -191,7 +189,7 @@ def test_finish_rays_rejects_a_ray_where_g_does_not_vanish():
 
 
 def test_float_homotopy_certifies_grid_solutions():
-    rays = find_singular_rays(ONE_NODE, FloatHomotopy())
+    rays = verify_transversal(ONE_NODE, FloatHomotopy()).rays
     assert [r.coords_text() for r in rays] == [("0", "0", "0", "0", "1")]
     report = verify_transversal(ONE_NODE, FloatHomotopy())
     assert not report.complete  # numeric searches are never certified complete
@@ -200,10 +198,10 @@ def test_float_homotopy_certifies_grid_solutions():
 def test_float_homotopy_on_dwork():
     # best effort: a decent fraction of the 125 nodes, every certified hit a
     # true node appearing in the exact search
-    rays = find_singular_rays(DWORK, FloatHomotopy())
+    rays = verify_transversal(DWORK, FloatHomotopy()).rays
     assert len(rays) >= 50
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in find_singular_rays(DWORK, AnsatzRoots())}
+    exact = {r.coords_text() for r in verify_transversal(DWORK, AnsatzRoots()).rays}
     assert {r.coords_text() for r in rays} <= exact
 
 
@@ -211,7 +209,7 @@ def test_float_homotopy_certifies_a_slowly_converging_non_node():
     # at the corank-4 ray of s0^5+..+s3^5 Newton converges only linearly and
     # stops about 1e-3 off the ray; every hit still snaps to it
     g = parse_polynomial((DATA / "degenerate.poly").read_text(), K5)
-    rays = find_singular_rays(g, FloatHomotopy())
+    rays = verify_transversal(g, FloatHomotopy()).rays
     assert [(r.coords_text(), r.classification) for r in rays] == [
         (("0", "0", "0", "0", "1"), singular.SingularityClass(Kind.NON_NODE, 4))]
 
@@ -350,7 +348,7 @@ def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
 
     monkeypatch.setattr(singular._GridScan, "vanishes", vanishes)
     g = parse_polynomial(dwork_psi(1, 10), CyclotomicField(10))
-    rays = find_singular_rays(g, AnsatzRoots())
+    rays = verify_transversal(g, AnsatzRoots()).rays
     assert len(rays) == 125
     assert len(calls) <= 2 * len(rays)
 
@@ -449,9 +447,9 @@ def test_float_search_runs_one_newton_batch():
 def test_float_homotopy_on_dwork_at_zeta_order_10():
     # the default search, pinned: 119 of the 125 nodes, all of them on the grid
     g = parse_polynomial((DATA / "dwork_psi1.poly").read_text(), CyclotomicField(10))
-    rays = find_singular_rays(g, FloatHomotopy())
+    rays = verify_transversal(g, FloatHomotopy()).rays
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in find_singular_rays(g, AnsatzRoots())}
+    exact = {r.coords_text() for r in verify_transversal(g, AnsatzRoots()).rays}
     found = {r.coords_text() for r in rays}
     assert len(rays) == len(found) == 119 and found <= exact
 
@@ -510,7 +508,7 @@ def test_nodes_are_certified_mod_p(monkeypatch):
 ])
 def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
     g = parse_polynomial(text, K5)
-    rays = find_singular_rays(g, AnsatzRoots())
+    rays = verify_transversal(g, AnsatzRoots()).rays
     assert rays
     calls = counting_rank(monkeypatch)
     for ray in rays:
@@ -530,8 +528,8 @@ def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
     calls = counting_rank(monkeypatch)
     assert classify_singularity(g, ray) == classify_singularity(ONE_NODE, ray)
     assert len(calls) == 1
-    rays = find_singular_rays(g, AnsatzRoots())
-    assert rays == find_singular_rays(ONE_NODE, AnsatzRoots())
+    rays = verify_transversal(g, AnsatzRoots()).rays
+    assert rays == verify_transversal(ONE_NODE, AnsatzRoots()).rays
 
 
 def test_reports_are_immutable():

@@ -12,13 +12,12 @@ from gsvkit.strata import (StratumKind, build_ground_state_variety, normalize_sh
 
 K5 = CyclotomicField(5)
 
-TRANSVERSAL = TransversalityReport(True, (), True, "ansatz", True)
+TRANSVERSAL = TransversalityReport((), "ansatz", True)
 
 
 def nodal_report(n, kind=NODE):
     rays = tuple(SingularRay((K5.one,) * 5, kind) for _ in range(n))
-    isolated = kind.kind is Kind.NODE
-    return TransversalityReport(False, rays, isolated, "test", True)
+    return TransversalityReport(rays, "test", True)
 
 
 def test_transversal_positive_sheet_is_smooth_cy():
@@ -45,19 +44,17 @@ def test_zero_sheet_rejected():
 
 
 def test_incomplete_report_rejected():
-    inconclusive = TransversalityReport(None, (), True, "ansatz", False)
+    inconclusive = TransversalityReport((), "ansatz", False)
     with pytest.raises(IncompleteResultError):
         build_ground_state_variety(inconclusive, "pos")
 
 
 def test_non_isolated_report_rejected():
     report = nodal_report(1, SingularityClass(Kind.NON_NODE, corank=4))
-    with pytest.raises(NonIsolatedError):
-        build_ground_state_variety(report, "pos")
-    # the rays' kinds decide, not the report's isolated flag
-    flagged = TransversalityReport(False, report.rays, True, "test", True)
-    with pytest.raises(NonIsolatedError):
-        build_ground_state_variety(flagged, "neg")
+    assert not report.isolated
+    for sheet in ("pos", "neg"):
+        with pytest.raises(NonIsolatedError):
+            build_ground_state_variety(report, sheet)
 
 
 def test_nodal_positive_sheet_n2():
