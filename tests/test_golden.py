@@ -1,7 +1,9 @@
 """Byte-for-byte regression of `cohomology`, `resolutions` and `analyze` stdout.
 
 The files under tests/golden/ were captured once from the CLI and are never
-regenerated by the tests; a difference means the output changed.  Names are
+regenerated by the tests; a difference means the output changed.  Every
+`data/conifold_*.json` file is pinned in both cohomology modes and every
+resolutions format, so a new example cannot ship without its goldens.  Names are
 `<data file stem>.<command>[.<mode>].<format>`; analyze goldens carry the
 root-of-unity order as `k<order>` in place of the mode (`analyze_float` for
 `--source float` with the default starts and seed), and their exit codes are
@@ -19,14 +21,13 @@ from gsvkit.singular import TransversalityReport
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
-DATA = ("conifold_n16_N1", "conifold_n5_N2_hodge")
+DATA = [p.stem for p in sorted((ROOT / "data").glob("conifold_*.json"))]
 
 CASES = [(stem, ("cohomology", "--mode", mode, "--format", fmt),
           f"{stem}.cohomology.{mode}.{fmt}")
          for stem in DATA for mode in ("raw", "refined") for fmt in ("text", "json")]
 CASES += [(stem, ("resolutions", "--format", fmt), f"{stem}.resolutions.{fmt}")
-          for stem in DATA + ("conifold_n9_N6", "conifold_n0")
-          for fmt in ("text", "json", "dot")]
+          for stem in DATA for fmt in ("text", "json", "dot")]
 
 ANALYZE_EXIT = json.loads((GOLDEN / "analyze.exit_codes.json").read_text())
 ANALYZE = [(stem, order, fmt)
@@ -35,6 +36,11 @@ ANALYZE = [(stem, order, fmt)
            for fmt in ("json", "text")]
 STRATIFY = [(stem, sheet, fmt) for stem in ("dwork_psi1", "fermat")
             for sheet in ("pos", "neg") for fmt in ("text", "json")]
+
+
+def test_every_conifold_data_file_has_its_goldens():
+    missing = [golden for _, _, golden in CASES if not (GOLDEN / golden).is_file()]
+    assert DATA and not missing, f"data files without goldens: {missing}"
 
 
 @pytest.mark.parametrize("stem,argv,golden", CASES, ids=[c[2] for c in CASES])
