@@ -12,8 +12,7 @@ the modules it touches; each CLI subcommand imports just the stages it runs.
 from importlib import import_module as _import_module
 
 _HOME = {name: module for module, names in {
-    "cohomology": ("ConifoldData", "GradedSpace", "KahlerReport", "check_kahler_package",
-                   "cohomology_of_closure", "cohomology_report", "mayer_vietoris"),
+    "cohomology": ("ConifoldData", "GradedSpace", "cohomology_report", "mayer_vietoris"),
     "cyclo": ("Cyclo", "CyclotomicField", "cyclotomic_polynomial"),
     "errors": ("BranchPointError", "DegreeUndefinedError", "ExactnessError", "GsvError",
                "GsvInputError", "IncompleteResultError", "MalformedIncidenceError",

@@ -9,17 +9,20 @@ are kept side by side:
   raw      - the literal long-exact-sequence count; the n sphere classes
              all land in degree 2.
   refined  - sphere classes are identified whenever their nodes lie on the
-             same 4-cycle class, so degree 2 gains only N = #classes.
+             same 4-cycle class, so degree 2 gains only N = #classes, all
+             of Hodge type (1,1).  This is the compactified union's count.
 
 The refined identification is taken as an axiom of the engine; the raw
 count stays available so the discrepancy n - N is always visible.
+`cohomology_report` states both counts and checks the Kahler package on
+the even degrees of the one its mode selects.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from typing import Dict, Mapping, NamedTuple, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from .errors import ExactnessError, GsvInputError, MalformedIncidenceError
 
@@ -132,10 +135,15 @@ class ConifoldData(namedtuple("ConifoldData", "base n classes")):
         if hodge is not None:
             if not isinstance(hodge, dict):
                 raise GsvInputError("base_hodge must be an object keyed by 'p,q'")
+            keys = {}
             for key in hodge:
                 if not re.fullmatch(r"\s*-?\d+\s*,\s*-?\d+\s*", key):
                     raise GsvInputError(f"base_hodge key {key!r} is not of the form 'p,q'")
-            hodge = {tuple(map(int, key.split(","))): v for key, v in hodge.items()}
+                p, q = map(int, key.split(","))
+                if keys.setdefault((p, q), key) != key:
+                    raise GsvInputError(f"base_hodge keys {keys[p, q]!r} and {key!r} both "
+                                        f"name the Hodge number ({p},{q})")
+            hodge = {pq: hodge[key] for pq, key in keys.items()}
         if not isinstance(obj.get("base_dims"), list):
             raise GsvInputError("base_dims must be a list of 7 integers")
         dims = tuple(_require_int(d, f"base_dims[{q}]")
@@ -150,7 +158,7 @@ def mayer_vietoris(data: ConifoldData, mode: str = "raw") -> GradedSpace:
     splits: degrees 2..6 add up directly, and surjectivity of the degree-0
     comparison map leaves H^0 and H^1 of the base.  Degree 2 gains the n
     sphere classes in raw mode and one class per 4-cycle class in refined
-    mode.
+    mode; with base Hodge numbers, those N classes are of type (1,1).
     """
     if data.base.dims[0] < 1:
         raise ExactnessError("degree-0 exactness fails: union would be empty")
@@ -158,71 +166,31 @@ def mayer_vietoris(data: ConifoldData, mode: str = "raw") -> GradedSpace:
         raise GsvInputError(f"unknown mode {mode!r}")
     dims = list(data.base.dims)
     dims[2] += data.n if mode == "raw" else data.n_classes
-    return GradedSpace(tuple(dims))
-
-
-def cohomology_of_closure(data: ConifoldData) -> GradedSpace:
-    """H of the compactified union: the base everywhere except degree 2,
-    which gains one class per 4-cycle class."""
-    out = mayer_vietoris(data, "refined")
-    if data.base.hodge is not None:
-        hodge = dict(data.base.hodge)
-        hodge[(1, 1)] = hodge.get((1, 1), 0) + data.n_classes
-        out = GradedSpace(out.dims, hodge)
-    return out
-
-
-class KahlerReport(NamedTuple):
-    """Even-degree duality checks; H^3 is deliberately never consulted."""
-
-    h0_equals_h6: bool
-    h2_equals_h4: bool
-    pairing_nondegenerate: bool
-    warnings: Tuple[str, ...] = ()
-
-    @property
-    def passed(self) -> bool:
-        return self.h0_equals_h6 and self.h2_equals_h4 and self.pairing_nondegenerate
-
-    def to_json_dict(self):
-        return {
-            "h0_equals_h6": self.h0_equals_h6,
-            "h2_equals_h4": self.h2_equals_h4,
-            "pairing_nondegenerate": self.pairing_nondegenerate,
-            "passed": self.passed,
-            "warnings": list(self.warnings),
-        }
-
-
-def check_kahler_package(h: GradedSpace, data: ConifoldData) -> KahlerReport:
-    """Verify Poincare-duality style balance on even degrees.
-
-    Item (iii), a nondegenerate pairing of H^2 with H^4, splits into the
-    block pairing the N class-collapsed sphere classes with their dual
-    4-cycle classes and the complement.  For a valid partition that block is
-    the N x N identity, and the complement is nondegenerate exactly when it
-    is square, which is test (ii).  So (iii) reduces to dim H^2 = dim H^4 >= N.
-    """
-    warnings = []
-    if data.base.dims[4] != data.base.dims[2] + data.n_classes:
-        warnings.append(
-            f"base data violates dim H^4(base) = dim H^2(base) + N "
-            f"({data.base.dims[4]} != {data.base.dims[2]} + {data.n_classes})")
-    i1 = h.dims[0] == h.dims[6]
-    i2 = h.dims[2] == h.dims[4]
-    i3 = i2 and h.dims[2] >= data.n_classes
-    return KahlerReport(i1, i2, i3, tuple(warnings))
+    hodge = data.base.hodge
+    if mode == "raw" or hodge is None:
+        return GradedSpace(tuple(dims))
+    return GradedSpace(tuple(dims), {**hodge, (1, 1): hodge.get((1, 1), 0) + data.n_classes})
 
 
 def cohomology_report(data: ConifoldData, mode: str = "refined") -> dict:
-    """Both counts, their discrepancy, and the Kahler check for one dataset."""
-    if mode not in ("raw", "refined"):
-        raise GsvInputError(f"unknown mode {mode!r}")
-    raw = mayer_vietoris(data)
-    refined = cohomology_of_closure(data)
-    chosen = refined if mode == "refined" else raw
-    kahler = check_kahler_package(chosen, data)
-    report = {
+    """Both counts, their discrepancy, and the Kahler check of the `mode` count.
+
+    The check reads even degrees only; H^3 is deliberately never consulted.
+    Item (iii), a nondegenerate pairing of H^2 with H^4, splits into the
+    block pairing the N class-collapsed sphere classes with their dual
+    4-cycle classes, which is the N x N identity, and the complement, which
+    is nondegenerate exactly when it is square: (iii) is h^2 = h^4 >= N.
+    The bound always holds, as h^2 is b_2 + n raw and b_2 + N refined, with
+    b_2 >= 0 and N <= n (classes are non-empty and disjoint), so (iii) = (ii).
+    """
+    chosen = mayer_vietoris(data, mode)
+    raw, refined = mayer_vietoris(data), mayer_vietoris(data, "refined")
+    base, h = data.base.dims, chosen.dims
+    i1, i2 = h[0] == h[6], h[2] == h[4]
+    warnings = [] if base[4] == base[2] + data.n_classes else [
+        f"base data violates dim H^4(base) = dim H^2(base) + N "
+        f"({base[4]} != {base[2]} + {data.n_classes})"]
+    return {
         "mode": mode,
         "n": data.n,
         "classes": data.n_classes,
@@ -233,9 +201,9 @@ def cohomology_report(data: ConifoldData, mode: str = "refined") -> dict:
         "euler_refined": refined.euler(),
         "euler_base": data.base.euler(),
         "discrepancy": data.n - data.n_classes,
-        "kahler": kahler.to_json_dict(),
+        "kahler": {"h0_equals_h6": i1, "h2_equals_h4": i2, "pairing_nondegenerate": i2,
+                   "passed": i1 and i2, "warnings": warnings},
     }
-    return report
 
 
 def cohomology_report_text(report: dict) -> str:

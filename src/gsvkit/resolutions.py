@@ -13,7 +13,7 @@ import json
 from itertools import product, repeat
 from typing import Dict, NamedTuple, Optional, Tuple
 
-from .cohomology import ConifoldData, cohomology_of_closure
+from .cohomology import ConifoldData, mayer_vietoris
 from .errors import ResourceLimitError
 
 MAX_CLASSES = 20
@@ -173,4 +173,4 @@ def build_transition_graph(data: ConifoldData) -> TransitionGraph:
                                  f"enumeration bound 2^{MAX_CLASSES}")
     if data.n == 0:
         return TransitionGraph(0, 0)
-    return TransitionGraph(data.n_classes, data.n, cohomology_of_closure(data).dims)
+    return TransitionGraph(data.n_classes, data.n, mayer_vietoris(data, "refined").dims)

@@ -126,8 +126,9 @@ class TransversalityReport(NamedTuple):
     def from_json_dict(cls, obj) -> "TransversalityReport":
         """The report `to_json_dict` writes, read back over the field of its
         `field_order` (5 when absent); a field of the wrong type or range, a
-        ray no search writes (the origin, not normalized or repeated), or
-        flags that disagree with the derived ones raise GsvInputError."""
+        ray no search writes (the origin, not normalized or repeated), flags
+        that disagree with the derived ones, or rays called complete by a
+        source other than the ansatz raise GsvInputError."""
         _require_fields(obj, ("transversal", "isolated", "complete"), "report")
         for name in ("transversal", "isolated", "complete"):
             value = obj[name]
@@ -135,6 +136,10 @@ class TransversalityReport(NamedTuple):
                 allowed = "true, false or null" if name == "transversal" else "true or false"
                 raise GsvInputError(f"report flag {name} must be {allowed}, "
                                     f"got {json.dumps(value)}")
+        source = obj.get("source", "file")
+        if "source" in obj and source not in ("ansatz", "user", "float"):
+            raise GsvInputError(f"report field 'source' must be one of ansatz, user, float, "
+                                f"got {json.dumps(source)}")
         order = obj.get("field_order", 5)
         if not (type(order) is int and 1 <= order <= MAX_ORDER):
             raise GsvInputError(f"report field_order must be an integer from 1 to "
@@ -183,7 +188,10 @@ class TransversalityReport(NamedTuple):
         if complete and unresolved:
             raise GsvInputError(f"report flag complete: true disagrees with its "
                                 f"{unresolved} unresolved hits")
-        report = cls(tuple(rays), str(obj.get("source", "file")), complete, unresolved, order)
+        if complete and rays and source in ("user", "float"):
+            raise GsvInputError(f"report flag complete: true disagrees with its {source} "
+                                f"rays: only the ansatz search proves a ray count")
+        report = cls(tuple(rays), source, complete, unresolved, order)
         if obj["transversal"] is not report.transversal:
             raise GsvInputError(
                 f"report flag transversal: {json.dumps(obj['transversal'])} disagrees with "

@@ -18,9 +18,7 @@ from fractions import Fraction
 import pytest
 
 from gsvkit.cli import main as cli_main
-from gsvkit.cohomology import (ConifoldData, GradedSpace, check_kahler_package,
-                               cohomology_of_closure, cohomology_report,
-                               mayer_vietoris)
+from gsvkit.cohomology import ConifoldData, GradedSpace, cohomology_report, mayer_vietoris
 from gsvkit.cyclo import CyclotomicField
 from gsvkit.exocurves import build_exocurve, compactify, deficit_angle, transition
 from gsvkit.poly import parse_polynomial
@@ -213,7 +211,7 @@ def test_criterion_6_closure_cohomology():
     rng = random.Random(1203)
     for _ in range(200):
         data = random_conifold(rng)
-        result = cohomology_of_closure(data)
+        result = mayer_vietoris(data, "refined")
         assert result.dims == _closure_oracle(data)
         for q in range(7):
             if q == 2:
@@ -229,7 +227,7 @@ def test_criterion_7_exactness_arithmetic():
     for _ in range(200):
         data = random_conifold(rng)
         raw = mayer_vietoris(data)
-        refined = cohomology_of_closure(data)
+        refined = mayer_vietoris(data, "refined")
         assert raw.euler() == data.base.euler() + data.n
         assert refined.euler() == data.base.euler() + data.n_classes
         report = cohomology_report(data)
@@ -245,16 +243,19 @@ def test_criterion_8_kahler_package():
     rng = random.Random(88)
     for _ in range(100):
         data = random_conifold(rng)  # built with dim H^4 = dim H^2 + N
-        report = check_kahler_package(cohomology_of_closure(data), data)
-        assert report.h0_equals_h6
-        assert report.h2_equals_h4
-        assert report.pairing_nondegenerate
-        assert report.passed and not report.warnings
+        kahler = cohomology_report(data)["kahler"]
+        assert kahler["h0_equals_h6"]
+        assert kahler["h2_equals_h4"]
+        assert kahler["pairing_nondegenerate"]
+        assert kahler["passed"] and not kahler["warnings"]
+    # an unbalanced base: dim H^4 = 2 but dim H^2 + N = 3
     violating = ConifoldData(
-        GradedSpace((1, 0, 1, 10, 2, 0, 1)), 4, [[1, 2, 3, 4]])
-    report = check_kahler_package(GradedSpace((1, 0, 3, 10, 2, 0, 1)), violating)
-    assert not report.h2_equals_h4
-    assert not report.passed
+        GradedSpace((1, 0, 2, 10, 2, 0, 1)), 4, [[1, 2, 3, 4]])
+    for mode in ("raw", "refined"):
+        kahler = cohomology_report(violating, mode)["kahler"]
+        assert not kahler["h2_equals_h4"]
+        assert not kahler["passed"]
+        assert kahler["warnings"]
     ok(8, "Kahler package on even degrees")
 
 

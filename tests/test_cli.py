@@ -198,6 +198,7 @@ def test_stratify_incomplete_report_exits_2(capsys, tmp_path):
     assert "inconclusive" in err
 
 
+RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
 NON_NODE_RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "non_node", "corank": 1}
 
 
@@ -212,9 +213,13 @@ NON_NODE_RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "non_node", "coran
     {"transversal": True, "rays": [], "isolated": True, "complete": False},
     {"transversal": False, "rays": [NON_NODE_RAY], "isolated": False, "complete": True,
      "unresolved": 3},
+    {"transversal": False, "rays": [RAY], "isolated": True, "complete": True, "source": "user"},
+    {"transversal": False, "rays": [RAY], "isolated": True, "complete": True,
+     "source": "float"},
 ], ids=["transversal-with-rays", "transversal-with-non-node", "rays-missing",
         "isolated-with-non-node", "transversal-with-unresolved", "isolated-with-unresolved",
-        "inconclusive-with-rays", "transversal-incomplete", "complete-with-unresolved"])
+        "inconclusive-with-rays", "transversal-incomplete", "complete-with-unresolved",
+        "complete-from-user", "complete-from-float"])
 def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -222,6 +227,17 @@ def test_stratify_rejects_inconsistent_report(capsys, tmp_path, report):
     assert code == 1
     assert out == ""
     assert "GsvInputError" in err and "disagrees" in err
+
+
+@pytest.mark.parametrize("source", ["ansatz", "user", "float"])
+def test_stratify_reads_a_complete_transversal_report_of_any_source(capsys, tmp_path,
+                                                                    source):
+    """A search of any source certifies transversality by the pure-power gradient."""
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps({"transversal": True, "rays": [], "isolated": True,
+                                       "complete": True, "source": source}))
+    code, out, _ = run(capsys, "stratify", str(report_path), "--sheet", "pos")
+    assert code == 0 and "SmoothCY" in out
 
 
 @pytest.mark.parametrize("missing", ["transversal", "isolated", "complete", "class"])
@@ -235,9 +251,6 @@ def test_stratify_report_missing_field_exits_1(capsys, tmp_path, missing):
     assert code == 1
     assert out == ""
     assert "GsvInputError" in err and f"no field '{missing}'" in err
-
-
-RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
 
 
 @pytest.mark.parametrize("report,message", [
@@ -319,6 +332,12 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
      "report field_order must be an integer from 1 to 200, got 0"),
     ({"transversal": True, "isolated": True, "complete": True, "field_order": 10007},
      "report field_order must be an integer from 1 to 200, got 10007"),
+    ({"transversal": False, "isolated": True, "complete": False, "rays": [RAY],
+      "source": "my-own"},
+     "report field 'source' must be one of ansatz, user, float, got \"my-own\""),
+    ({"transversal": False, "isolated": True, "complete": False, "rays": [RAY],
+      "source": None},
+     "report field 'source' must be one of ansatz, user, float, got null"),
 ], ids=["top-int", "top-list", "rays-int", "ray-int", "coords-string", "coords-numbers",
         "transversal-string", "isolated-string", "complete-int", "coords-count",
         "class-unknown", "corank-node-string", "corank-node-negative",
@@ -326,7 +345,8 @@ RAY = {"coords": ["1", "1", "1", "1", "0"], "class": "node"}
         "corank-non-node-zero", "corank-non-node-five", "corank-non-node-bool",
         "corank-non-node-string", "unresolved-negative", "unresolved-float",
         "unresolved-bool", "ray-repeated", "ray-origin", "ray-not-normalized",
-        "field-order-string", "field-order-zero", "field-order-too-large"])
+        "field-order-string", "field-order-zero", "field-order-too-large",
+        "source-unknown", "source-null"])
 def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     report_path = tmp_path / "report.json"
     report_path.write_text(json.dumps(report))
@@ -358,8 +378,11 @@ def test_stratify_reads_the_report_field_order(capsys, tmp_path):
      "ConifoldData has unknown field 'base_hodg'; allowed fields are base_dims, n, "
      "classes, base_hodge"),
     ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "classes": []}, "ConifoldData has no field 'n'"),
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
+      "base_hodge": {"0,0": 1, "1,1": 7, " 1,1": 1, "2,2": 1, "3,3": 1}},
+     "base_hodge keys '1,1' and ' 1,1' both name the Hodge number (1,1)"),
 ], ids=["top-int", "top-list", "hodge-key", "hodge-list", "dims-int", "unknown-field",
-        "no-n"])
+        "no-n", "hodge-key-repeated"])
 def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

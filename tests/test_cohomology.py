@@ -5,9 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from gsvkit.cohomology import (ConifoldData, GradedSpace, check_kahler_package,
-                               cohomology_of_closure, cohomology_report,
-                               mayer_vietoris)
+from gsvkit.cohomology import ConifoldData, GradedSpace, cohomology_report, mayer_vietoris
 from gsvkit.errors import ExactnessError, GsvInputError, MalformedIncidenceError
 
 
@@ -82,6 +80,11 @@ def test_exactness_violations():
         mayer_vietoris(single_class_data(3), "both")
 
 
+def test_report_rejects_unknown_mode():
+    with pytest.raises(GsvInputError, match="unknown mode 'both'"):
+        cohomology_report(single_class_data(3), "both")
+
+
 # -- the node partition ----------------------------------------------------------
 
 def test_malformed_incidence():
@@ -110,7 +113,7 @@ def test_malformed_incidence():
 
 def test_closure_single_class_example():
     data = single_class_data(16)
-    result = cohomology_of_closure(data)
+    result = mayer_vietoris(data, "refined")
     assert result.dims == (1, 0, 2, 103, 2, 0, 1)
     assert result.dims == closure_oracle(data)
 
@@ -118,13 +121,13 @@ def test_closure_single_class_example():
 def test_closure_n0_identity():
     base = GradedSpace((1, 0, 1, 204, 1, 0, 1))
     data = ConifoldData(base, 0, [])
-    assert cohomology_of_closure(data).dims == base.dims
+    assert mayer_vietoris(data, "refined").dims == base.dims
 
 
 def test_closure_two_classes():
     base = GradedSpace((1, 0, 1, 103, 3, 0, 1))  # N = 2 consistent base
     data = ConifoldData(base, 5, [[1, 2, 3], [4, 5]])
-    result = cohomology_of_closure(data)
+    result = mayer_vietoris(data, "refined")
     assert result.dims == (1, 0, 3, 103, 3, 0, 1)
     assert result.dims == closure_oracle(data)
 
@@ -134,9 +137,10 @@ def test_closure_propagates_hodge():
                        hodge={(0, 0): 1, (1, 1): 1, (2, 2): 2, (3, 3): 1,
                               (2, 1): 2, (1, 2): 2})
     data = ConifoldData(base, 4, [[1, 2, 3, 4]])
-    result = cohomology_of_closure(data)
+    result = mayer_vietoris(data, "refined")
     assert result.hodge[(1, 1)] == 2
     assert result.dims[2] == sum(v for (p, q), v in result.hodge.items() if p + q == 2)
+    assert mayer_vietoris(data).hodge is None  # the raw count has no Hodge splitting
 
 
 def test_randomized_closure_against_oracle():
@@ -151,7 +155,7 @@ def test_randomized_closure_against_oracle():
                    for c in range(1, n_classes + 1)]
         base = base_space(rng.randint(1, 9), rng.randint(0, 200), n_classes)
         data = ConifoldData(base, n, classes)
-        result = cohomology_of_closure(data)
+        result = mayer_vietoris(data, "refined")
         assert result.dims == closure_oracle(data)
         assert result.dims[2] == base.dims[2] + n_classes
         # chi bookkeeping, both modes
@@ -163,52 +167,55 @@ def test_randomized_closure_against_oracle():
 # -- Kahler package ----------------------------------------------------------------
 
 def test_kahler_passes_on_consistent_closure():
-    data = single_class_data(16)
-    report = check_kahler_package(cohomology_of_closure(data), data)
-    assert report.h0_equals_h6 and report.h2_equals_h4 and report.pairing_nondegenerate
-    assert report.passed
-    assert report.warnings == ()
+    kahler = cohomology_report(single_class_data(16))["kahler"]
+    assert kahler["h0_equals_h6"] and kahler["h2_equals_h4"]
+    assert kahler["pairing_nondegenerate"]
+    assert kahler["passed"]
+    assert kahler["warnings"] == []
 
 
 def test_kahler_fails_on_unbalanced_h2():
-    data = single_class_data(16)
-    report = check_kahler_package(GradedSpace((1, 0, 3, 103, 2, 0, 1)), data)
-    assert not report.h2_equals_h4
-    assert not report.passed
+    base = GradedSpace((1, 0, 2, 103, 2, 0, 1))  # H^4 != H^2 + N
+    data = ConifoldData(base, 16, [list(range(1, 17))])
+    for mode in ("raw", "refined"):
+        kahler = cohomology_report(data, mode)["kahler"]
+        assert not kahler["h2_equals_h4"]
+        assert not kahler["passed"]
 
 
 def test_kahler_smooth_base():
     base = GradedSpace((1, 0, 1, 204, 1, 0, 1))
     data = ConifoldData(base, 0, [])
-    report = check_kahler_package(cohomology_of_closure(data), data)
-    assert report.passed
+    assert cohomology_report(data)["kahler"]["passed"]
 
 
 def test_kahler_warns_on_inconsistent_base():
     base = GradedSpace((1, 0, 1, 10, 5, 0, 1))  # H^4 != H^2 + N
     data = ConifoldData(base, 2, [[1, 2]])
-    report = check_kahler_package(cohomology_of_closure(data), data)
-    assert report.warnings
+    assert cohomology_report(data)["kahler"]["warnings"]
 
 
-
-@given(st.integers(0, 30), st.data())
-def test_kahler_iii_reduces_to_balanced_h2(n, draws):
-    """For any valid partition, (iii) holds exactly when dim H^2 = dim H^4 >= N."""
+@given(st.integers(0, 30), st.sampled_from(("raw", "refined")), st.data())
+def test_kahler_iii_reduces_to_balanced_h2(n, mode, draws):
+    """For any base and valid partition, (iii) holds exactly when
+    dim H^2 = dim H^4 >= N, so it agrees with (ii)."""
     n_classes = draws.draw(st.integers(1, n)) if n else 0
     assignment = list(range(1, n_classes + 1)) + [
         draws.draw(st.integers(1, n_classes)) for _ in range(n - n_classes)]
     assignment = draws.draw(st.permutations(assignment))
     classes = [[j + 1 for j, k in enumerate(assignment) if k == c]
                for c in range(1, n_classes + 1)]
-    data = ConifoldData(base_space(1, 3, n_classes), n, classes)
-    dims = draws.draw(st.lists(st.integers(0, n_classes + 3), min_size=7, max_size=7))
+    base = draws.draw(st.lists(st.integers(0, n + 3), min_size=7, max_size=7))
+    base[0] = max(base[0], 1)
+    h2 = base[2] + (n if mode == "raw" else n_classes)
     if draws.draw(st.booleans()):
-        dims[4] = dims[2]
-    h0, _, h2, _, h4, _, h6 = dims
-    report = check_kahler_package(GradedSpace(tuple(dims)), data)
-    assert report.pairing_nondegenerate == (h2 == h4 and h2 >= n_classes)
-    assert report.passed == (h0 == h6 and report.pairing_nondegenerate)
+        base[4] = h2
+    h0, h4, h6 = base[0], base[4], base[6]
+    data = ConifoldData(GradedSpace(tuple(base)), n, classes)
+    kahler = cohomology_report(data, mode)["kahler"]
+    assert kahler["pairing_nondegenerate"] == (h2 == h4 and h2 >= n_classes)
+    assert kahler["passed"] == (h0 == h6 and h2 == h4)
+
 
 # -- GradedSpace validation -------------------------------------------------------
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gsvkit.cohomology import ConifoldData, GradedSpace, cohomology_of_closure
+from gsvkit.cohomology import ConifoldData, GradedSpace, mayer_vietoris
 from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
 from gsvkit.resolutions import (DECIMAL_POW2_MAX, DEFO_NOTE, FLOP_NOTE, MAX_CLASSES,
                                 build_transition_graph)
@@ -65,12 +65,12 @@ def oracle_graph(data):
     """The graph's rows in output order, built from the definitions: the
     orientations in binary order by itertools.product, from each one a flop
     to its twin in every class it has at 0, and the union's dimensions from
-    cohomology_of_closure."""
+    the refined Mayer-Vietoris count."""
     if data.n == 0:
         return {"vertices": [{"kind": "deformation", "name": "M_flat=V_bar"}],
                 "edges": [], "metadata": {"note": "transversal case: nothing to resolve"}}
     big_n = data.n_classes
-    dims = list(cohomology_of_closure(data).dims)
+    dims = list(mayer_vietoris(data, "refined").dims)
     orientations = list(itertools.product((0, 1), repeat=big_n))
     name = {bits: f"M_nat_{i}" for i, bits in enumerate(orientations, 1)}
     vertices = [{"kind": "deformation", "name": "M_flat"},
