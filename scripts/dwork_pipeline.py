@@ -17,11 +17,10 @@ import argparse
 import json
 import time
 
-from gsvkit import (AnsatzRoots, ConifoldData, CyclotomicField, GradedSpace,
-                    build_exocurve, build_ground_state_variety,
-                    build_transition_graph, cohomology_report, compactify,
-                    deficit_angle, parse_polynomial, strata_report,
-                    verify_transversal)
+from gsvkit import (ConifoldData, CyclotomicField, GradedSpace, build_exocurve,
+                    build_ground_state_variety, build_transition_graph,
+                    cohomology_report, compactify, deficit_angle, parse_polynomial,
+                    strata_report, verify_transversal)
 from gsvkit.cohomology import cohomology_report_text
 
 DWORK = "s0^5+s1^5+s2^5+s3^5+s4^5-5*s0*s1*s2*s3*s4"
@@ -44,7 +43,7 @@ def main():
 
     banner("1. singular-ray search (exact, root-of-unity ansatz)")
     t0 = time.perf_counter()
-    report = verify_transversal(g, AnsatzRoots())
+    report = verify_transversal(g, "ansatz")
     print(f"polynomial: {g}")
     print(f"rays found: {len(report.rays)} "
           f"(all nodes: {report.isolated}) in {time.perf_counter() - t0:.2f}s")

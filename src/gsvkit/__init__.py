@@ -23,9 +23,9 @@ _HOME = {name: module for module, names in {
                   "transition"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
     "resolutions": ("TransitionGraph", "build_transition_graph"),
-    "singular": ("AnsatzRoots", "FloatHomotopy", "Kind", "SingularRay", "SingularityClass",
-                 "TransversalityReport", "UserList", "ansatz_candidates",
-                 "classify_singularity", "normalize_ray", "verify_transversal"),
+    "singular": ("Kind", "SingularRay", "SingularityClass", "TransversalityReport",
+                 "ansatz_candidates", "classify_singularity", "normalize_ray",
+                 "verify_transversal"),
     "strata": ("StratifiedVariety", "Stratum", "StratumKind", "build_ground_state_variety",
                "strata_report"),
 }.items() for name in names}

@@ -79,14 +79,14 @@ def _read_polynomial_argument(arg: str) -> str:
     return arg
 
 
-def _build_source(args, field: CyclotomicField):
+def _read_candidates(args, field: CyclotomicField) -> list:
+    """The points of the --candidates file, which only --source user takes."""
     from .poly import parse_scalar
-    from .singular import AnsatzRoots, FloatHomotopy, UserList
 
     if args.source != "user":
         if args.candidates:
             raise GsvInputError("--candidates applies only to --source user")
-        return AnsatzRoots() if args.source == "ansatz" else FloatHomotopy()
+        return []
     if not args.candidates:
         raise GsvInputError("--source user requires --candidates FILE")
     rows = _read_input("--candidates", args.candidates)
@@ -101,7 +101,7 @@ def _build_source(args, field: CyclotomicField):
             if not isinstance(entry, str):
                 raise GsvInputError(f"--candidates row {i} entry {j} is "
                                     f"{json.dumps(entry)}, not a string")
-    return UserList(tuple(tuple(parse_scalar(c, field) for c in row) for row in rows))
+    return [[parse_scalar(c, field) for c in row] for row in rows]
 
 
 def cmd_analyze(args) -> int:
@@ -112,8 +112,7 @@ def cmd_analyze(args) -> int:
     field = CyclotomicField(args.zeta_order)
     text = _read_polynomial_argument(args.polynomial)
     g = parse_polynomial(text, field)
-    source = _build_source(args, field)
-    report = verify_transversal(g, source)
+    report = verify_transversal(g, args.source, _read_candidates(args, field))
     _emit(args, report.summary_text, report.to_json_dict)
     if any(r.classification.kind is Kind.NON_NODE for r in report.rays):
         sys.stderr.write("error: NonIsolated: some singular rays are not nodes\n")
@@ -190,6 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="transversality and singular-ray report")
     p.add_argument("polynomial", help="polynomial file or inline expression")
+    # singular.SOURCES, spelled out so that building the parser loads no singular code
     p.add_argument("--source", choices=("ansatz", "user", "float"), default="ansatz")
     p.add_argument("--candidates", help="JSON candidate list for --source user")
     common(p)

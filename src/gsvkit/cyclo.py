@@ -71,6 +71,8 @@ class CyclotomicField:
     """Q(zeta_k), with elements reduced to coordinate vectors of length phi(k)."""
 
     def __init__(self, order: int = 5):
+        if type(order) is not int:  # bools included
+            raise GsvInputError(f"root-of-unity order must be an integer, got {order!r}")
         if not 1 <= order <= MAX_ORDER:
             raise GsvInputError(f"root-of-unity order must be from 1 to {MAX_ORDER}, "
                                 f"got {order}")

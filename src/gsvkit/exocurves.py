@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Tuple
 
 from .cyclo import Cyclo
@@ -61,7 +62,8 @@ class Atlas(NamedTuple):
 
 
 def normalize_sheet(sheet) -> int:
-    """Accept +-1, 'pos'/'positive', 'neg'/'negative'; reject the r=0 wall."""
+    """The sign of a real moment level, or of 'pos'/'positive',
+    'neg'/'negative'; reject the r=0 wall."""
     if isinstance(sheet, str):
         s = sheet.lower()
         if s in ("pos", "positive", "+"):
@@ -69,10 +71,11 @@ def normalize_sheet(sheet) -> int:
         if s in ("neg", "negative", "-"):
             return -1
         raise GsvInputError(f"unknown sheet {sheet!r}")
-    value = int(sheet)
-    if value > 0:
+    if not isinstance(sheet, Real) or sheet != sheet:  # NaN has no sign
+        raise GsvInputError(f"sheet must be a real moment level, got {sheet!r}")
+    if sheet > 0:
         return 1
-    if value < 0:
+    if sheet < 0:
         return -1
     raise QuantumRegionError(
         "r = 0 is not covered: the construction is only valid away from the wall")

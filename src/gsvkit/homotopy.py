@@ -1,4 +1,4 @@
-"""Array helpers of the numeric search behind `singular.FloatHomotopy`.
+"""Array helpers of the numeric search behind `singular._float_search`.
 
 Imported only under `--source float`, like numpy itself: batched complex
 evaluators of polynomials and a batched Gauss-Newton step loop.

@@ -1,7 +1,7 @@
 """Locate the non-transversal rays of a homogeneous quintic and classify them.
 
 A singular ray is a projective direction where the full gradient vanishes.
-Candidates come from a pluggable source; every reported ray is verified by
+Candidates come from a named source; every reported ray is verified by
 exact arithmetic, and rays are normalized (first nonzero coordinate = 1) so
 the scaling action and root-of-unity multiples are quotiented out.
 
@@ -128,7 +128,8 @@ class TransversalityReport(NamedTuple):
         `field_order` (5 when absent); a field of the wrong type or range, a
         ray no search writes (the origin, not normalized or repeated), flags
         that disagree with the derived ones, or rays called complete by a
-        source other than the ansatz raise GsvInputError."""
+        user or float search raise GsvInputError.  A report that names no
+        source reads, and is written back, as source "file"."""
         _require_fields(obj, ("transversal", "isolated", "complete"), "report")
         for name in ("transversal", "isolated", "complete"):
             value = obj[name]
@@ -136,9 +137,9 @@ class TransversalityReport(NamedTuple):
                 allowed = "true, false or null" if name == "transversal" else "true or false"
                 raise GsvInputError(f"report flag {name} must be {allowed}, "
                                     f"got {json.dumps(value)}")
-        source = obj.get("source", "file")
-        if "source" in obj and source not in ("ansatz", "user", "float"):
-            raise GsvInputError(f"report field 'source' must be one of ansatz, user, float, "
+        source = obj.get("source", "file")  # "file": a report that names no search
+        if source not in (*SOURCES, "file"):
+            raise GsvInputError(f"report field 'source' must be one of {', '.join(SOURCES)}, "
                                 f"got {json.dumps(source)}")
         order = obj.get("field_order", 5)
         if not (type(order) is int and 1 <= order <= MAX_ORDER):
@@ -188,7 +189,7 @@ class TransversalityReport(NamedTuple):
         if complete and unresolved:
             raise GsvInputError(f"report flag complete: true disagrees with its "
                                 f"{unresolved} unresolved hits")
-        if complete and rays and source in ("user", "float"):
+        if complete and rays and source in _UNCOUNTED:
             raise GsvInputError(f"report flag complete: true disagrees with its {source} "
                                 f"rays: only the ansatz search proves a ray count")
         report = cls(tuple(rays), source, complete, unresolved, order)
@@ -233,41 +234,12 @@ def _require_fields(obj, names, where: str) -> None:
 
 # -- candidate sources ----------------------------------------------------------
 
-
-class AnsatzRoots(NamedTuple):
-    """All projective points with coordinates in {0} u {zeta^a}."""
-
-    name = "ansatz"
-
-
-class UserList(NamedTuple):
-    """Explicit candidate rays; a list proves no count, so only a certificate completes it."""
-
-    points: Tuple[Tuple[Cyclo, ...], ...]
-    name = "user"
-
-
-class FloatHomotopy(NamedTuple):
-    """Numeric fallback: Gauss-Newton on the gradient system in the affine charts.
-
-    `starts // 5` complex starts per affine chart are drawn from
-    `default_rng(seed)` (real then imaginary parts, start by start, chart by
-    chart), and the starts of all five charts are iterated as one batch
-    until max|dG| < `tolerance`.  Each solution, scaled so its largest
-    coordinate is 1, is snapped to the root-of-unity grid when every
-    coordinate lies within 1e-2 of a grid value, rotated by a power of zeta
-    so its first nonzero coordinate is 1, and certified by the exact grid
-    scan.  A hit that does not snap, or whose snap is not singular, is only
-    counted as unresolved; the report is never complete.
-    """
-
-    name = "float"
-    starts = 400
-    seed = 20260809
-    tolerance = 1e-10
-
-
-CandidateSource = AnsatzRoots | UserList | FloatHomotopy
+# The candidate sources by name: the ansatz grid, a list of points, the numeric search
+SOURCES = ("ansatz", "user", "float")
+# The sources whose rays prove no count: only the ansatz search proves one
+_UNCOUNTED = ("user", "float")
+# The numeric search's starts, seed and convergence tolerance (see `_float_search`)
+FLOAT_STARTS, FLOAT_SEED, FLOAT_TOLERANCE = 400, 20260809, 1e-10
 
 
 def normalize_ray(point: Sequence[Cyclo]) -> Tuple[Cyclo, ...]:
@@ -495,31 +467,10 @@ def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityCl
     return SingularityClass(Kind.NON_NODE, corank=4 - rank)
 
 
-def _exact_search(g: Polynomial,
-                  candidates: Iterable[Tuple[Cyclo, ...]]) -> list[Tuple[Cyclo, ...]]:
-    """The candidates where dG vanishes exactly."""
-    return list(filter(_scan(g).vanishes, candidates))
-
-
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
     """Normalize, sort, dedupe and classify."""
     return tuple(SingularRay(ray, classify_singularity(g, ray))
                  for ray in dict(_by_coords(map(normalize_ray, points))).values())
-
-
-def _search(g: Polynomial, source: CandidateSource) -> Tuple[list, int]:
-    """The exactly verified singular points the source reaches, and the
-    number of numeric hits it could not certify."""
-    _require_quintic(g)
-    if isinstance(source, AnsatzRoots):
-        return _scan(g).grid_zeros(), 0
-    if isinstance(source, UserList):
-        pts = [tuple(g.field.element(c) for c in p) for p in source.points]
-        pts = [p for p in pts if any(not c.is_zero() for c in p)]  # origin is excised
-        return _exact_search(g, pts), 0
-    if isinstance(source, FloatHomotopy):
-        return _float_search(g)
-    raise GsvInputError(f"unknown candidate source {source!r}")
 
 
 def _pure_power_gradient(g: Polynomial) -> bool:
@@ -535,19 +486,36 @@ def _pure_power_gradient(g: Polynomial) -> bool:
     return True
 
 
-def verify_transversal(g: Polynomial, source: CandidateSource) -> TransversalityReport:
-    """Search for singular rays and certify transversality when possible.
+def verify_transversal(g: Polynomial, source: str = "ansatz",
+                       points: Iterable[Sequence] = ()) -> TransversalityReport:
+    """Search the candidates of the named source for singular rays and
+    certify transversality when possible.
 
-    Exit states: certified rays found (non-transversal), no rays plus a
-    certificate (transversal), or no certified ray and no certificate
-    (inconclusive; never silently reported as transversal, nor as
-    non-transversal on uncertified numeric hits alone).
+    "ansatz" solves the whole root-of-unity grid, "user" tests the nonzero
+    `points` (rows of five field elements), and "float" runs the numeric
+    search of `_float_search`.  Exit states: certified rays found
+    (non-transversal), no rays plus a certificate (transversal), or no
+    certified ray and no certificate (inconclusive; never silently reported
+    as transversal, nor as non-transversal on uncertified numeric hits alone).
     """
-    points, unresolved = _search(g, source)
-    rays = _finish_rays(g, points)
-    # a user list or numeric hits prove no count; the ansatz grid counts as searched whole
-    complete = isinstance(source, AnsatzRoots) if rays else _pure_power_gradient(g)
-    return TransversalityReport(rays, source.name, complete, 0 if complete else unresolved,
+    if source not in SOURCES:
+        raise GsvInputError(f"unknown candidate source {source!r}")
+    points = list(points)
+    if points and source != "user":
+        raise GsvInputError(f"candidate points apply only to source 'user', not {source!r}")
+    _require_quintic(g)
+    unresolved = 0
+    if source == "ansatz":
+        found = _scan(g).grid_zeros()
+    elif source == "user":
+        pts = (tuple(map(g.field.element, p)) for p in points)
+        found = [p for p in pts if any(p) and _scan(g).vanishes(p)]  # the origin is excised
+    else:
+        found, unresolved = _float_search(g)
+    rays = _finish_rays(g, found)
+    # the ansatz grid counts as searched whole
+    complete = source not in _UNCOUNTED if rays else _pure_power_gradient(g)
+    return TransversalityReport(rays, source, complete, 0 if complete else unresolved,
                                 g.field.order)
 
 
@@ -555,19 +523,30 @@ def verify_transversal(g: Polynomial, source: CandidateSource) -> Transversality
 
 
 def _float_search(g: Polynomial) -> Tuple[list, int]:
-    """The normalized grid rays where `FloatHomotopy` hits certify, and the
-    number of distinct hits that do not."""
+    """The normalized grid rays where numeric hits certify, and the number of
+    distinct hits that do not.
+
+    Gauss-Newton on the gradient system in the affine charts: `FLOAT_STARTS
+    // 5` complex starts per chart are drawn from `default_rng(FLOAT_SEED)`
+    (real then imaginary parts, start by start, chart by chart), and the
+    starts of all five charts are iterated as one batch until max|dG| <
+    `FLOAT_TOLERANCE`.  Each solution, scaled so its largest coordinate is 1,
+    is snapped to the root-of-unity grid when every coordinate lies within
+    1e-2 of a grid value, rotated by a power of zeta so its first nonzero
+    coordinate is 1, and certified by the exact grid scan.  A hit that does
+    not snap, or whose snap is not singular, is only counted as unresolved.
+    """
     import numpy as np
 
     from .homotopy import complex_evaluator, newton_batch
 
     gradient = complex_evaluator(g.gradient())
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
-    per_chart = max(FloatHomotopy.starts // 5, 1)
+    per_chart = max(FLOAT_STARTS // 5, 1)
     # chart after chart, the same stream as drawing re(4) then im(4) start after start
-    z = np.random.default_rng(FloatHomotopy.seed).standard_normal((5 * per_chart, 2, 4))
+    z = np.random.default_rng(FLOAT_SEED).standard_normal((5 * per_chart, 2, 4))
     pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
-                           gradient, hessian, FloatHomotopy.tolerance)
+                           gradient, hessian, FLOAT_TOLERANCE)
     pts = pts[ok]
     lead = (abs(pts) > 1e-8).argmax(axis=1)
     pts = pts / np.take_along_axis(pts, lead[:, None], axis=1)

@@ -23,7 +23,7 @@ from gsvkit.cyclo import CyclotomicField
 from gsvkit.exocurves import build_exocurve, compactify, deficit_angle, transition
 from gsvkit.poly import parse_polynomial
 from gsvkit.resolutions import build_transition_graph
-from gsvkit.singular import (NODE, AnsatzRoots, Kind, SingularRay,
+from gsvkit.singular import (NODE, Kind, SingularRay,
                              TransversalityReport, verify_transversal)
 from gsvkit.strata import StratumKind, build_ground_state_variety
 
@@ -52,7 +52,7 @@ def random_conifold(rng, max_nodes=50):
 def test_criterion_1_transversal_case():
     start = time.perf_counter()
     g = parse_polynomial(FERMAT, K5)
-    report = verify_transversal(g, AnsatzRoots())
+    report = verify_transversal(g, "ansatz")
     assert report.transversal is True and report.complete
     positive = build_ground_state_variety(report, "pos")
     assert [s.kind for s in positive.strata] == [StratumKind.SMOOTH_CY]
@@ -67,7 +67,7 @@ def test_criterion_1_transversal_case():
 def test_criterion_2_dwork_node_oracle():
     start = time.perf_counter()
     g = parse_polynomial(DWORK, K5)
-    rays = verify_transversal(g, AnsatzRoots()).rays
+    rays = verify_transversal(g, "ansatz").rays
     assert len(rays) == 125
     assert all(r.classification.kind is Kind.NODE for r in rays)
 

@@ -694,6 +694,16 @@ def test_analyze_builds_only_the_requested_format(capsysbinary, fmt, unused):
     assert capsysbinary.readouterr().out == golden.read_bytes()
 
 
+def test_source_choices_are_the_singular_sources():
+    # the parser spells the list out so that building it loads no singular code
+    from gsvkit.singular import SOURCES
+
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    source = next(a for a in commands["analyze"]._actions if a.dest == "source")
+    assert source.choices == SOURCES
+
+
 def test_parser_defaults(capsys):
     parser = build_parser()
     args = parser.parse_args(["analyze", FERMAT])

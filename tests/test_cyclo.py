@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gsvkit.cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial, residue_prime
+from gsvkit.errors import GsvInputError
 
 
 def frac(num, den=1):
@@ -63,6 +64,12 @@ def test_zeta_power_table_matches_powering():
         K = CyclotomicField(k)
         for a in range(-2 * k, 2 * k + 1):
             assert K.zeta_power(a).coeffs == (K.zeta() ** a).coeffs
+
+
+@pytest.mark.parametrize("order", (5.0, True, "5", None))
+def test_field_order_must_be_an_int(order):
+    with pytest.raises(GsvInputError, match=f"order must be an integer, got {order!r}"):
+        CyclotomicField(order)
 
 
 def test_small_orders_degenerate_to_rationals():

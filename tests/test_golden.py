@@ -92,3 +92,8 @@ def test_analyze_json_round_trips_through_the_reader(golden):
     text = (GOLDEN / golden).read_text(encoding="utf-8")
     report = TransversalityReport.from_json_dict(json.loads(text))
     assert json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n" == text
+    # a report that names no source reads as source "file", and reads back the same
+    sourceless = {k: v for k, v in json.loads(text).items() if k != "source"}
+    report = TransversalityReport.from_json_dict(sourceless)
+    assert report.source == "file"
+    assert TransversalityReport.from_json_dict(report.to_json_dict()) == report

@@ -15,8 +15,7 @@ from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvInputError
 from gsvkit.linalg import matrix_rank, rank_mod_p
 from gsvkit.poly import Polynomial, parse_polynomial
-from gsvkit.singular import (AnsatzRoots, FloatHomotopy, Kind, UserList,
-                             ansatz_candidates, classify_singularity, normalize_ray,
+from gsvkit.singular import (Kind, ansatz_candidates, classify_singularity, normalize_ray,
                              verify_transversal)
 
 K5 = CyclotomicField(5)
@@ -30,7 +29,7 @@ ONE_NODE = parse_polynomial(
 
 
 def test_fermat_is_transversal():
-    report = verify_transversal(FERMAT, AnsatzRoots())
+    report = verify_transversal(FERMAT, "ansatz")
     assert report.transversal is True
     assert report.complete and report.isolated
     assert report.rays == ()
@@ -42,7 +41,7 @@ def test_ansatz_candidate_count():
 
 
 def test_cone_over_fermat_quartic_surface():
-    report = verify_transversal(CONE_FERMAT, AnsatzRoots())
+    report = verify_transversal(CONE_FERMAT, "ansatz")
     assert report.transversal is False
     assert [r.coords_text() for r in report.rays] == [("0", "0", "0", "0", "1")]
     ray = report.rays[0]
@@ -52,7 +51,7 @@ def test_cone_over_fermat_quartic_surface():
 
 
 def test_single_node_polynomial():
-    rays = verify_transversal(ONE_NODE, AnsatzRoots()).rays
+    rays = verify_transversal(ONE_NODE, "ansatz").rays
     assert len(rays) == 1
     assert rays[0].coords_text() == ("0", "0", "0", "0", "1")
     assert rays[0].classification.kind is Kind.NODE
@@ -83,7 +82,7 @@ def test_classification_is_scaling_invariant():
 
 
 def test_dwork_ray_structure():
-    rays = verify_transversal(DWORK, AnsatzRoots()).rays
+    rays = verify_transversal(DWORK, "ansatz").rays
     assert len(rays) == 125
     # every ray is normalized, exactly singular, and G vanishes on it
     gradient = DWORK.gradient()
@@ -117,8 +116,8 @@ def test_dwork_exponent_oracle():
 
 
 def test_find_rays_deterministic():
-    first = verify_transversal(DWORK, AnsatzRoots()).rays
-    second = verify_transversal(DWORK, AnsatzRoots()).rays
+    first = verify_transversal(DWORK, "ansatz").rays
+    second = verify_transversal(DWORK, "ansatz").rays
     assert first == second
 
 
@@ -130,7 +129,7 @@ def test_user_list_source():
         (K5.one, K5.one, K5.one, K5.one, z),      # exponent sum 1: not singular
         tuple([K5.zero] * 5),                     # origin: excised, not a ray
     )
-    report = verify_transversal(DWORK, UserList(points))
+    report = verify_transversal(DWORK, "user", points)
     assert len(report.rays) == 2
     # 2 of Dwork's 125 rays: a list proves no count
     assert report.transversal is False and not report.complete
@@ -138,26 +137,34 @@ def test_user_list_source():
 
 def test_user_list_never_certifies_transversality():
     not_singular = ((K5.one,) * 5,)
-    open_report = verify_transversal(FERMAT, UserList(not_singular))
+    open_report = verify_transversal(FERMAT, "user", not_singular)
     # the certificate still fires for a diagonal quintic
     assert open_report.transversal is True and open_report.complete
     mixed = parse_polynomial("s0^5+s1^5+s2^5+s3^5+s4^5+s0^2*s1^3", K5)
-    report = verify_transversal(mixed, UserList(not_singular))
+    report = verify_transversal(mixed, "user", not_singular)
     assert report.transversal is None and not report.complete
 
 
 def test_inconclusive_search_is_flagged():
     mixed = parse_polynomial("s0^5+s1^5+s2^5+s3^5+s4^5+s0^2*s1^3", K5)
-    report = verify_transversal(mixed, AnsatzRoots())
+    report = verify_transversal(mixed, "ansatz")
     assert report.transversal is None
     assert not report.complete
     assert report.rays == ()
 
 
+def test_rejects_an_unknown_source_and_points_of_another_source():
+    with pytest.raises(GsvInputError, match="unknown candidate source 'nope'"):
+        verify_transversal(DWORK, "nope")
+    for source in ("ansatz", "float"):
+        with pytest.raises(GsvInputError, match=f"apply only to source 'user', not '{source}'"):
+            verify_transversal(DWORK, source, points=[(K5.one,) * 5])
+
+
 def test_rejects_non_quintic_input():
     with pytest.raises(GsvInputError):
         verify_transversal(parse_polynomial("s0^4+s1^4+s2^4+s3^4+s4^4", K5),
-                           AnsatzRoots())
+                           "ansatz")
 
 
 def test_normalize_ray():
@@ -189,19 +196,19 @@ def test_finish_rays_rejects_a_ray_where_g_does_not_vanish():
 
 
 def test_float_homotopy_certifies_grid_solutions():
-    rays = verify_transversal(ONE_NODE, FloatHomotopy()).rays
+    rays = verify_transversal(ONE_NODE, "float").rays
     assert [r.coords_text() for r in rays] == [("0", "0", "0", "0", "1")]
-    report = verify_transversal(ONE_NODE, FloatHomotopy())
+    report = verify_transversal(ONE_NODE, "float")
     assert not report.complete  # numeric searches are never certified complete
 
 
 def test_float_homotopy_on_dwork():
     # best effort: a decent fraction of the 125 nodes, every certified hit a
     # true node appearing in the exact search
-    rays = verify_transversal(DWORK, FloatHomotopy()).rays
+    rays = verify_transversal(DWORK, "float").rays
     assert len(rays) >= 50
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in verify_transversal(DWORK, AnsatzRoots()).rays}
+    exact = {r.coords_text() for r in verify_transversal(DWORK, "ansatz").rays}
     assert {r.coords_text() for r in rays} <= exact
 
 
@@ -209,7 +216,7 @@ def test_float_homotopy_certifies_a_slowly_converging_non_node():
     # at the corank-4 ray of s0^5+..+s3^5 Newton converges only linearly and
     # stops about 1e-3 off the ray; every hit still snaps to it
     g = parse_polynomial((DATA / "degenerate.poly").read_text(), K5)
-    rays = verify_transversal(g, FloatHomotopy()).rays
+    rays = verify_transversal(g, "float").rays
     assert [(r.coords_text(), r.classification) for r in rays] == [
         (("0", "0", "0", "0", "1"), singular.SingularityClass(Kind.NON_NODE, 4))]
 
@@ -275,7 +282,7 @@ def test_grid_scan_matches_exact_evaluation(g, data):
            (field.element(2),) * 5,
            (field.one, field.element(Fraction(1, 2)), field.one, field.zero, field.zero)]
     candidates = list(grid(field, phases)) + off
-    assert singular._exact_search(g, candidates) == [
+    assert list(filter(singular._scan(g).vanishes, candidates)) == [
         pt for pt in candidates if all(d.evaluate(pt).is_zero() for d in g.gradient())]
 
 
@@ -284,7 +291,7 @@ def test_grid_scan_falls_back_off_the_grid():
     off = (K5.element(2),) * 5
     half = (K5.one, K5.element(Fraction(1, 2)), K5.zero, K5.zero, K5.zero)
     on = (K5.one,) * 5
-    assert singular._exact_search(DWORK, [off, half, on]) == [off, on]
+    assert list(filter(singular._scan(DWORK).vanishes, [off, half, on])) == [off, on]
     for wrong in (on[:4], on + (K5.one,)):
         with pytest.raises(GsvInputError, match="coordinates, expected 5"):
             singular._scan(DWORK).vanishes(wrong)
@@ -295,7 +302,7 @@ def test_grid_scans_take_no_cyclo_evaluation_on_the_grid(monkeypatch):
         raise AssertionError("grid point sent to Polynomial.evaluate")
 
     monkeypatch.setattr(Polynomial, "evaluate", evaluate)
-    nodes = singular._exact_search(DWORK, ansatz_candidates(K5))
+    nodes = list(filter(singular._scan(DWORK).vanishes, ansatz_candidates(K5)))
     assert len(nodes) == 125
     assert singular._scan(DWORK).grid_zeros() == nodes
 
@@ -348,7 +355,7 @@ def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
 
     monkeypatch.setattr(singular._GridScan, "vanishes", vanishes)
     g = parse_polynomial(dwork_psi(1, 10), CyclotomicField(10))
-    rays = verify_transversal(g, AnsatzRoots()).rays
+    rays = verify_transversal(g, "ansatz").rays
     assert len(rays) == 125
     assert len(calls) <= 2 * len(rays)
 
@@ -447,9 +454,9 @@ def test_float_search_runs_one_newton_batch():
 def test_float_homotopy_on_dwork_at_zeta_order_10():
     # the default search, pinned: 119 of the 125 nodes, all of them on the grid
     g = parse_polynomial((DATA / "dwork_psi1.poly").read_text(), CyclotomicField(10))
-    rays = verify_transversal(g, FloatHomotopy()).rays
+    rays = verify_transversal(g, "float").rays
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in verify_transversal(g, AnsatzRoots()).rays}
+    exact = {r.coords_text() for r in verify_transversal(g, "ansatz").rays}
     found = {r.coords_text() for r in rays}
     assert len(rays) == len(found) == 119 and found <= exact
 
@@ -460,7 +467,7 @@ def test_offgrid_quintic_ansatz_finds_one_ray():
     # a, b in 1..4.  The ansatz grid reaches only a = b = 1; pinned here until
     # the count is certified, not a claim that one ray is the answer
     g = parse_polynomial((DATA / "offgrid16.poly").read_text(), K5)
-    report = verify_transversal(g, AnsatzRoots())
+    report = verify_transversal(g, "ansatz")
     assert [r.coords_text() for r in report.rays] == [("0", "0", "1", "1", "1")]
     assert report.rays[0].classification.kind is Kind.NODE
 
@@ -508,7 +515,7 @@ def test_nodes_are_certified_mod_p(monkeypatch):
 ])
 def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
     g = parse_polynomial(text, K5)
-    rays = verify_transversal(g, AnsatzRoots()).rays
+    rays = verify_transversal(g, "ansatz").rays
     assert rays
     calls = counting_rank(monkeypatch)
     for ray in rays:
@@ -528,12 +535,12 @@ def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
     calls = counting_rank(monkeypatch)
     assert classify_singularity(g, ray) == classify_singularity(ONE_NODE, ray)
     assert len(calls) == 1
-    rays = verify_transversal(g, AnsatzRoots()).rays
-    assert rays == verify_transversal(ONE_NODE, AnsatzRoots()).rays
+    rays = verify_transversal(g, "ansatz").rays
+    assert rays == verify_transversal(ONE_NODE, "ansatz").rays
 
 
 def test_reports_are_immutable():
-    report = verify_transversal(ONE_NODE, AnsatzRoots())
+    report = verify_transversal(ONE_NODE, "ansatz")
     for record, name in ((report, "complete"), (report.rays[0], "classification")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)

@@ -1,10 +1,13 @@
 """Sheet-by-sheet stratification of the ground state variety."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
 from gsvkit.cyclo import CyclotomicField
-from gsvkit.errors import IncompleteResultError, NonIsolatedError, QuantumRegionError
+from gsvkit.errors import (GsvInputError, IncompleteResultError, NonIsolatedError,
+                           QuantumRegionError)
 from gsvkit.singular import (NODE, Kind, SingularRay, SingularityClass,
                              TransversalityReport)
 from gsvkit.strata import (StratumKind, build_ground_state_variety, normalize_sheet,
@@ -132,3 +135,12 @@ def test_sheet_parsing():
     assert normalize_sheet("positive") == 1
     assert normalize_sheet("neg") == -1
     assert normalize_sheet(-3) == -1
+    # only the sign of a real level matters, however small
+    assert [normalize_sheet(r) for r in (0.5, -0.5, Fraction(1, 3), Fraction(-1, 3))] == [
+        1, -1, 1, -1]
+    for wall in (0, 0.0, Fraction(0)):
+        with pytest.raises(QuantumRegionError):
+            normalize_sheet(wall)
+    for bad in (float("nan"), None, [1], 1j):
+        with pytest.raises(GsvInputError, match="sheet must be a real moment level"):
+            normalize_sheet(bad)
