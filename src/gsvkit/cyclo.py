@@ -21,7 +21,7 @@ Scalar = Union[int, Fraction, "Cyclo"]
 
 # The largest root-of-unity order a field is built for.  On 2 vCPU with
 # Python 3.11, building Q(zeta_k) took about 1 s at k = 1000, and a Dwork
-# `analyze` about two minutes at k = 200.
+# `analyze` 2 to 3.5 s at k = 200.
 MAX_ORDER = 200
 
 

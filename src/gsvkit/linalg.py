@@ -1,8 +1,7 @@
 """Exact Gaussian elimination over any field-like element type.
 
 Entries only need truthiness (nonzero test), subtraction, multiplication,
-and division; Fraction and Cyclo both qualify.  `rank_mod_p` is the same
-elimination on integers reduced mod a prime.
+and division; Fraction and Cyclo both qualify.
 """
 
 from __future__ import annotations
@@ -37,22 +36,3 @@ def matrix_rank(rows: Sequence[Sequence]) -> int:
             break
     return rank
 
-
-def rank_mod_p(rows: Sequence[Sequence[int]], p: int) -> int:
-    """Rank over F_p of an integer matrix (entries are reduced mod p)."""
-    work = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(work[0]) if work else 0):
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        for r in range(rank + 1, len(work)):
-            factor = work[r][col] * inv % p
-            if factor:
-                work[r] = [(a - factor * b) % p for a, b in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank

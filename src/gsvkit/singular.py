@@ -19,14 +19,16 @@ exponent mod k, vanish against a fixed integer table of zeta^t.  The ansatz
 source does not visit the grid point by point: it solves one zero pattern
 (which coordinates are 0) at a time.  A pattern where some component keeps
 a single monomial has no solutions.  Otherwise a component's verdict depends
-only on its monomials' phase differences, so it is a memoized k-bit mask
-over the last free phase, ANDed over the components for each phase prefix
-of the other free coordinates.  The same test checks user candidates and
-numeric hits.  G = 0 needs no test of its own: G is homogeneous of degree 5,
-so Euler's identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart
-Hessian of rank 4 over F_p (p = 1 mod k, zeta -> an element of order k),
-reduced mod p once per polynomial, certifies a node; a lower rank mod p, or
-a denominator divisible by p, falls back to the exact rank.
+only on its monomials' phase differences, so it is a memoized k^2-bit mask
+over the last two free phases, ANDed over the components for each phase
+prefix of the other free coordinates.  The same test checks user candidates
+and numeric hits; the scan keeps each grid ray it certifies, so classifying
+it tests nothing again.  G = 0 needs no test of its own: G is homogeneous of
+degree 5, so Euler's identity 5G = sum s_i dG/ds_i gives G = 0 wherever
+dG = 0.  A chart Hessian with a nonzero determinant over F_p (p = 1 mod k,
+zeta -> an element of order k), read from power tables of the coordinates'
+residues, certifies a node; a zero determinant mod p, or a denominator
+divisible by p, falls back to the exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
@@ -41,13 +43,13 @@ from __future__ import annotations
 import json
 from enum import Enum
 from itertools import groupby, product
-from math import lcm
-from operator import attrgetter, itemgetter, mul
+from math import lcm, prod
+from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
 from .errors import GsvInputError
-from .linalg import matrix_rank, rank_mod_p
+from .linalg import matrix_rank
 from .poly import Polynomial, parse_scalar
 
 
@@ -297,7 +299,6 @@ class _GridScan:
         self.n = len(g.variables)
         self.k = field.order
         units = [field.zeta_power(a) for a in range(self.k)]
-        self._phase_of = {u.coeffs: a for a, u in enumerate(units)}
         # Phi_k is monic with integer coefficients, so zeta^t is integral
         self._columns = [[int(u.coeffs[j]) for u in units] for j in range(field.degree)]
         self._components = []
@@ -313,14 +314,15 @@ class _GridScan:
         # so the memo stays bounded however long the scan lives.
         self._grid = (field.zero, *units)
         self._memo = {id(c): a for a, c in zip((_ZERO, *range(self.k)), self._grid)}
-
-    def _phase(self, c: Cyclo) -> int:
-        return _ZERO if c.is_zero() else self._phase_of.get(c.coeffs, _OFF_GRID)
+        self._phase_of = {c.coeffs: self._memo[id(c)] for c in self._grid}
+        # normalized rays where dG = 0 is proven, as indices into `_grid`
+        self._certified: set = set()
 
     def _phases(self, point: Sequence[Cyclo]) -> list:
         phases = list(map(self._memo.get, map(id, point)))
         if None in phases:
-            phases = [self._phase(c) if a is None else a for c, a in zip(point, phases)]
+            phases = [self._phase_of.get(c.coeffs, _OFF_GRID) if a is None else a
+                      for c, a in zip(point, phases)]
         return phases
 
     def _pattern(self, nonzero: Tuple[bool, ...]):
@@ -350,9 +352,15 @@ class _GridScan:
         if _OFF_GRID in phases or len(phases) != self.n:
             # evaluate also rejects a wrong length
             return all(d.evaluate(point).is_zero() for d in self.polys)
+        # a proof holds on the whole ray, so it is kept by normalized indices
+        lead = next((a for a in phases if a != _ZERO), 0)
+        ray = tuple(0 if a == _ZERO else (a - lead) % self.k + 1 for a in phases)
         # zero coordinates carry phase -1 but exponent 0 in every survivor
-        return all(self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
-                   for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases))))
+        if ray not in self._certified and all(
+                self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
+                for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases)))):
+            self._certified.add(ray)
+        return ray in self._certified
 
     def grid_zeros(self) -> list[Tuple[Cyclo, ...]]:
         """The normalized ansatz grid points where every polynomial vanishes,
@@ -361,9 +369,12 @@ class _GridScan:
         A polynomial with one surviving monomial is c*zeta^e != 0, so its
         pattern has no zeros.  Otherwise its verdict depends only on the
         phase differences L_t - L_1 mod k of its monomials, which are
-        base + x*step in the last free phase x: one k-bit mask of the x where
-        it vanishes per base, memoized, ANDed over the polynomials for each
-        phase prefix of the other free coordinates.
+        base + y*ystep + x*xstep in the last two free phases: per base, a
+        k^2-bit mask (bit y*k + x) whose row y is the memoized k-bit mask of
+        base + y*ystep.  Masks are ANDed over the polynomials for each phase
+        prefix of the other free coordinates, a row built only while the AND
+        keeps it alive and a mask memoized only when whole.  Hits are kept
+        as certified.
         """
         k, n = self.k, self.n
         hits = []
@@ -375,32 +386,50 @@ class _GridScan:
                 continue
             lead = nonzero.index(True)
             free = [i for i in range(lead + 1, n) if nonzero[i]]
-            # with no free coordinate, x is the lead's phase 0
-            last, span = (free.pop(), k) if free else (lead, 1)
+            # a missing y or x is the lead, whose phase is 0
+            ycoord, xcoord = ([lead, lead] + free)[-2:]
+            rows, span = k if len(free) > 1 else 1, k if free else 1
+            del free[-2:]
+            row_bits = (1 << span) - 1
+            full = sum(row_bits << y * k for y in range(rows))
             comps = [(coeffs, [[e[i] - exps[0][i] for i in free] for e in exps],
-                      [e[last] - exps[0][last] for e in exps], {})
+                      [e[ycoord] - exps[0][ycoord] for e in exps],
+                      [e[xcoord] - exps[0][xcoord] for e in exps], {}, {})
                      for exps, coeffs in live]
             for prefix in product(range(k), repeat=len(free)):
-                mask = (1 << span) - 1
-                for coeffs, diffs, steps, masks in comps:
+                mask = full
+                for coeffs, diffs, ysteps, xsteps, masks, row_masks in comps:
                     base = tuple(sum(map(mul, prefix, d)) % k for d in diffs)
                     got = masks.get(base)
                     if got is None:
-                        got = masks[base] = sum(
-                            1 << x for x in range(span) if self._is_zero(
-                                coeffs, [b + x * s for b, s in zip(base, steps)]))
+                        alive = [y for y in range(rows) if mask >> y * k & row_bits]
+                        got = 0
+                        for y in alive:
+                            row = tuple((b + y * s) % k for b, s in zip(base, ysteps))
+                            bits = row_masks.get(row)
+                            if bits is None:
+                                bits = row_masks[row] = sum(
+                                    1 << x for x in range(span) if self._is_zero(
+                                        coeffs, [b + x * s for b, s in zip(row, xsteps)]))
+                            got |= bits << y * k
+                        if len(alive) == rows:
+                            masks[base] = got
                     mask &= got
                     if not mask:
                         break
-                for x in range(span):
-                    if mask >> x & 1:
-                        idx = [0] * n  # index into self._grid: 0, then 1 + phase
-                        idx[lead] = 1
-                        for i, a in zip(free, prefix):
-                            idx[i] = a + 1
-                        idx[last] = x + 1
-                        hits.append((lead, tuple(idx)))
-        return [tuple(map(self._grid.__getitem__, idx)) for _, idx in sorted(hits)]
+                while mask:
+                    bit = mask & -mask
+                    mask ^= bit
+                    y, x = divmod(bit.bit_length() - 1, k)
+                    idx = [0] * n  # index into self._grid: 0, then 1 + phase
+                    idx[lead] = 1
+                    for i, a in zip(free, prefix):
+                        idx[i] = a + 1
+                    idx[ycoord], idx[xcoord] = y + 1, x + 1
+                    hits.append((lead, tuple(idx)))
+        hits.sort()
+        self._certified.update(idx for _, idx in hits)
+        return [tuple(map(self._grid.__getitem__, idx)) for _, idx in hits]
 
 
 def _scan(g: Polynomial) -> _GridScan:
@@ -416,55 +445,61 @@ def _require_quintic(g: Polynomial):
 
 
 def _hessian_mod_p(g: Polynomial):
-    """p, omega (see `residue_prime`), the residues of zeta^0..zeta^(k-1), and
-    the Hessian of g with each entry as (exponent, coefficient residue)
-    pairs, or None when a denominator is divisible by p; built once per
-    polynomial."""
+    """Built once per g: p, omega (see `residue_prime`), the powers x^0..x^top
+    mod p of a residue x (None if it has none), those of each grid phase (0 at
+    -1, omega^a at a), and the Hessian's upper triangle by (i, j), each entry
+    as (exponent, residue) pairs or None if a denominator is divisible by p."""
     def build():
         p, omega = residue_prime(g.field.order)
+        hess = g.hessian()
+        top = max(map(max, g.terms), default=0)
+
+        def powers(x):
+            return None if x is None else tuple(pow(x, e, p) for e in range(top + 1))
 
         def reduce(h: Polynomial):
             terms = [(e, c.residue(p, omega)) for e, c in h.terms.items()]
             return None if any(r is None for _, r in terms) else terms
 
-        return (p, omega, [pow(omega, a, p) for a in range(g.field.order)],
-                [[reduce(h) for h in row] for row in g.hessian()])
+        tables = {a: powers(0 if a == _ZERO else pow(omega, a, p))
+                  for a in range(_ZERO, g.field.order)}
+        return (p, omega, powers, tables, {(i, j): reduce(h) for i, row in enumerate(hess)
+                                           for j, h in enumerate(row[i:], i)})
     return g._cached("hessian_mod_p", build)
+
+
+def _det4(m) -> int:
+    """Determinant of a 4x4 matrix by Laplace expansion along its top two rows."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = m
+    return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2) - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+            + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1) + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+            - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
 def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
     """Node iff the chart Hessian has rank 4; otherwise NonNode with corank.
 
-    Rank 4 over F_p certifies rank 4 over Q(zeta), because reduction mod p
-    cannot raise a rank; otherwise the exact rank decides.
+    The symmetric chart Hessian's 10 entries are read mod p from power
+    tables of the coordinates (see `_hessian_mod_p`).  A nonzero determinant
+    mod p certifies rank 4, as reduction mod p cannot raise a rank; a zero
+    one, or a residue that does not exist, leaves it to the exact rank.
     """
-    pt = list(normalize_ray([g.field.element(c) for c in point]))
+    pt = normalize_ray([g.field.element(c) for c in point])
     scan = _scan(g)
     if not scan.vanishes(pt):
         raise GsvInputError("point is not a singular ray (gradient does not vanish)")
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
     others = [i for i in range(5) if i != chart]
-    p, omega, units, hess_p = _hessian_mod_p(g)
-    xs = [0 if a == _ZERO else c.residue(p, omega) if a == _OFF_GRID else units[a]
-          for c, a in zip(pt, scan._phases(pt))]
-
-    def residue(terms):
-        total = 0
-        for exp, r in terms:
-            for x, e in zip(xs, exp):
-                if e:
-                    r = r * pow(x, e, p) % p
-            total += r
-        return total % p
-
-    if None not in xs and all(hess_p[i][j] is not None for i in others for j in others):
-        if rank_mod_p([[residue(hess_p[i][j]) for j in others] for i in others], p) == 4:
+    p, omega, powers, tables, upper = _hessian_mod_p(g)
+    tabs = [tables.get(a) or powers(c.residue(p, omega)) for c, a in zip(pt, scan._phases(pt))]
+    entries = [upper[i, j] for n, i in enumerate(others) for j in others[n:]]
+    if None not in tabs and None not in entries:
+        u = [sum(r * prod(map(getitem, tabs, e)) for e, r in terms) % p for terms in entries]
+        if _det4([u[0:4], [u[1], *u[4:7]], [u[2], u[5], *u[7:9]], [u[3], u[6], u[8], u[9]]]) % p:
             return NODE
     hess = g.hessian()
     rank = matrix_rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
-    if rank == 4:
-        return NODE
-    return SingularityClass(Kind.NON_NODE, corank=4 - rank)
+    return NODE if rank == 4 else SingularityClass(Kind.NON_NODE, corank=4 - rank)
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:

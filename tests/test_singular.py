@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvInputError
-from gsvkit.linalg import matrix_rank, rank_mod_p
+from gsvkit.linalg import matrix_rank
 from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (Kind, ansatz_candidates, classify_singularity, normalize_ray,
                              verify_transversal)
@@ -329,35 +329,65 @@ def dwork_psi(c: int, k: int) -> str:
 @pytest.mark.parametrize("text,k,hits", [
     ("s0^3*s1^2-s2^3*s3^2", 10, 485),
     ("s0^2*s2^3-2*s0*s1*s2^3+s1^2*s2^3", 10, 2795),
+    # a component's k^2-bit mask memoized with the rows an earlier AND had
+    # killed would lose hits here
+    ("-s0*s1*s2*s3^2-s0*s2^2*s3*s4-s1^2*s2^3-2*s1*s2^3*s4-s2^3*s4^2", 2, 37),
+    ("zeta*s0^2*s1*s4^2-s0^2*s2*s3^2+2*s0*s2*s3^2*s4+zeta*s1*s2^2*s3^2-s2*s3^2*s4^2", 4, 69),
     ((DATA / "fermat.poly").read_text(), 5, 0),
     ((DATA / "fermat.poly").read_text(), 10, 0),
     ((DATA / "degenerate.poly").read_text(), 5, 1),
     ((DATA / "degenerate.poly").read_text(), 10, 1),
-    *((dwork_psi(c, k), k, 125) for k in (5, 10, 15) for c in range(5)),
-], ids=["binomial-k10", "square-k10", "fermat-k5", "fermat-k10", "degenerate-k5",
-        "degenerate-k10", *(f"dwork-psi{c}-k{k}" for k in (5, 10, 15) for c in range(5))])
+    *((dwork_psi(c, k), k, 125) for k in (5, 10, 15, 20, 40) for c in range(5)),
+], ids=["binomial-k10", "square-k10", "row-memo-k2", "row-memo-k4", "fermat-k5", "fermat-k10",
+        "degenerate-k5", "degenerate-k10",
+        *(f"dwork-psi{c}-k{k}" for k in (5, 10, 15, 20, 40) for c in range(5))])
 def test_grid_zeros_on_named_quintics(text, k, hits):
-    g = parse_polynomial(text, CyclotomicField(k))
+    field = CyclotomicField(k)
+    g = parse_polynomial(text, field)
     zeros = singular._scan(g).grid_zeros()
     assert len(zeros) == hits
-    assert zeros == point_filter(g)
+    if k <= 15:
+        assert zeros == point_filter(g)
+    else:
+        # the per-point filter would visit (k + 1)^4 points; the Dwork rays
+        # are (1, w1, .., w4) with w_i^5 = 1 and w1*..*w4 = 1/psi, listed in
+        # grid order; psi = zeta^e is read from the coefficient -5*psi
+        psi = g.terms[(1,) * 5] * Fraction(-1, 5)
+        e = next(a for a in range(k) if field.zeta_power(a) == psi)
+        assert zeros == [(field.one, *map(field.zeta_power, a))
+                         for a in product(range(0, k, k // 5), repeat=4)
+                         if (sum(a) + e) % k == 0]
 
 
 def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
-    # each ray is rechecked once by classification and once by the G = 0
-    # value scan; the 16,105 grid points at k = 10 are never visited one by one
-    calls = []
-    real = singular._GridScan.vanishes
+    # the 16,105 grid points at k = 10 are never visited one by one, and
+    # classification asks the scan about each ray once: grid_zeros already
+    # certified it, so no exact zero test runs after grid_zeros returns
+    calls, zero_tests = [], []
+    real = {name: getattr(singular._GridScan, name)
+            for name in ("vanishes", "_is_zero", "grid_zeros")}
 
     def vanishes(self, point):
         calls.append(point)
-        return real(self, point)
+        return real["vanishes"](self, point)
 
-    monkeypatch.setattr(singular._GridScan, "vanishes", vanishes)
+    def is_zero(self, coeffs, exps):
+        zero_tests.append(exps)
+        return real["_is_zero"](self, coeffs, exps)
+
+    def grid_zeros(self):
+        zeros = real["grid_zeros"](self)
+        zero_tests.clear()
+        return zeros
+
+    for name, wrapper in (("vanishes", vanishes), ("_is_zero", is_zero),
+                          ("grid_zeros", grid_zeros)):
+        monkeypatch.setattr(singular._GridScan, name, wrapper)
     g = parse_polynomial(dwork_psi(1, 10), CyclotomicField(10))
     rays = verify_transversal(g, "ansatz").rays
     assert len(rays) == 125
-    assert len(calls) <= 2 * len(rays)
+    assert len(calls) == len(rays)
+    assert zero_tests == []
 
 
 # -- batched numeric search against the scalar evaluator ---------------------------
@@ -475,11 +505,16 @@ def test_offgrid_quintic_ansatz_finds_one_ray():
 # -- mod-p node certificate and its exact fallback ----------------------------------
 
 
-@given(st.lists(st.lists(st.integers(-5, 5), min_size=4, max_size=4), min_size=1, max_size=5))
-def test_rank_mod_p_matches_exact_rank(rows):
-    # every minor is at most 4! * 5^4 in size, far below p, so no rank drops
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=4, max_size=4),
+       st.booleans())
+def test_determinant_mod_p_is_nonzero_iff_rank_4(rows, dependent):
+    # |det| <= 4! * 2^4, far below p, so the determinant mod p is 0 only when
+    # it is 0; a last row equal to the sum of the first two forces that
     p, _ = residue_prime(5)
-    assert rank_mod_p(rows, p) == matrix_rank([[Fraction(x) for x in r] for r in rows])
+    if dependent:
+        rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
+    exact = matrix_rank([[Fraction(x) for x in r] for r in rows])
+    assert (singular._det4(rows) % p != 0) == (exact == 4)
 
 
 def counting_rank(monkeypatch):
@@ -499,6 +534,17 @@ def chart_hessian(g, pt):
     idx = [i for i in range(5) if i != chart]
     hess = g.hessian()
     return [[hess[i][j].evaluate(pt) for j in idx] for i in idx]
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_quintics())
+def test_node_test_matches_the_exact_rank(g):
+    # the mod-p determinant decides nothing the exact rank would not
+    for ray in verify_transversal(g, "ansatz").rays:
+        rank = matrix_rank(chart_hessian(g, ray.representative))
+        assert (ray.classification.kind is Kind.NODE) == (rank == 4)
+        if rank < 4:
+            assert ray.classification.corank == 4 - rank
 
 
 def test_nodes_are_certified_mod_p(monkeypatch):
@@ -537,6 +583,42 @@ def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
     assert len(calls) == 1
     rays = verify_transversal(g, "ansatz").rays
     assert rays == verify_transversal(ONE_NODE, "ansatz").rays
+
+
+def substitute(g, forms):
+    """g with each s_i replaced by the linear form of integer coefficients
+    forms[i], expanded."""
+    total = {}
+    for exp, coeff in g.terms.items():
+        term = {(0,) * 5: coeff}
+        for form, e in zip(forms, exp):
+            for _ in range(e):
+                grown = {}
+                for mono, c in term.items():
+                    for j, a in enumerate(form):
+                        if a:
+                            key = mono[:j] + (mono[j] + 1,) + mono[j + 1:]
+                            grown[key] = grown.get(key, 0) + c * a
+                term = grown
+        for mono, c in term.items():
+            total[mono] = total.get(mono, 0) + c
+    return Polynomial(g.field, g.variables, total)
+
+
+def test_off_grid_user_point_without_a_residue_takes_exact_path(monkeypatch):
+    # s_i -> s_i + (1 - p)*s1 (i != 1) has determinant 1 and maps the ray of
+    # (1, 1/p, 1, 1, 1) onto Dwork's grid node (1, 1, 1, 1, 1); 1/p has no
+    # residue mod p, so the node test must leave that ray to the exact rank
+    p, _ = residue_prime(5)
+    forms = [[int(i == j) + (1 - p) * (j == 1 and i != 1) for j in range(5)] for i in range(5)]
+    g = substitute(DWORK, forms)
+    twin = classify_singularity(DWORK, (K5.one,) * 5)
+    calls = counting_rank(monkeypatch)
+    point = tuple(map(K5.element, (1, Fraction(1, p), 1, 1, 1)))
+    report = verify_transversal(g, "user", [point])
+    assert [r.representative for r in report.rays] == [point]
+    assert [r.classification for r in report.rays] == [twin] == [singular.NODE]
+    assert len(calls) == 1
 
 
 def test_reports_are_immutable():
