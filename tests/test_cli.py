@@ -95,6 +95,16 @@ def test_analyze_float_exits_1_only_on_a_certified_non_node(capsys, tmp_path):
     assert code == 2 and out == "" and "inconclusive" in err
 
 
+def test_analyze_float_rejects_a_coefficient_beyond_float_range(capsys):
+    huge = "1" + "0" * 400
+    code, out, err = run(capsys, "analyze", f"{FERMAT}+{huge}*s0*s1*s2*s3*s4",
+                         "--source", "float")
+    assert code == 1 and out == ""
+    # the first term compiled is that of dG/ds0
+    assert err == (f"error: GsvInputError: term {huge}*s1*s2*s3*s4 has a coefficient "
+                   "beyond float range\n")
+
+
 # s0^5 + s1^5 + s0*B(s2) - s1*B(s3), B(x) = (x - 2*s4)(x - 3*s4)(x - 4*s4)(x - 5*s4):
 # every node (0, 0, a, b, 1), a, b in 2..5, lies off the root-of-unity grid
 OFF_GRID_2_TO_5 = ("s0^5 + s1^5 + s0*s2^4 - 14*s0*s2^3*s4 + 71*s0*s2^2*s4^2"

@@ -34,6 +34,10 @@ ANALYZE = [(stem, order, fmt)
            for stem, order in (("dwork_psi1", 5), ("dwork_psi1", 10),
                                ("degenerate", 5), ("fermat", 5))
            for fmt in ("json", "text")]
+# every data/*.poly under --source float at k = 5, and Dwork at k = 10 as well
+POLYS = [p.stem for p in sorted((ROOT / "data").glob("*.poly"))]
+FLOAT = [(stem, 5) for stem in POLYS] + [("dwork_psi1", 10)]
+FLOAT_CASES = [(stem, order, fmt) for stem, order in FLOAT for fmt in ("json", "text")]
 STRATIFY = [(stem, sheet, fmt) for stem in ("dwork_psi1", "fermat")
             for sheet in ("pos", "neg") for fmt in ("text", "json")]
 
@@ -62,13 +66,20 @@ def test_analyze_matches_golden(capsysbinary, stem, order, fmt):
     assert out == (GOLDEN / f"{stem}.analyze.k{order}.{fmt}").read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ("json", "text"))
-def test_analyze_float_matches_golden(capsysbinary, fmt):
-    code = main(["analyze", str(ROOT / "data" / "dwork_psi1.poly"),
-                 "--source", "float", "--format", fmt])
+def test_every_poly_data_file_has_its_float_goldens():
+    missing = [f"{stem}.analyze_float.k{order}.{fmt}" for stem, order, fmt in FLOAT_CASES
+               if not (GOLDEN / f"{stem}.analyze_float.k{order}.{fmt}").is_file()]
+    assert POLYS and not missing, f"data files without float goldens: {missing}"
+
+
+@pytest.mark.parametrize("stem,order,fmt", FLOAT_CASES,
+                         ids=[f"{s}.analyze_float.k{k}.{f}" for s, k, f in FLOAT_CASES])
+def test_analyze_float_matches_golden(capsysbinary, stem, order, fmt):
+    code = main(["analyze", str(ROOT / "data" / f"{stem}.poly"), "--source", "float",
+                 "--zeta-order", str(order), "--format", fmt])
     out = capsysbinary.readouterr().out
-    assert code == ANALYZE_EXIT["dwork_psi1.analyze_float.k5"]
-    assert out == (GOLDEN / f"dwork_psi1.analyze_float.k5.{fmt}").read_bytes()
+    assert code == ANALYZE_EXIT[f"{stem}.analyze_float.k{order}"]
+    assert out == (GOLDEN / f"{stem}.analyze_float.k{order}.{fmt}").read_bytes()
 
 
 @pytest.mark.parametrize("stem,sheet,fmt", STRATIFY,
@@ -84,7 +95,7 @@ def test_stratify_matches_golden(capsysbinary, tmp_path, stem, sheet, fmt):
 
 
 ANALYZE_JSON = [f"{s}.analyze.k{k}.json" for s, k, f in ANALYZE if f == "json"]
-ANALYZE_JSON.append("dwork_psi1.analyze_float.k5.json")
+ANALYZE_JSON += [f"{s}.analyze_float.k{k}.json" for s, k in FLOAT]
 
 
 @pytest.mark.parametrize("golden", ANALYZE_JSON)

@@ -468,6 +468,84 @@ def test_newton_batch_mixes_charts_like_one_call_per_chart():
         assert (pts[rows, c] == 1).all()
 
 
+def _jacobians(rng, kinds):
+    """5 x 4 complex matrices U diag(sigma) V^H at scales 1e-3 .. 1e3, one per
+    kind: 0 well-conditioned (sigma in 1..10), 1 nearly rank-deficient (one
+    sigma 1e-3 .. 1e-12 of the others), 2 exactly rank-deficient (a column
+    zeroed or repeated)."""
+    def orthonormal(m, n):
+        return np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))[0]
+
+    rows = []
+    for kind in kinds:
+        sigma = rng.uniform(1, 10, 4)
+        if kind == 1:
+            sigma[rng.integers(4)] = 10.0 ** -rng.uniform(3, 12)
+        jac = 10.0 ** rng.uniform(-3, 3) * (orthonormal(5, 4) * sigma) @ orthonormal(4, 4).T.conj()
+        if kind == 2:
+            a, b = rng.choice(4, 2, replace=False)
+            jac[:, a] = 0 if rng.integers(2) else jac[:, b]
+        rows.append(jac)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_gauss_newton_step_is_the_pinv_step_row_by_row(seed):
+    rng = np.random.default_rng(seed)
+    kinds = rng.permutation(np.arange(48) % 3)
+    jac = _jacobians(rng, kinds)
+    f = rng.standard_normal((48, 5)) + 1j * rng.standard_normal((48, 5))
+    step, solved = homotopy.gauss_newton_step(jac, f)
+    # cond(J) <= 20 always passes the Gram test, cond(J) >= 1e4 never does
+    assert solved[kinds == 0].all() and not solved[kinds == 2].any()
+    eps = np.finfo(float).eps
+
+    def matches(got, i, want):
+        """A solved row within the normal equations' error, cond(J)^2 eps on
+        the scale |f| / sigma_min, of `want`; any other row equal to it."""
+        if not solved[i]:
+            return np.array_equal(got, want)
+        sigma = np.linalg.svd(jac[i], compute_uv=False)
+        kappa = sigma[0] / sigma[-1]
+        bound = 100 * kappa ** 2 * eps * np.linalg.norm(f[i]) / sigma[-1]
+        return kappa < 1e4 and np.abs(got - want).max() <= bound
+
+    for i in range(len(jac)):
+        assert matches(step[i], i, np.linalg.pinv(jac[i], rcond=5 * eps) @ -f[i])
+    # a row's step is its own: alone, or beside an ill-conditioned row or one
+    # whose Gram matrix overflows to inf, it takes the same path and step
+    companions = (jac[kinds == 1][:1], 1e200 * jac[:1])
+    for i in range(len(jac)):
+        batches = [(jac[i:i + 1], f[i:i + 1])]
+        batches += [(np.concatenate([c, jac[i:i + 1]]), f[[0, i]]) for c in companions]
+        for batch, values in batches:
+            got, mask = homotopy.gauss_newton_step(batch, values)
+            assert mask[-1] == solved[i] and matches(got[-1], i, step[i])
+
+
+def test_newton_batch_calls_pinv_only_for_ill_conditioned_rows():
+    # starts near Dwork nodes in chart s0 = 1: the Jacobians there are well
+    # conditioned, so no row needs the SVD
+    z = np.exp(2j * np.pi / 5)
+    starts = np.array([[1, 1, 1, 1], [z, z ** 4, 1, 1], [z, z, z, z ** 2]]) + 1e-3
+    gradient = homotopy.complex_evaluator(DWORK.gradient())
+    hessian = homotopy.complex_evaluator([h for row in DWORK.hessian() for h in row])
+    with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+        _, ok = homotopy.newton_batch(starts, np.zeros(3, int), gradient, hessian, 1e-10)
+    assert ok.all() and pinv.call_count == 0
+    # s0^5 + .. + s3^5 does not involve s4: in the chart s0 = 1 every Jacobian
+    # has a zero s4 column, so every step is the minimum-norm SVD step, which
+    # leaves s4 where it started
+    degenerate = parse_polynomial((DATA / "degenerate.poly").read_text(), K5)
+    gradient = homotopy.complex_evaluator(degenerate.gradient())
+    hessian = homotopy.complex_evaluator([h for row in degenerate.hessian() for h in row])
+    with mock.patch.object(np.linalg, "pinv", wraps=np.linalg.pinv) as pinv:
+        pts, _ = homotopy.newton_batch(np.array([[0.3, 0.2j, -0.1, 0.5]]), np.zeros(1, int),
+                                       gradient, hessian, 1e-10)
+    assert pinv.call_count > 0 and pts[0, 4] == 0.5
+    assert all(not call.args[0][:, :, 3].any() for call in pinv.call_args_list)
+
+
 def test_float_search_runs_one_newton_batch():
     with mock.patch.object(homotopy, "newton_batch", wraps=homotopy.newton_batch) as batch:
         certified, unresolved = singular._float_search(DWORK)
