@@ -48,7 +48,7 @@ from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
-from .errors import GsvInputError
+from .errors import GsvError, GsvInputError
 from .linalg import matrix_rank
 from .poly import Polynomial, parse_scalar
 
@@ -240,7 +240,8 @@ def _require_fields(obj, names, where: str) -> None:
 SOURCES = ("ansatz", "user", "float")
 # The sources whose rays prove no count: only the ansatz search proves one
 _UNCOUNTED = ("user", "float")
-# The numeric search's starts, seed and convergence tolerance (see `_float_search`)
+# The numeric search's start count, the seed of its table `float_starts.npy` and
+# its convergence tolerance (see `_float_search`)
 FLOAT_STARTS, FLOAT_SEED, FLOAT_TOLERANCE = 400, 20260809, 1e-10
 
 
@@ -557,29 +558,55 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
 # -- numeric fallback -------------------------------------------------------------
 
 
+def _require_float_hessian(g: Polynomial) -> None:
+    """Raise GsvInputError naming G's term when the largest multiple of it in
+    the Hessian, c * e_i * (e_j - [i = j]), leaves float range."""
+    for e, c in g.terms.items():
+        top = max(a * (b - (i == j)) for i, a in enumerate(e) for j, b in enumerate(e))
+        try:
+            (c * top).to_complex()
+        except OverflowError:
+            term = Polynomial(g.field, g.variables, {e: c})
+            raise GsvInputError(f"term {term} has a Hessian coefficient beyond float "
+                                "range") from None
+
+
 def _float_search(g: Polynomial) -> Tuple[list, int]:
     """The normalized grid rays where numeric hits certify, and the number of
     distinct hits that do not.
 
     Gauss-Newton on the gradient system in the affine charts: `FLOAT_STARTS
-    // 5` complex starts per chart are drawn from `default_rng(FLOAT_SEED)`
-    (real then imaginary parts, start by start, chart by chart), and the
-    starts of all five charts are iterated as one batch until max|dG| <
-    `FLOAT_TOLERANCE`.  Each solution, scaled so its largest coordinate is 1,
-    is snapped to the root-of-unity grid when every coordinate lies within
-    1e-2 of a grid value, rotated by a power of zeta so its first nonzero
-    coordinate is 1, and certified by the exact grid scan.  A hit that does
-    not snap, or whose snap is not singular, is only counted as unresolved.
+    // 5` complex starts per chart are read from the package's
+    `float_starts.npy`, the (starts, re/im, 4) float64 standard-normal draw
+    of numpy's default generator seeded with `FLOAT_SEED` (real then
+    imaginary parts, start by start, chart by chart; a test regenerates it
+    bit for bit), and the starts of all five charts are iterated as one
+    batch until max|dG| < `FLOAT_TOLERANCE`.  Each solution, scaled so its
+    largest coordinate is 1, is snapped to the root-of-unity grid when every
+    coordinate lies within 1e-2 of a grid value, rotated by a power of zeta
+    so its first nonzero coordinate is 1, and certified by the exact grid
+    scan.  A hit that does not snap, or whose snap is not singular, is only
+    counted as unresolved.
+
+    A table of another shape raises GsvError.  A coefficient that leaves
+    float range raises GsvInputError: one of the gradient is named as its
+    gradient term, one that only the Hessian multiplies out of range as G's
+    own term.
     """
+    from pathlib import Path
+
     import numpy as np
 
     from .homotopy import complex_evaluator, newton_batch
 
     gradient = complex_evaluator(g.gradient())
+    _require_float_hessian(g)
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
-    per_chart = max(FLOAT_STARTS // 5, 1)
-    # chart after chart, the same stream as drawing re(4) then im(4) start after start
-    z = np.random.default_rng(FLOAT_SEED).standard_normal((5 * per_chart, 2, 4))
+    per_chart = FLOAT_STARTS // 5
+    z = np.load(Path(__file__).with_name("float_starts.npy"))
+    if z.shape != (5 * per_chart, 2, 4):
+        raise GsvError(f"float_starts.npy holds starts of shape {z.shape}, not the "
+                       f"{(5 * per_chart, 2, 4)} of FLOAT_STARTS = {FLOAT_STARTS}")
     pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
                            gradient, hessian, FLOAT_TOLERANCE)
     pts = pts[ok]

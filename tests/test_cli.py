@@ -105,6 +105,16 @@ def test_analyze_float_rejects_a_coefficient_beyond_float_range(capsys):
                    "beyond float range\n")
 
 
+def test_analyze_float_names_the_term_whose_hessian_leaves_float_range(capsys):
+    # 10^307 and 5 * 10^307 fit a float; the Hessian's 20 * 10^307 does not
+    huge = "1" + "0" * 307
+    code, out, err = run(capsys, "analyze", f"{huge}*s0^5+s1^5+s2^5+s3^5+s4^5",
+                         "--source", "float")
+    assert code == 1 and out == ""
+    assert err == (f"error: GsvInputError: term {huge}*s0^5 has a Hessian coefficient "
+                   "beyond float range\n")
+
+
 # s0^5 + s1^5 + s0*B(s2) - s1*B(s3), B(x) = (x - 2*s4)(x - 3*s4)(x - 4*s4)(x - 5*s4):
 # every node (0, 0, a, b, 1), a, b in 2..5, lies off the root-of-unity grid
 OFF_GRID_2_TO_5 = ("s0^5 + s1^5 + s0*s2^4 - 14*s0*s2^3*s4 + 71*s0*s2^2*s4^2"
@@ -451,6 +461,13 @@ def test_each_command_loads_only_its_modules(tmp_path, conifold_file, command, l
             "cohomology": ["cohomology", conifold_file, *out],
             "resolutions": ["resolutions", conifold_file, *out]}[command]
     assert modules_after(argv) == {"gsvkit", "gsvkit.cli", "gsvkit.errors"} | loaded
+
+
+def test_analyze_float_loads_numpy_but_not_numpy_random(tmp_path):
+    loaded = modules_after(["analyze", str(DATA / "fermat.poly"), "--source", "float",
+                            "--output", str(tmp_path / "r.txt")])
+    assert {"gsvkit.homotopy", "numpy"} <= loaded
+    assert not [m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")]
 
 
 def test_cohomology_command(capsys, conifold_file):

@@ -1,6 +1,7 @@
 """The package namespace: every public name loads from its home module on use."""
 
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -30,3 +31,14 @@ def test_star_import_binds_every_public_name():
     exec("from gsvkit import *", namespace)
     assert set(gsvkit.__all__) <= set(namespace)
     assert namespace["verify_transversal"] is gsvkit.verify_transversal
+
+
+def test_every_data_file_of_the_package_is_declared():
+    """A wheel carries only the `.py` files and the declared package data."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parent.parent
+    config = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))
+    declared = set(config["tool"]["setuptools"]["package-data"]["gsvkit"])
+    files = {p.name for p in (root / "src" / "gsvkit").iterdir()
+             if p.is_file() and p.suffix != ".py"}
+    assert files and files <= declared

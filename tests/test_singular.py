@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
-from gsvkit.errors import GsvInputError
+from gsvkit.errors import GsvError, GsvInputError
 from gsvkit.linalg import matrix_rank
 from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (Kind, ansatz_candidates, classify_singularity, normalize_ray,
@@ -557,6 +557,25 @@ def test_float_search_runs_one_newton_batch():
     for ray in certified:
         assert {id(c) for c in ray} <= grid
         assert next(c for c in ray if not c.is_zero()) is K5.one
+
+
+def test_float_starts_are_the_seeded_draw():
+    starts = np.load(Path(singular.__file__).with_name("float_starts.npy"))
+    shape = (5 * (singular.FLOAT_STARTS // 5), 2, 4)
+    assert starts.dtype == np.float64 and starts.shape == shape
+    regenerate = ("python -c \"import numpy as np; np.save('src/gsvkit/float_starts.npy', "
+                  f"np.random.default_rng({singular.FLOAT_SEED}).standard_normal({shape}), "
+                  "allow_pickle=False)\"")
+    assert np.array_equal(starts, np.random.default_rng(singular.FLOAT_SEED)
+                          .standard_normal(shape)), f"regenerate the table: {regenerate}"
+
+
+def test_float_search_rejects_starts_of_another_shape():
+    with mock.patch.object(singular, "FLOAT_STARTS", 500), \
+            mock.patch.object(homotopy, "newton_batch") as batch:
+        with pytest.raises(GsvError, match=r"shape \(400, 2, 4\), not the \(500, 2, 4\)"):
+            singular._float_search(DWORK)
+    batch.assert_not_called()
 
 
 def test_float_homotopy_on_dwork_at_zeta_order_10():
