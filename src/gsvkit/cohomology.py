@@ -111,7 +111,7 @@ class ConifoldData(namedtuple("ConifoldData", "base n classes")):
                         f"node {j} listed {where}, expected exactly one class")
                 owner[j] = k
         if len(owner) != n:
-            missing = min(set(range(1, n + 1)) - owner.keys())
+            missing = next(j for j in range(1, n + 1) if j not in owner)
             raise MalformedIncidenceError(f"node {missing} lies on no 4-cycle class")
         return super().__new__(cls, base, n, classes)
 

@@ -13,7 +13,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Iterable, Union
 
 from .errors import GsvInputError
 
@@ -149,6 +149,14 @@ class CyclotomicField:
         return Cyclo(self, tuple(vec))
 
 
+def signed_sum(pieces: Iterable[tuple[str, str]]) -> str:
+    """(sign, body) pairs written as `a - b + c`, or "0" when there are none."""
+    text = "".join(f" {sign} {body}" for sign, body in pieces)
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -199,7 +207,9 @@ class Cyclo:
         return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash((self.field.order, self.coeffs))
+        # a rational element equals its int or Fraction, so it hashes as one
+        c = self.coeffs
+        return hash((self.field.order, c)) if any(c[1:]) else hash(c[0])
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -342,13 +352,7 @@ class Cyclo:
                 z = "zeta" if i == 1 else f"zeta^{i}"
                 body = z if mag == 1 else f"{mag}*{z}"
             pieces.append(("-" if c < 0 else "+", body))
-        if not pieces:
-            return "0"
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(pieces)
 
     def __repr__(self) -> str:
         return f"Cyclo({self.field!r}, {self})"

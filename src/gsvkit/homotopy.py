@@ -11,7 +11,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import GsvInputError
 from .poly import Polynomial
 
 
@@ -23,8 +22,7 @@ def complex_evaluator(polys: Sequence[Polynomial]):
     exponents, times a complex coefficient matrix built with one `to_complex`
     per coefficient.  Each coordinate's powers 0..max exponent come from
     repeated multiplication, and a monomial is the product of its gathered
-    powers, one variable at a time.  A coefficient beyond float range raises
-    GsvInputError naming its term.
+    powers, one variable at a time.
     """
     exps = sorted({e for p in polys for e in p.terms})
     index = {e: i for i, e in enumerate(exps)}
@@ -33,12 +31,7 @@ def complex_evaluator(polys: Sequence[Polynomial]):
     coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
     for col, p in enumerate(polys):
         for e, c in p.terms.items():
-            try:
-                coeffs[index[e], col] = c.to_complex()
-            except OverflowError:
-                term = Polynomial(p.field, p.variables, {e: c})
-                raise GsvInputError(f"term {term} has a coefficient beyond float "
-                                    "range") from None
+            coeffs[index[e], col] = c.to_complex()
 
     def evaluate(points):
         coords = points.T

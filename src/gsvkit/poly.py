@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .cyclo import Cyclo, CyclotomicField, Scalar
+from .cyclo import Cyclo, CyclotomicField, Scalar, signed_sum
 from .errors import DegreeUndefinedError, GsvInputError, PolynomialParseError
 
 DEFAULT_VARIABLES: Tuple[str, ...] = ("s0", "s1", "s2", "s3", "s4")
@@ -137,8 +137,6 @@ class Polynomial:
 
     def to_text(self) -> str:
         """Canonical form: graded-lex term order, zeta powers split out."""
-        if not self.terms:
-            return "0"
         pieces = []
         for exp in sorted(self.terms, key=_graded_lex_key, reverse=True):
             coeff = self.terms[exp]
@@ -155,11 +153,7 @@ class Polynomial:
                 if mag != 1 or not factors:
                     factors.insert(0, str(mag))
                 pieces.append(("-" if rat < 0 else "+", "*".join(factors)))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+        return signed_sum(pieces)
 
     def __str__(self) -> str:
         return self.to_text()

@@ -22,13 +22,13 @@ a single monomial has no solutions.  Otherwise a component's verdict depends
 only on its monomials' phase differences, so it is a memoized k^2-bit mask
 over the last two free phases, ANDed over the components for each phase
 prefix of the other free coordinates.  The same test checks user candidates
-and numeric hits; the scan keeps each grid ray it certifies, so classifying
-it tests nothing again.  G = 0 needs no test of its own: G is homogeneous of
-degree 5, so Euler's identity 5G = sum s_i dG/ds_i gives G = 0 wherever
-dG = 0.  A chart Hessian with a nonzero determinant over F_p (p = 1 mod k,
-zeta -> an element of order k), read from power tables of the coordinates'
-residues, certifies a node; a zero determinant mod p, or a denominator
-divisible by p, falls back to the exact rank.
+and numeric hits, and a ray it proves is classified without a second test.
+G = 0 needs no test of its own: G is homogeneous of degree 5, so Euler's
+identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart Hessian
+with a nonzero determinant over F_p (p = 1 mod k, zeta -> an element of
+order k), read from power tables of the coordinates' residues, certifies a
+node; a zero determinant mod p, or a denominator divisible by p, falls back
+to the exact rank.
 
 The numeric source is the only floating-point path.  It compiles the
 gradient and Hessian once into complex exponent and coefficient arrays and
@@ -49,7 +49,6 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
 from .errors import GsvError, GsvInputError
-from .linalg import matrix_rank
 from .poly import Polynomial, parse_scalar
 
 
@@ -316,8 +315,6 @@ class _GridScan:
         self._grid = (field.zero, *units)
         self._memo = {id(c): a for a, c in zip((_ZERO, *range(self.k)), self._grid)}
         self._phase_of = {c.coeffs: self._memo[id(c)] for c in self._grid}
-        # normalized rays where dG = 0 is proven, as indices into `_grid`
-        self._certified: set = set()
 
     def _phases(self, point: Sequence[Cyclo]) -> list:
         phases = list(map(self._memo.get, map(id, point)))
@@ -353,15 +350,9 @@ class _GridScan:
         if _OFF_GRID in phases or len(phases) != self.n:
             # evaluate also rejects a wrong length
             return all(d.evaluate(point).is_zero() for d in self.polys)
-        # a proof holds on the whole ray, so it is kept by normalized indices
-        lead = next((a for a in phases if a != _ZERO), 0)
-        ray = tuple(0 if a == _ZERO else (a - lead) % self.k + 1 for a in phases)
         # zero coordinates carry phase -1 but exponent 0 in every survivor
-        if ray not in self._certified and all(
-                self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
-                for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases)))):
-            self._certified.add(ray)
-        return ray in self._certified
+        return all(self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
+                   for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases))))
 
     def grid_zeros(self) -> list[Tuple[Cyclo, ...]]:
         """The normalized ansatz grid points where every polynomial vanishes,
@@ -374,8 +365,7 @@ class _GridScan:
         k^2-bit mask (bit y*k + x) whose row y is the memoized k-bit mask of
         base + y*ystep.  Masks are ANDed over the polynomials for each phase
         prefix of the other free coordinates, a row built only while the AND
-        keeps it alive and a mask memoized only when whole.  Hits are kept
-        as certified.
+        keeps it alive and a mask memoized only when whole.
         """
         k, n = self.k, self.n
         hits = []
@@ -429,7 +419,6 @@ class _GridScan:
                     idx[ycoord], idx[xcoord] = y + 1, x + 1
                     hits.append((lead, tuple(idx)))
         hits.sort()
-        self._certified.update(idx for _, idx in hits)
         return [tuple(map(self._grid.__getitem__, idx)) for _, idx in hits]
 
 
@@ -477,35 +466,58 @@ def _det4(m) -> int:
             - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0) + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
 
 
-def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
-    """Node iff the chart Hessian has rank 4; otherwise NonNode with corank.
+def _rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank by elimination without division: each row below the pivot
+    row t becomes t[c]*row - row[c]*t, so entries need only *, - and a
+    nonzero test."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        i = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if i is not None:
+            t = rows[i]
+            rows[i] = rows[rank]
+            rows[rank + 1:] = [[t[c] * x - r[c] * y for x, y in zip(r, t)] if r[c] else r
+                               for r in rows[rank + 1:]]
+            rank += 1
+    return rank
+
+
+def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> SingularityClass:
+    """Node iff the chart Hessian at the normalized singular ray `pt` has
+    rank 4; otherwise NonNode with corank.
 
     The symmetric chart Hessian's 10 entries are read mod p from power
     tables of the coordinates (see `_hessian_mod_p`).  A nonzero determinant
     mod p certifies rank 4, as reduction mod p cannot raise a rank; a zero
     one, or a residue that does not exist, leaves it to the exact rank.
     """
-    pt = normalize_ray([g.field.element(c) for c in point])
-    scan = _scan(g)
-    if not scan.vanishes(pt):
-        raise GsvInputError("point is not a singular ray (gradient does not vanish)")
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
     others = [i for i in range(5) if i != chart]
     p, omega, powers, tables, upper = _hessian_mod_p(g)
-    tabs = [tables.get(a) or powers(c.residue(p, omega)) for c, a in zip(pt, scan._phases(pt))]
+    tabs = [tables.get(a) or powers(c.residue(p, omega)) for c, a in zip(pt, _scan(g)._phases(pt))]
     entries = [upper[i, j] for n, i in enumerate(others) for j in others[n:]]
     if None not in tabs and None not in entries:
         u = [sum(r * prod(map(getitem, tabs, e)) for e, r in terms) % p for terms in entries]
         if _det4([u[0:4], [u[1], *u[4:7]], [u[2], u[5], *u[7:9]], [u[3], u[6], u[8], u[9]]]) % p:
             return NODE
     hess = g.hessian()
-    rank = matrix_rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
+    rank = _rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
     return NODE if rank == 4 else SingularityClass(Kind.NON_NODE, corank=4 - rank)
 
 
+def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
+    """The class of the singular ray through `point` (see `_classify`); a
+    point where dG does not vanish raises GsvInputError."""
+    pt = normalize_ray([g.field.element(c) for c in point])
+    if not _scan(g).vanishes(pt):
+        raise GsvInputError("point is not a singular ray (gradient does not vanish)")
+    return _classify(g, pt)
+
+
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
-    """Normalize, sort, dedupe and classify."""
-    return tuple(SingularRay(ray, classify_singularity(g, ray))
+    """Normalize, sort, dedupe and classify points the scan proved singular."""
+    return tuple(SingularRay(ray, _classify(g, ray))
                  for ray in dict(_by_coords(map(normalize_ray, points))).values())
 
 
@@ -558,16 +570,18 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
 # -- numeric fallback -------------------------------------------------------------
 
 
-def _require_float_hessian(g: Polynomial) -> None:
+def _require_float_range(g: Polynomial) -> None:
     """Raise GsvInputError naming G's term when the largest multiple of it in
-    the Hessian, c * e_i * (e_j - [i = j]), leaves float range."""
+    the Hessian, c * e_i * (e_j - [i = j]), leaves float range.  For a term of
+    degree 5 that multiple is at least the gradient's largest, c * max e_i, so
+    this checks the gradient too."""
     for e, c in g.terms.items():
         top = max(a * (b - (i == j)) for i, a in enumerate(e) for j, b in enumerate(e))
         try:
             (c * top).to_complex()
         except OverflowError:
             term = Polynomial(g.field, g.variables, {e: c})
-            raise GsvInputError(f"term {term} has a Hessian coefficient beyond float "
+            raise GsvInputError(f"term {term} has a derivative coefficient beyond float "
                                 "range") from None
 
 
@@ -588,10 +602,8 @@ def _float_search(g: Polynomial) -> Tuple[list, int]:
     scan.  A hit that does not snap, or whose snap is not singular, is only
     counted as unresolved.
 
-    A table of another shape raises GsvError.  A coefficient that leaves
-    float range raises GsvInputError: one of the gradient is named as its
-    gradient term, one that only the Hessian multiplies out of range as G's
-    own term.
+    A table of another shape raises GsvError.  A term of G whose multiple in
+    the gradient or Hessian leaves float range raises GsvInputError naming it.
     """
     from pathlib import Path
 
@@ -599,8 +611,8 @@ def _float_search(g: Polynomial) -> Tuple[list, int]:
 
     from .homotopy import complex_evaluator, newton_batch
 
+    _require_float_range(g)
     gradient = complex_evaluator(g.gradient())
-    _require_float_hessian(g)
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
     per_chart = FLOAT_STARTS // 5
     z = np.load(Path(__file__).with_name("float_starts.npy"))

@@ -100,9 +100,9 @@ def test_analyze_float_rejects_a_coefficient_beyond_float_range(capsys):
     code, out, err = run(capsys, "analyze", f"{FERMAT}+{huge}*s0*s1*s2*s3*s4",
                          "--source", "float")
     assert code == 1 and out == ""
-    # the first term compiled is that of dG/ds0
-    assert err == (f"error: GsvInputError: term {huge}*s1*s2*s3*s4 has a coefficient "
-                   "beyond float range\n")
+    # G's own term is named, not the term of dG/ds0 it becomes
+    assert err == (f"error: GsvInputError: term {huge}*s0*s1*s2*s3*s4 has a derivative "
+                   "coefficient beyond float range\n")
 
 
 def test_analyze_float_names_the_term_whose_hessian_leaves_float_range(capsys):
@@ -111,7 +111,7 @@ def test_analyze_float_names_the_term_whose_hessian_leaves_float_range(capsys):
     code, out, err = run(capsys, "analyze", f"{huge}*s0^5+s1^5+s2^5+s3^5+s4^5",
                          "--source", "float")
     assert code == 1 and out == ""
-    assert err == (f"error: GsvInputError: term {huge}*s0^5 has a Hessian coefficient "
+    assert err == (f"error: GsvInputError: term {huge}*s0^5 has a derivative coefficient "
                    "beyond float range\n")
 
 
@@ -438,7 +438,7 @@ def test_analyze_ansatz_does_not_import_numpy(tmp_path):
                                          str(tmp_path / "r.txt")])
 
 
-ANALYZE_MODULES = {"gsvkit.cyclo", "gsvkit.poly", "gsvkit.linalg", "gsvkit.singular"}
+ANALYZE_MODULES = {"gsvkit.cyclo", "gsvkit.poly", "gsvkit.singular"}
 
 
 @pytest.mark.parametrize("command,loaded", [
@@ -498,6 +498,25 @@ def test_cohomology_malformed_data_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "cohomology", str(path))
     assert code == 1
     assert "MalformedIncidence" in err
+
+
+def test_cohomology_names_a_missing_node_in_flat_memory(tmp_path):
+    # Naming the first node no class lists must not build the set 1..n.  The
+    # child runs under a 1 GB address-space limit, so code that does fails
+    # with MemoryError instead of exhausting the machine.
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"base_dims": [1, 0, 1, 0, 1, 0, 1],
+                                "n": 10 ** 12, "classes": [[1]]}))
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))\n"
+              "from gsvkit.cli import main\n"
+              f"sys.exit(main(['cohomology', {str(path)!r}]))\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.endswith("node 2 lies on no 4-cycle class\n")
 
 
 @pytest.mark.parametrize("command", ["cohomology", "resolutions"])

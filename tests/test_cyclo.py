@@ -111,6 +111,15 @@ def test_equality_coerces_rationals():
     assert hash(K.element(3)) == hash(CyclotomicField(5).element(3))
 
 
+def test_rational_elements_hash_like_the_rationals_they_equal():
+    K = CyclotomicField(5)
+    assert len({K.element(2), 2}) == 1
+    assert {frac(1, 2): "half"}.get(K.element(frac(1, 2))) == "half"
+    assert {K.element(frac(1, 2)): "half"}.get(frac(1, 2)) == "half"
+    assert hash(K.zero) == hash(0)
+    assert len({K.zeta(), K.element(1)}) == 2
+
+
 def test_cyclo_is_immutable():
     z = CyclotomicField(5).zeta()
     for change in (lambda: setattr(z, "coeffs", ()), lambda: setattr(z, "extra", 1),

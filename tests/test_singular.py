@@ -1,7 +1,7 @@
 """Singular ray search and node classification."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import prod
 from pathlib import Path
 from unittest import mock
@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvError, GsvInputError
-from gsvkit.linalg import matrix_rank
 from gsvkit.poly import Polynomial, parse_polynomial
 from gsvkit.singular import (Kind, ansatz_candidates, classify_singularity, normalize_ray,
                              verify_transversal)
@@ -59,12 +58,12 @@ def test_single_node_polynomial():
 
 def test_single_node_hessian_oracle():
     # chart s4 = 1: quadratic part s0^2 + .. + s3^2, so the chart Hessian at
-    # the origin is 2*I, rank 4 by independent elimination
+    # the origin is 2*I, rank 4 by its minors
     hess = ONE_NODE.hessian()
     pt = [K5.zero] * 4 + [K5.one]
     rows = [[hess[i][j].evaluate(pt) for j in range(4)] for i in range(4)]
     assert rows == [[K5.element(2 if i == j else 0) for j in range(4)] for i in range(4)]
-    assert matrix_rank(rows) == 4
+    assert minor_rank(rows) == 4
 
 
 def test_classify_rejects_origin_and_smooth_points():
@@ -186,13 +185,6 @@ def test_normalize_ray_shortcut_matches_general_path(point):
     general = tuple(c * lead.inverse() for c in point)
     assert normalize_ray(point) == general
     assert normalize_ray(general) == general
-
-
-def test_finish_rays_rejects_a_ray_where_g_does_not_vanish():
-    # G = 0 follows from dG = 0 by Euler's identity, so a point off the
-    # singular locus is caught by the gradient check of the classifier
-    with pytest.raises(GsvInputError, match="not a singular ray"):
-        singular._finish_rays(FERMAT, [(K5.one, K5.zero, K5.zero, K5.zero, K5.zero)])
 
 
 def test_float_homotopy_certifies_grid_solutions():
@@ -361,8 +353,8 @@ def test_grid_zeros_on_named_quintics(text, k, hits):
 
 def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
     # the 16,105 grid points at k = 10 are never visited one by one, and
-    # classification asks the scan about each ray once: grid_zeros already
-    # certified it, so no exact zero test runs after grid_zeros returns
+    # classification does not ask the scan again about the rays grid_zeros
+    # proved: no point test and no exact zero test runs after it returns
     calls, zero_tests = [], []
     real = {name: getattr(singular._GridScan, name)
             for name in ("vanishes", "_is_zero", "grid_zeros")}
@@ -386,7 +378,7 @@ def test_ansatz_search_tests_rays_not_candidates(monkeypatch):
     g = parse_polynomial(dwork_psi(1, 10), CyclotomicField(10))
     rays = verify_transversal(g, "ansatz").rays
     assert len(rays) == 125
-    assert len(calls) == len(rays)
+    assert calls == []
     assert zero_tests == []
 
 
@@ -610,19 +602,66 @@ def test_determinant_mod_p_is_nonzero_iff_rank_4(rows, dependent):
     p, _ = residue_prime(5)
     if dependent:
         rows[3] = [a + b for a, b in zip(rows[0], rows[1])]
-    exact = matrix_rank([[Fraction(x) for x in r] for r in rows])
-    assert (singular._det4(rows) % p != 0) == (exact == 4)
+    assert (singular._det4(rows) % p != 0) == (minor_rank(rows) == 4)
+
+
+def leibniz_det(m):
+    total = 0
+    for perm in permutations(range(len(m))):
+        factors = [row[j] for row, j in zip(m, perm)]
+        if all(factors):  # chart Hessians are sparse: skip the zero products
+            total += (-1) ** sum(a > b for a, b in combinations(perm, 2)) * prod(factors)
+    return total
+
+
+def minor_rank(rows):
+    """The rank oracle: the largest r with a nonzero r x r minor, each minor
+    by the Leibniz formula."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    for r in range(min(m, n), 0, -1):
+        for ri in combinations(range(m), r):
+            for ci in combinations(range(n), r):
+                if leibniz_det([[rows[i][j] for j in ci] for i in ri]):
+                    return r
+    return 0
+
+
+FEW_FRACTIONS = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]).map(Fraction)
+SMALL_CYCLO = st.lists(st.integers(-2, 2), min_size=4, max_size=4).map(K5.element)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(1, 5), st.data())
+def test_rank_matches_the_minor_oracle_on_fraction_matrices(m, n, data):
+    rows = data.draw(st.lists(st.lists(FEW_FRACTIONS, min_size=n, max_size=n),
+                              min_size=m, max_size=m))
+    assert singular._rank(rows) == minor_rank(rows)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(SMALL_CYCLO, min_size=4, max_size=4), min_size=1, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), SMALL_CYCLO, SMALL_CYCLO),
+                max_size=2),
+       st.data())
+def test_rank_matches_the_minor_oracle_on_cyclo_matrices_with_dependent_rows(base, mixes, data):
+    # each added row is a * row_i + b * row_j of the base rows, so the rank
+    # stays at most the base's row count
+    rows = list(base)
+    for i, j, a, b in mixes:
+        rows.append([a * x + b * y for x, y in zip(base[i % len(base)], base[j % len(base)])])
+    rows = data.draw(st.permutations(rows))
+    assert singular._rank(rows) == minor_rank(rows) <= len(base)
 
 
 def counting_rank(monkeypatch):
     calls = []
-    real = singular.matrix_rank
+    real = singular._rank
 
     def rank(rows):
         calls.append(rows)
         return real(rows)
 
-    monkeypatch.setattr(singular, "matrix_rank", rank)
+    monkeypatch.setattr(singular, "_rank", rank)
     return calls
 
 
@@ -638,7 +677,7 @@ def chart_hessian(g, pt):
 def test_node_test_matches_the_exact_rank(g):
     # the mod-p determinant decides nothing the exact rank would not
     for ray in verify_transversal(g, "ansatz").rays:
-        rank = matrix_rank(chart_hessian(g, ray.representative))
+        rank = minor_rank(chart_hessian(g, ray.representative))
         assert (ray.classification.kind is Kind.NODE) == (rank == 4)
         if rank < 4:
             assert ray.classification.corank == 4 - rank
@@ -666,7 +705,7 @@ def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
         cls = classify_singularity(g, pt)
         assert cls == ray.classification
         assert cls.kind is Kind.NON_NODE
-        assert cls.corank == 4 - matrix_rank(chart_hessian(g, pt))
+        assert cls.corank == 4 - minor_rank(chart_hessian(g, pt))
     assert len(calls) == len(rays)
 
 
