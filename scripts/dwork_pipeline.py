@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end walkthrough on the symmetric 125-node quintic.
 
-Runs: exact singular-ray search -> both sheet stratifications -> exocurve
-compactification -> cohomology tables for a sample node/4-cycle incidence ->
-transition graph.  All output is deterministic.
+Runs: exact singular-ray search -> both sheet stratifications -> cohomology
+tables for a sample node/4-cycle incidence -> transition graph.  All output
+is deterministic.
 
 The base cohomology and the node-to-4-cycle incidence are external inputs by
 design; the sample ConifoldData below is illustrative, not derived from the
@@ -17,9 +17,8 @@ import argparse
 import json
 import time
 
-from gsvkit import (ConifoldData, CyclotomicField, GradedSpace, build_exocurve,
-                    build_ground_state_variety, build_transition_graph,
-                    cohomology_report, compactify, deficit_angle, parse_polynomial,
+from gsvkit import (ConifoldData, CyclotomicField, GradedSpace, build_ground_state_variety,
+                    build_transition_graph, cohomology_report, parse_polynomial,
                     strata_report, verify_transversal)
 from gsvkit.cohomology import cohomology_report_text
 
@@ -49,7 +48,7 @@ def main():
           f"(all nodes: {report.isolated}) in {time.perf_counter() - t0:.2f}s")
     print("first three rays:")
     for ray in report.rays[:3]:
-        print("  (" + ", ".join(ray.coords_text()) + ")")
+        print("  (" + ", ".join(map(str, ray.representative)) + ")")
 
     banner("2. stratification, positive sheet")
     positive = build_ground_state_variety(report, "pos")
@@ -61,19 +60,12 @@ def main():
     print("\n".join(strata_report(negative).splitlines()[:6]))
     print(f"  ... {len(negative.strata) - 1} exocurves total")
 
-    banner("4. exocurve compactification")
-    compact = compactify(build_exocurve("pos"))
-    chart = compact.chart("U_p_tilde")
-    print(f"charts: {[c.name for c in compact.charts]}, "
-          f"euler characteristic: {compact.euler_characteristic()}")
-    print(f"deficit angle at the orbifold point: {deficit_angle(chart)} * pi")
-
-    banner("5. cohomology for a sample incidence (n=125 on one 4-cycle class)")
+    banner("4. cohomology for a sample incidence (n=125 on one 4-cycle class)")
     base = GradedSpace((1, 0, 1, 100, 2, 0, 1))
     data = ConifoldData(base, 125, [list(range(1, 126))])
     print(cohomology_report_text(cohomology_report(data)))
 
-    banner("6. transition graph")
+    banner("5. transition graph")
     graph = build_transition_graph(data)
     counts = graph.edge_counts()
     print(f"vertices: {graph.vertex_count()}, edges: {sum(counts.values())}")

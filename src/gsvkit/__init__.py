@@ -1,7 +1,7 @@
 """Toolkit for stratified ground-state varieties of the quintic sigma model.
 
 Pipeline: exact quintic polynomial -> singular rays -> sheet-by-sheet
-stratification -> exocurve atlases and compactification -> Mayer-Vietoris
+stratification over the exocurve charts -> Mayer-Vietoris
 cohomology with the class-collapse refinement -> small resolutions and the
 defo/exoflop/flop transition graph.
 
@@ -14,20 +14,15 @@ from importlib import import_module as _import_module
 _HOME = {name: module for module, names in {
     "cohomology": ("ConifoldData", "GradedSpace", "cohomology_report", "mayer_vietoris"),
     "cyclo": ("Cyclo", "CyclotomicField", "cyclotomic_polynomial"),
-    "errors": ("BranchPointError", "DegreeUndefinedError", "ExactnessError", "GsvError",
-               "GsvInputError", "IncompleteResultError", "MalformedIncidenceError",
-               "NonIsolatedError", "PolynomialParseError", "QuantumRegionError",
-               "ResourceLimitError", "WrongModelError"),
-    "exocurves": ("Atlas", "Chart", "Model", "Transition", "build_comparison_p151",
-                  "build_exocurve", "compactify", "deficit_angle", "normalize_sheet",
-                  "transition"),
+    "errors": ("DegreeUndefinedError", "ExactnessError", "GsvError", "GsvInputError",
+               "IncompleteResultError", "MalformedIncidenceError", "NonIsolatedError",
+               "PolynomialParseError", "QuantumRegionError", "ResourceLimitError"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
     "resolutions": ("TransitionGraph", "build_transition_graph"),
     "singular": ("Kind", "SingularRay", "SingularityClass", "TransversalityReport",
-                 "ansatz_candidates", "classify_singularity", "normalize_ray",
-                 "verify_transversal"),
-    "strata": ("StratifiedVariety", "Stratum", "StratumKind", "build_ground_state_variety",
-               "strata_report"),
+                 "ansatz_candidates", "normalize_ray", "verify_transversal"),
+    "strata": ("Chart", "StratifiedVariety", "Stratum", "StratumKind", "build_exocurve",
+               "build_ground_state_variety", "normalize_sheet", "strata_report"),
 }.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -41,13 +41,5 @@ class ExactnessError(GsvInputError):
     """Supplied cohomology data cannot sit in an exact sequence."""
 
 
-class BranchPointError(GsvInputError):
-    """A chart transition was evaluated at its branch point."""
-
-
-class WrongModelError(GsvInputError):
-    """An atlas operation was applied to an atlas of the wrong model."""
-
-
 class ResourceLimitError(GsvInputError):
     """Enumeration would exceed the configured resource bound."""

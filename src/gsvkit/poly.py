@@ -178,7 +178,11 @@ def _tokenize(text: str):
         if m is None:
             raise PolynomialParseError(f"unexpected character {text[pos]!r}", pos)
         if m.lastgroup == "num":
-            tokens.append(("num", int(m.group()), pos))
+            try:
+                tokens.append(("num", int(m.group()), pos))
+            except ValueError:  # beyond the interpreter's int string conversion limit
+                raise PolynomialParseError(
+                    f"integer literal of {len(m.group())} digits is too long", pos) from None
         elif m.lastgroup == "name":
             tokens.append(("name", m.group(), pos))
         else:

@@ -74,9 +74,6 @@ class SingularRay(NamedTuple):
     representative: Tuple[Cyclo, ...]
     classification: SingularityClass
 
-    def coords_text(self) -> Tuple[str, ...]:
-        return tuple(str(c) for c in self.representative)
-
 
 class TransversalityReport(NamedTuple):
     """Outcome of a transversality search.
@@ -504,15 +501,6 @@ def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> SingularityClass:
     hess = g.hessian()
     rank = _rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
     return NODE if rank == 4 else SingularityClass(Kind.NON_NODE, corank=4 - rank)
-
-
-def classify_singularity(g: Polynomial, point: Sequence[Cyclo]) -> SingularityClass:
-    """The class of the singular ray through `point` (see `_classify`); a
-    point where dG does not vanish raises GsvInputError."""
-    pt = normalize_ray([g.field.element(c) for c in point])
-    if not _scan(g).vanishes(pt):
-        raise GsvInputError("point is not a singular ray (gradient does not vanish)")
-    return _classify(g, pt)
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:

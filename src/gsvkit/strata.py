@@ -3,16 +3,55 @@
 Each sheet (positive or negative moment level) is an independent stratified
 space.  Only the sign of the level matters; radial sizes are recorded as
 symbolic formulas on the strata, never as numbers.
+
+The exocurve over a singular ray is the weight (-5, 1) projectivization of
+the (p, ray) plane.  Of its two charts U_s and U_p, the sheet decides which
+is proper (contains its limit point): U_s for r > 0, where the exocurve is
+C^1, and U_p with a Z_5 orbifold point for r < 0, where it is C^1/Z_5.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from numbers import Real
 from typing import NamedTuple, Tuple
 
-from .errors import IncompleteResultError, NonIsolatedError
-from .exocurves import build_exocurve, normalize_sheet
+from .errors import GsvInputError, IncompleteResultError, NonIsolatedError, QuantumRegionError
 from .singular import Kind, TransversalityReport
+
+
+class Chart(NamedTuple):
+    name: str
+    proper: bool               # contains its limit point
+    orbifold_group_order: int = 1
+
+
+def normalize_sheet(sheet) -> int:
+    """The sign of a real moment level, or of 'pos'/'positive',
+    'neg'/'negative'; reject the r=0 wall."""
+    if isinstance(sheet, str):
+        s = sheet.lower()
+        if s in ("pos", "positive", "+"):
+            return 1
+        if s in ("neg", "negative", "-"):
+            return -1
+        raise GsvInputError(f"unknown sheet {sheet!r}")
+    # a bool is no moment level; NaN has no sign
+    if isinstance(sheet, bool) or not isinstance(sheet, Real) or sheet != sheet:
+        raise GsvInputError(f"sheet must be a real moment level, got {sheet!r}")
+    if sheet > 0:
+        return 1
+    if sheet < 0:
+        return -1
+    raise QuantumRegionError(
+        "r = 0 is not covered: the construction is only valid away from the wall")
+
+
+def build_exocurve(sheet) -> Tuple[Chart, Chart]:
+    """The exocurve's two charts on one sheet, the proper one first."""
+    if normalize_sheet(sheet) > 0:
+        return Chart("U_s", proper=True), Chart("U_p", proper=False)
+    return Chart("U_p", proper=True, orbifold_group_order=5), Chart("U_s", proper=False)
 
 
 class StratumKind(str, Enum):
@@ -63,7 +102,11 @@ class StratifiedVariety(NamedTuple):
     sheet: int  # +1 or -1
     strata: Tuple[Stratum, ...]
     attachments: Tuple[Tuple[int, int, str], ...]  # (stratum index, stratum index, label)
-    connected_components: int
+
+    @property
+    def connected_components(self) -> int:
+        """1: every stratum is attached to the sheet's first stratum."""
+        return 1
 
     def to_json_dict(self):
         return {
@@ -76,7 +119,7 @@ class StratifiedVariety(NamedTuple):
 
 def build_ground_state_variety(report: TransversalityReport, sheet) -> StratifiedVariety:
     """One sheet of the ground-state variety.  Orbifold groups and exocurve
-    compactness are read from the sheet's exocurve atlas."""
+    compactness are read from the sheet's exocurve charts."""
     sheet = normalize_sheet(sheet)
     if not report.complete:
         raise IncompleteResultError(
@@ -86,24 +129,25 @@ def build_ground_state_variety(report: TransversalityReport, sheet) -> Stratifie
         raise NonIsolatedError(
             f"{len(bad)} singular rays are not certified isolated nodes")
 
-    atlas = build_exocurve(sheet)
+    charts = build_exocurve(sheet)
     if sheet > 0:
         if report.transversal:
             smooth = Stratum(StratumKind.SMOOTH_CY, compact=True, radius="|s|^2 = r")
-            return StratifiedVariety(sheet, (smooth,), (), 1)
+            return StratifiedVariety(sheet, (smooth,), ())
         head = [Stratum(StratumKind.MAIN_CONIFOLD, compact=False, radius="|s|^2 = r")]
         radius = "r_plus = 5*|p|^2 + |r|"
     else:
         head = [Stratum(StratumKind.FUZZY_POINT, compact=True,
-                        orbifold_group=atlas.chart("U_p").orbifold_group_order,
+                        orbifold_group=charts[0].orbifold_group_order,  # proper U_p
                         radius="5*|p|^2 = |r|")]
         if report.transversal:
-            return StratifiedVariety(sheet, tuple(head), (), 1)
+            return StratifiedVariety(sheet, tuple(head), ())
         radius = "r_minus = |s_ray|^2 + |r|"
 
     n = len(report.rays)
-    group = max(c.orbifold_group_order for c in atlas.charts)
-    strata = head + [Stratum(StratumKind.EXOCURVE, atlas.compact, index=j,
+    group = max(c.orbifold_group_order for c in charts)
+    compact = all(c.proper for c in charts)
+    strata = head + [Stratum(StratumKind.EXOCURVE, compact, index=j,
                              orbifold_group=group, radius=radius)
                      for j in range(1, n + 1)]
     if sheet < 0:
@@ -116,7 +160,7 @@ def build_ground_state_variety(report: TransversalityReport, sheet) -> Stratifie
                    for j in range(1, n + 1)]
         attachments = [a for j in range(1, n + 1)
                        for a in ((0, n + j, f"x{j}"), (n + j, j, f"x{j}"))]
-    return StratifiedVariety(sheet, tuple(strata), tuple(attachments), 1)
+    return StratifiedVariety(sheet, tuple(strata), tuple(attachments))
 
 
 def strata_report(variety: StratifiedVariety) -> str:

@@ -376,6 +376,28 @@ def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
     assert "GsvInputError" in err and message in err
 
 
+LONG_LITERAL = "1" * 5000  # past the interpreter's 4300-digit int conversion limit
+
+
+@pytest.mark.parametrize("where", ["polynomial", "candidates", "report"])
+def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path, where):
+    path = tmp_path / "input.json"
+    if where == "polynomial":
+        argv = ["analyze", f"{LONG_LITERAL}*s0^5+s1^5+s2^5+s3^5+s4^5"]
+    elif where == "candidates":
+        path.write_text(json.dumps([["1", "1", "1", "1", LONG_LITERAL]]))
+        argv = ["analyze", DWORK, "--source", "user", "--candidates", str(path)]
+    else:
+        path.write_text(json.dumps({"transversal": False, "isolated": True, "complete": True,
+                                    "rays": [dict(RAY, coords=["1", "1", "1", "1",
+                                                               LONG_LITERAL])]}))
+        argv = ["stratify", str(path), "--sheet", "pos"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "PolynomialParseError: integer literal of 5000 digits is too long (at position 0)" in err
+
+
 def test_stratify_reads_the_report_field_order(capsys, tmp_path):
     report_path = tmp_path / "report.json"
     run(capsys, "analyze", DWORK, "--zeta-order", "10", "--format", "json",
@@ -444,7 +466,7 @@ ANALYZE_MODULES = {"gsvkit.cyclo", "gsvkit.poly", "gsvkit.singular"}
 @pytest.mark.parametrize("command,loaded", [
     ("help", set()),
     ("analyze", ANALYZE_MODULES),
-    ("stratify", ANALYZE_MODULES | {"gsvkit.strata", "gsvkit.exocurves"}),
+    ("stratify", ANALYZE_MODULES | {"gsvkit.strata"}),
     ("cohomology", {"gsvkit.cohomology"}),
     ("resolutions", {"gsvkit.cohomology", "gsvkit.resolutions"}),
 ])

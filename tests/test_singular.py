@@ -14,8 +14,7 @@ from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvError, GsvInputError
 from gsvkit.poly import Polynomial, parse_polynomial
-from gsvkit.singular import (Kind, ansatz_candidates, classify_singularity, normalize_ray,
-                             verify_transversal)
+from gsvkit.singular import Kind, ansatz_candidates, normalize_ray, verify_transversal
 
 K5 = CyclotomicField(5)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -25,6 +24,16 @@ DWORK = parse_polynomial("s0^5+s1^5+s2^5+s3^5+s4^5-5*s0*s1*s2*s3*s4", K5)
 CONE_FERMAT = parse_polynomial("s0^5+s1^5+s2^5+s3^5", K5)  # s4 absent
 ONE_NODE = parse_polynomial(
     "s4^3*s0^2+s4^3*s1^2+s4^3*s2^2+s4^3*s3^2+s0^5+s1^5+s2^5+s3^5", K5)
+
+
+def coords(ray):
+    return tuple(map(str, ray.representative))
+
+
+def classify(g, point):
+    """The class of the one singular ray the user source finds at `point`."""
+    (ray,) = verify_transversal(g, "user", [point]).rays
+    return ray.classification
 
 
 def test_fermat_is_transversal():
@@ -42,7 +51,7 @@ def test_ansatz_candidate_count():
 def test_cone_over_fermat_quartic_surface():
     report = verify_transversal(CONE_FERMAT, "ansatz")
     assert report.transversal is False
-    assert [r.coords_text() for r in report.rays] == [("0", "0", "0", "0", "1")]
+    assert [coords(r) for r in report.rays] == [("0", "0", "0", "0", "1")]
     ray = report.rays[0]
     assert ray.classification.kind is Kind.NON_NODE
     assert ray.classification.corank == 4
@@ -52,7 +61,7 @@ def test_cone_over_fermat_quartic_surface():
 def test_single_node_polynomial():
     rays = verify_transversal(ONE_NODE, "ansatz").rays
     assert len(rays) == 1
-    assert rays[0].coords_text() == ("0", "0", "0", "0", "1")
+    assert coords(rays[0]) == ("0", "0", "0", "0", "1")
     assert rays[0].classification.kind is Kind.NODE
 
 
@@ -66,18 +75,17 @@ def test_single_node_hessian_oracle():
     assert minor_rank(rows) == 4
 
 
-def test_classify_rejects_origin_and_smooth_points():
-    with pytest.raises(GsvInputError):
-        classify_singularity(DWORK, [K5.zero] * 5)
-    with pytest.raises(GsvInputError, match="not a singular ray"):
-        classify_singularity(DWORK, [K5.one, K5.zero, K5.zero, K5.zero, K5.zero])
+def test_user_source_gives_no_ray_at_origin_or_smooth_point():
+    for point in ([K5.zero] * 5, [K5.one, K5.zero, K5.zero, K5.zero, K5.zero]):
+        assert verify_transversal(DWORK, "user", [point]).rays == ()
 
 
 def test_classification_is_scaling_invariant():
     z = K5.zeta()
     scaled = [z ** 2 * K5.element(3) for _ in range(5)]
-    cls = classify_singularity(DWORK, scaled)
-    assert cls.kind is Kind.NODE
+    (ray,) = verify_transversal(DWORK, "user", [scaled]).rays
+    assert ray.representative == (K5.one,) * 5
+    assert ray.classification.kind is Kind.NODE
 
 
 def test_dwork_ray_structure():
@@ -189,7 +197,7 @@ def test_normalize_ray_shortcut_matches_general_path(point):
 
 def test_float_homotopy_certifies_grid_solutions():
     rays = verify_transversal(ONE_NODE, "float").rays
-    assert [r.coords_text() for r in rays] == [("0", "0", "0", "0", "1")]
+    assert [coords(r) for r in rays] == [("0", "0", "0", "0", "1")]
     report = verify_transversal(ONE_NODE, "float")
     assert not report.complete  # numeric searches are never certified complete
 
@@ -200,8 +208,8 @@ def test_float_homotopy_on_dwork():
     rays = verify_transversal(DWORK, "float").rays
     assert len(rays) >= 50
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in verify_transversal(DWORK, "ansatz").rays}
-    assert {r.coords_text() for r in rays} <= exact
+    exact = {coords(r) for r in verify_transversal(DWORK, "ansatz").rays}
+    assert {coords(r) for r in rays} <= exact
 
 
 def test_float_homotopy_certifies_a_slowly_converging_non_node():
@@ -209,7 +217,7 @@ def test_float_homotopy_certifies_a_slowly_converging_non_node():
     # stops about 1e-3 off the ray; every hit still snaps to it
     g = parse_polynomial((DATA / "degenerate.poly").read_text(), K5)
     rays = verify_transversal(g, "float").rays
-    assert [(r.coords_text(), r.classification) for r in rays] == [
+    assert [(coords(r), r.classification) for r in rays] == [
         (("0", "0", "0", "0", "1"), singular.SingularityClass(Kind.NON_NODE, 4))]
 
 
@@ -575,8 +583,8 @@ def test_float_homotopy_on_dwork_at_zeta_order_10():
     g = parse_polynomial((DATA / "dwork_psi1.poly").read_text(), CyclotomicField(10))
     rays = verify_transversal(g, "float").rays
     assert all(r.classification.kind is Kind.NODE for r in rays)
-    exact = {r.coords_text() for r in verify_transversal(g, "ansatz").rays}
-    found = {r.coords_text() for r in rays}
+    exact = {coords(r) for r in verify_transversal(g, "ansatz").rays}
+    found = {coords(r) for r in rays}
     assert len(rays) == len(found) == 119 and found <= exact
 
 
@@ -587,7 +595,7 @@ def test_offgrid_quintic_ansatz_finds_one_ray():
     # the count is certified, not a claim that one ray is the answer
     g = parse_polynomial((DATA / "offgrid16.poly").read_text(), K5)
     report = verify_transversal(g, "ansatz")
-    assert [r.coords_text() for r in report.rays] == [("0", "0", "1", "1", "1")]
+    assert [coords(r) for r in report.rays] == [("0", "0", "1", "1", "1")]
     assert report.rays[0].classification.kind is Kind.NODE
 
 
@@ -685,7 +693,7 @@ def test_node_test_matches_the_exact_rank(g):
 
 def test_nodes_are_certified_mod_p(monkeypatch):
     calls = counting_rank(monkeypatch)
-    assert classify_singularity(ONE_NODE, [K5.zero] * 4 + [K5.one]).kind is Kind.NODE
+    assert classify(ONE_NODE, [K5.zero] * 4 + [K5.one]).kind is Kind.NODE
     assert calls == []
 
 
@@ -702,7 +710,7 @@ def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
     calls = counting_rank(monkeypatch)
     for ray in rays:
         pt = ray.representative
-        cls = classify_singularity(g, pt)
+        cls = classify(g, pt)
         assert cls == ray.classification
         assert cls.kind is Kind.NON_NODE
         assert cls.corank == 4 - minor_rank(chart_hessian(g, pt))
@@ -715,7 +723,7 @@ def test_denominator_divisible_by_p_takes_exact_path(monkeypatch):
     g = parse_polynomial(f"1/{p}*" + text, K5)
     ray = [K5.zero] * 4 + [K5.one]
     calls = counting_rank(monkeypatch)
-    assert classify_singularity(g, ray) == classify_singularity(ONE_NODE, ray)
+    assert classify(g, ray) == classify(ONE_NODE, ray)
     assert len(calls) == 1
     rays = verify_transversal(g, "ansatz").rays
     assert rays == verify_transversal(ONE_NODE, "ansatz").rays
@@ -748,7 +756,7 @@ def test_off_grid_user_point_without_a_residue_takes_exact_path(monkeypatch):
     p, _ = residue_prime(5)
     forms = [[int(i == j) + (1 - p) * (j == 1 and i != 1) for j in range(5)] for i in range(5)]
     g = substitute(DWORK, forms)
-    twin = classify_singularity(DWORK, (K5.one,) * 5)
+    twin = classify(DWORK, (K5.one,) * 5)
     calls = counting_rank(monkeypatch)
     point = tuple(map(K5.element, (1, Fraction(1, p), 1, 1, 1)))
     report = verify_transversal(g, "user", [point])

@@ -10,8 +10,8 @@ from gsvkit.errors import (GsvInputError, IncompleteResultError, NonIsolatedErro
                            QuantumRegionError)
 from gsvkit.singular import (NODE, Kind, SingularRay, SingularityClass,
                              TransversalityReport)
-from gsvkit.strata import (StratumKind, build_ground_state_variety, normalize_sheet,
-                           strata_report)
+from gsvkit.strata import (Chart, StratumKind, build_exocurve, build_ground_state_variety,
+                           normalize_sheet, strata_report)
 
 K5 = CyclotomicField(5)
 
@@ -44,6 +44,24 @@ def test_zero_sheet_rejected():
         build_ground_state_variety(TRANSVERSAL, 0)
     with pytest.raises(QuantumRegionError):
         normalize_sheet(0)
+
+
+def test_zero_sheet_exocurve_rejected():
+    with pytest.raises(QuantumRegionError):
+        build_exocurve(0)
+
+
+def test_positive_sheet_charts():
+    # C^1: U_s is proper, U_p is punctured at its limit point
+    assert build_exocurve("positive") == (Chart("U_s", True), Chart("U_p", False))
+
+
+def test_negative_sheet_charts():
+    # C^1/Z_5: U_p is proper, its orbifold group matches the fuzzy point's
+    charts = build_exocurve("negative")
+    assert charts == (Chart("U_p", True, 5), Chart("U_s", False))
+    fuzzy = build_ground_state_variety(TRANSVERSAL, "neg").strata[0]
+    assert fuzzy.orbifold_group == charts[0].orbifold_group_order
 
 
 def test_incomplete_report_rejected():
@@ -109,7 +127,7 @@ def test_positive_sheet_structure(n):
                 seen.add(other)
                 stack.append(other)
     assert seen == set(range(len(v.strata)))
-    # non-compact exocurves before compactification
+    # the r > 0 exocurve is C^1, so not compact
     assert all(not s.compact for s in v.strata if s.kind is StratumKind.EXOCURVE)
 
 
@@ -141,6 +159,6 @@ def test_sheet_parsing():
     for wall in (0, 0.0, Fraction(0)):
         with pytest.raises(QuantumRegionError):
             normalize_sheet(wall)
-    for bad in (float("nan"), None, [1], 1j):
+    for bad in (float("nan"), None, [1], 1j, True, False):
         with pytest.raises(GsvInputError, match="sheet must be a real moment level"):
             normalize_sheet(bad)
