@@ -19,8 +19,8 @@ _HOME = {name: module for module, names in {
                "PolynomialParseError", "QuantumRegionError", "ResourceLimitError"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
     "resolutions": ("TransitionGraph", "build_transition_graph"),
-    "singular": ("Kind", "SingularRay", "SingularityClass", "TransversalityReport",
-                 "ansatz_candidates", "normalize_ray", "verify_transversal"),
+    "singular": ("SingularRay", "TransversalityReport", "ansatz_candidates", "normalize_ray",
+                 "verify_transversal"),
     "strata": ("Chart", "StratifiedVariety", "Stratum", "StratumKind", "build_exocurve",
                "build_ground_state_variety", "normalize_sheet", "strata_report"),
 }.items() for name in names}

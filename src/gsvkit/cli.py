@@ -101,25 +101,21 @@ def _read_candidates(args, field: CyclotomicField) -> list:
             if not isinstance(entry, str):
                 raise GsvInputError(f"--candidates row {i} entry {j} is "
                                     f"{json.dumps(entry)}, not a string")
-    return [[parse_scalar(c, field) for c in row] for row in rows]
+    return [[parse_scalar(c, field, f"--candidates row {i} entry {j}") for j, c in enumerate(row)]
+            for i, row in enumerate(rows)]
 
 
 def cmd_analyze(args) -> int:
     from .cyclo import CyclotomicField
     from .poly import parse_polynomial
-    from .singular import Kind, verify_transversal
+    from .singular import verify_transversal
 
     field = CyclotomicField(args.zeta_order)
     text = _read_polynomial_argument(args.polynomial)
     g = parse_polynomial(text, field)
     report = verify_transversal(g, args.source, _read_candidates(args, field))
     _emit(args, report.summary_text, report.to_json_dict)
-    if any(r.classification.kind is Kind.NON_NODE for r in report.rays):
-        sys.stderr.write("error: NonIsolated: some singular rays are not nodes\n")
-        return 1
-    if not report.complete:
-        sys.stderr.write("warning: incomplete search, transversality not certified\n")
-        return 2
+    report.require_nodal()
     return 0
 
 

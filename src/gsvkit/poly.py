@@ -291,7 +291,12 @@ def parse_polynomial(text: str, field: CyclotomicField | None = None,
     return _Parser(_tokenize(text), field, tuple(variables)).parse()
 
 
-def parse_scalar(text: str, field: CyclotomicField | None = None) -> Cyclo:
-    """Parse a bare coefficient-domain value such as '1/2', '-zeta^3', '1 + zeta'."""
-    poly = parse_polynomial(text, field, variables=())
+def parse_scalar(text: str, field: CyclotomicField | None = None, where: str = "") -> Cyclo:
+    """Parse a bare coefficient-domain value such as '1/2', '-zeta^3', '1 + zeta'.
+    A parse error's message starts with `where`, the place the text came from."""
+    try:
+        poly = parse_polynomial(text, field, variables=())
+    except PolynomialParseError as exc:
+        exc.args = (f"{where}: {exc}",) if where else exc.args
+        raise
     return poly.terms.get((), (field or CyclotomicField(5)).zero)

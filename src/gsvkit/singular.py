@@ -7,9 +7,12 @@ the scaling action and root-of-unity multiples are quotiented out.
 
 Node test: in the affine chart that fixes the ray's unit coordinate to 1,
 the second partials of the dehomogenized polynomial form a 4x4 matrix; the
-point is a node exactly when that matrix has full rank.  A full-rank
+point is a node exactly when that matrix has full rank.  A ray records its
+corank, 0 for a node, and the report writes its class from it.  A full-rank
 quadratic cone is an isolated singular direction, so "every ray is a node"
-doubles as the isolation certificate.
+doubles as the isolation certificate.  `TransversalityReport.require_nodal`,
+which `analyze` and `stratify` share, raises unless every ray is a node and
+the ray count is proven.
 
 Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
 dG = 0 verdict comes from one test in one scan, built once per polynomial.
@@ -41,38 +44,22 @@ same scan as any other candidate; every other hit is only counted, as
 from __future__ import annotations
 
 import json
-from enum import Enum
 from itertools import groupby, product
 from math import lcm, prod
 from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
-from .errors import GsvError, GsvInputError
+from .errors import GsvError, GsvInputError, IncompleteResultError, NonIsolatedError
 from .poly import Polynomial, parse_scalar
 
 
-class Kind(str, Enum):
-    NODE = "node"
-    NON_NODE = "non_node"
-
-
-class SingularityClass(NamedTuple):
-    kind: Kind
-    corank: int | None = None
-
-    def to_json_dict(self):
-        return {"class": self.kind.value, "corank": self.corank}
-
-
-NODE = SingularityClass(Kind.NODE)
-
-
 class SingularRay(NamedTuple):
-    """A normalized singular direction with its local classification."""
+    """A normalized singular direction and the corank of its chart Hessian,
+    0 for a node."""
 
     representative: Tuple[Cyclo, ...]
-    classification: SingularityClass
+    corank: int
 
 
 class TransversalityReport(NamedTuple):
@@ -97,9 +84,25 @@ class TransversalityReport(NamedTuple):
         return False if self.rays else True if self.complete else None
 
     @property
+    def non_nodes(self) -> int:
+        """The number of rays that are not nodes."""
+        return sum(1 for r in self.rays if r.corank)
+
+    @property
     def isolated(self) -> bool:
         """Every ray is a node and no hit is unresolved."""
-        return not self.unresolved and all(r.classification.kind is Kind.NODE for r in self.rays)
+        return not self.unresolved and not self.non_nodes
+
+    def require_nodal(self) -> None:
+        """Raise NonIsolatedError if some ray is a certified non-node, else
+        IncompleteResultError if the ray count is not proven."""
+        if self.non_nodes:
+            raise NonIsolatedError(
+                f"{self.non_nodes} of {len(self.rays)} singular rays are not nodes")
+        if not self.complete:
+            what = ("transversality is inconclusive" if self.transversal is None
+                    else f"the count of {len(self.rays)} singular rays is not proven")
+            raise IncompleteResultError(f"incomplete search: {what}")
 
     def _coords_texts(self) -> list:
         """Each ray's coordinates as text, formatting each coordinate object
@@ -111,7 +114,8 @@ class TransversalityReport(NamedTuple):
     def to_json_dict(self):
         return {
             "transversal": self.transversal,
-            "rays": [{"coords": coords, **ray.classification.to_json_dict()}
+            "rays": [{"coords": coords, "class": "non_node" if ray.corank else "node",
+                      "corank": ray.corank or None}
                      for ray, coords in zip(self.rays, self._coords_texts())],
             "isolated": self.isolated,
             "source": self.source,
@@ -151,7 +155,6 @@ class TransversalityReport(NamedTuple):
         entries = obj.get("rays", [])
         if not isinstance(entries, list):
             raise GsvInputError(f"report field 'rays' must be a list, got {json.dumps(entries)}")
-        kinds = [k.value for k in Kind]
         scalars = {}  # a report repeats few distinct strings (5 of 625 for Dwork)
         rays, seen = [], {}
         for i, entry in enumerate(entries):
@@ -163,18 +166,17 @@ class TransversalityReport(NamedTuple):
             if len(coords) != 5:
                 raise GsvInputError(f"report ray {i} has {len(coords)} coordinates, "
                                     f"expected 5")
-            if entry["class"] not in kinds:
+            if entry["class"] not in ("node", "non_node"):
                 raise GsvInputError(f"report ray {i} field 'class' must be one of "
-                                    f"{', '.join(kinds)}, got {json.dumps(entry['class'])}")
-            for c in coords:
+                                    f"node, non_node, got {json.dumps(entry['class'])}")
+            for j, c in enumerate(coords):
                 if c not in scalars:
-                    scalars[c] = parse_scalar(c, field)
-            kind, corank = Kind(entry["class"]), entry.get("corank")
-            non_node = kind is Kind.NON_NODE
+                    scalars[c] = parse_scalar(c, field, f"report ray {i} coordinate {j}")
+            corank, non_node = entry.get("corank"), entry["class"] == "non_node"
             if not (type(corank) is int and 1 <= corank <= 4 if non_node else corank is None):
                 allowed = "an integer from 1 to 4" if non_node else "null"
                 raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for "
-                                    f"class {kind.value}, got {json.dumps(corank)}")
+                                    f"class {entry['class']}, got {json.dumps(corank)}")
             ray = tuple(map(scalars.__getitem__, coords))
             lead = next(filter(None, ray), None)  # the first nonzero coordinate
             if lead != field.one:
@@ -182,7 +184,7 @@ class TransversalityReport(NamedTuple):
                 raise GsvInputError(f"report ray {i} is {what}")
             if seen.setdefault(ray, i) != i:  # Cyclo compares by its coefficients
                 raise GsvInputError(f"report ray {i} repeats report ray {seen[ray]}")
-            rays.append(SingularRay(ray, SingularityClass(kind, corank)))
+            rays.append(SingularRay(ray, corank or 0))
         complete = obj["complete"]
         if complete and unresolved:
             raise GsvInputError(f"report flag complete: true disagrees with its "
@@ -196,19 +198,18 @@ class TransversalityReport(NamedTuple):
                 f"report flag transversal: {json.dumps(obj['transversal'])} disagrees with "
                 f"its {len(rays)} singular rays and complete: {json.dumps(complete)}")
         if obj["isolated"] is not report.isolated:
-            non_nodes = sum(1 for r in rays if r.classification.kind is not Kind.NODE)
             raise GsvInputError(
                 f"report flag isolated: {json.dumps(obj['isolated'])} disagrees with its rays "
-                f"({non_nodes} of {len(rays)} are not nodes, {unresolved} hits unresolved)")
+                f"({report.non_nodes} of {len(rays)} are not nodes, {unresolved} hits "
+                "unresolved)")
         return report
 
     def summary_text(self) -> str:
         if self.transversal is True:
             head = "transversal: G = dG = 0 only at the origin"
         elif self.transversal is False:
-            kinds = [r.classification.kind for r in self.rays]
-            nodes = sum(1 for k in kinds if k is Kind.NODE)
-            head = f"non-transversal: {len(self.rays)} singular rays ({nodes} nodes)"
+            head = (f"non-transversal: {len(self.rays)} singular rays "
+                    f"({len(self.rays) - self.non_nodes} nodes)")
         else:
             head = "inconclusive: no rays found and no transversality certificate"
         lines = [head, f"source: {self.source}", f"complete: {self.complete}",
@@ -216,8 +217,7 @@ class TransversalityReport(NamedTuple):
         if self.unresolved:
             lines.append(f"unresolved numeric hits: {self.unresolved}")
         for ray, coords in zip(self.rays, self._coords_texts()):
-            cls = ray.classification
-            tag = cls.kind.value if cls.corank is None else f"{cls.kind.value} (corank {cls.corank})"
+            tag = f"non_node (corank {ray.corank})" if ray.corank else "node"
             lines.append("  (" + ", ".join(coords) + f")  {tag}")
         return "\n".join(lines)
 
@@ -480,9 +480,9 @@ def _rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> SingularityClass:
-    """Node iff the chart Hessian at the normalized singular ray `pt` has
-    rank 4; otherwise NonNode with corank.
+def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> int:
+    """The corank of the chart Hessian at the normalized singular ray `pt`:
+    0, a node, iff it has rank 4.
 
     The symmetric chart Hessian's 10 entries are read mod p from power
     tables of the coordinates (see `_hessian_mod_p`).  A nonzero determinant
@@ -497,10 +497,9 @@ def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> SingularityClass:
     if None not in tabs and None not in entries:
         u = [sum(r * prod(map(getitem, tabs, e)) for e, r in terms) % p for terms in entries]
         if _det4([u[0:4], [u[1], *u[4:7]], [u[2], u[5], *u[7:9]], [u[3], u[6], u[8], u[9]]]) % p:
-            return NODE
+            return 0
     hess = g.hessian()
-    rank = _rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
-    return NODE if rank == 4 else SingularityClass(Kind.NON_NODE, corank=4 - rank)
+    return 4 - _rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
 
 
 def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:

@@ -8,6 +8,10 @@ The exocurve over a singular ray is the weight (-5, 1) projectivization of
 the (p, ray) plane.  Of its two charts U_s and U_p, the sheet decides which
 is proper (contains its limit point): U_s for r > 0, where the exocurve is
 C^1, and U_p with a Z_5 orbifold point for r < 0, where it is C^1/Z_5.
+
+A sheet is built only when every ray of the report is a node and the ray
+count is proven: `TransversalityReport.require_nodal`, the verdict that
+`analyze` exits on, is asked first, so `stratify` exits as `analyze` did.
 """
 
 from __future__ import annotations
@@ -16,8 +20,8 @@ from enum import Enum
 from numbers import Real
 from typing import NamedTuple, Tuple
 
-from .errors import GsvInputError, IncompleteResultError, NonIsolatedError, QuantumRegionError
-from .singular import Kind, TransversalityReport
+from .errors import GsvInputError, QuantumRegionError
+from .singular import TransversalityReport
 
 
 class Chart(NamedTuple):
@@ -120,14 +124,8 @@ class StratifiedVariety(NamedTuple):
 def build_ground_state_variety(report: TransversalityReport, sheet) -> StratifiedVariety:
     """One sheet of the ground-state variety.  Orbifold groups and exocurve
     compactness are read from the sheet's exocurve charts."""
+    report.require_nodal()
     sheet = normalize_sheet(sheet)
-    if not report.complete:
-        raise IncompleteResultError(
-            "transversality search was inconclusive; cannot stratify")
-    bad = [r for r in report.rays if r.classification.kind is not Kind.NODE]
-    if bad:
-        raise NonIsolatedError(
-            f"{len(bad)} singular rays are not certified isolated nodes")
 
     charts = build_exocurve(sheet)
     if sheet > 0:

@@ -22,8 +22,7 @@ from gsvkit.cohomology import ConifoldData, GradedSpace, cohomology_report, maye
 from gsvkit.cyclo import CyclotomicField
 from gsvkit.poly import parse_polynomial
 from gsvkit.resolutions import build_transition_graph
-from gsvkit.singular import (NODE, Kind, SingularRay,
-                             TransversalityReport, verify_transversal)
+from gsvkit.singular import SingularRay, TransversalityReport, verify_transversal
 from gsvkit.strata import StratumKind, build_exocurve, build_ground_state_variety
 
 K5 = CyclotomicField(5)
@@ -68,7 +67,7 @@ def test_criterion_2_dwork_node_oracle():
     g = parse_polynomial(DWORK, K5)
     rays = verify_transversal(g, "ansatz").rays
     assert len(rays) == 125
-    assert all(r.classification.kind is Kind.NODE for r in rays)
+    assert all(r.corank == 0 for r in rays)
 
     # Independent oracle over all 6^5 grid points.  Coordinates are encoded
     # as None (zero) or an exponent a (value zeta^a); the Dwork gradient is
@@ -131,7 +130,7 @@ def test_criterion_2_dwork_node_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 125])
 def test_criterion_3_stratification_structure(n):
-    rays = tuple(SingularRay((K5.one,) * 5, NODE) for _ in range(n))
+    rays = tuple(SingularRay((K5.one,) * 5, 0) for _ in range(n))
     report = TransversalityReport(rays, "synthetic", True)
 
     positive = build_ground_state_variety(report, "pos")

@@ -65,7 +65,7 @@ def test_analyze_dwork_reports_125_nodes(capsys):
 def test_analyze_degenerate_exits_1(capsys):
     code, _, err = run(capsys, "analyze", DEGENERATE)
     assert code == 1
-    assert "NonIsolated" in err
+    assert err == "error: NonIsolatedError: 1 of 1 singular rays are not nodes\n"
 
 
 def test_analyze_inconclusive_exits_2(capsys):
@@ -91,8 +91,11 @@ def test_analyze_float_exits_1_only_on_a_certified_non_node(capsys, tmp_path):
     assert not report["complete"] and not report["isolated"]
     assert [r["class"] for r in report["rays"]] == ["node"]
     assert report["unresolved"] == 12
+    # stratify reaches the same verdict, and calls the search incomplete, not
+    # inconclusive: the report says transversal: false
     code, out, err = run(capsys, "stratify", str(report_path), "--sheet", "pos")
-    assert code == 2 and out == "" and "inconclusive" in err
+    assert (code, out) == (2, "")
+    assert err == "error: incomplete search: the count of 1 singular rays is not proven\n"
 
 
 def test_analyze_float_rejects_a_coefficient_beyond_float_range(capsys):
@@ -395,7 +398,29 @@ def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path, where):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "PolynomialParseError: integer literal of 5000 digits is too long (at position 0)" in err
+    place = {"polynomial": "", "candidates": "--candidates row 0 entry 4: ",
+             "report": "report ray 0 coordinate 4: "}[where]
+    assert (f"PolynomialParseError: {place}integer literal of 5000 digits is too long "
+            "(at position 0)") in err
+
+
+@pytest.mark.parametrize("where,message", [
+    ("candidates", "--candidates row 1 entry 4: unknown variable q (at position 0)"),
+    ("report", "report ray 1 coordinate 2: expected a non-negative integer exponent"),
+])
+def test_unparsable_coordinate_names_its_place(capsys, tmp_path, where, message):
+    path = tmp_path / "input.json"
+    if where == "candidates":
+        path.write_text(json.dumps([["1", "1", "1", "1", "1"], ["1", "1", "1", "1", "q"]]))
+        argv = ["analyze", DWORK, "--source", "user", "--candidates", str(path)]
+    else:
+        path.write_text(json.dumps({"transversal": False, "isolated": True, "complete": True,
+                                    "rays": [RAY, dict(RAY, coords=["1", "1", "zeta^", "1",
+                                                                    "0"])]}))
+        argv = ["stratify", str(path), "--sheet", "pos"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: PolynomialParseError: {message}\n"
 
 
 def test_stratify_reads_the_report_field_order(capsys, tmp_path):

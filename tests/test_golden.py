@@ -7,8 +7,10 @@ resolutions format, so a new example cannot ship without its goldens.  Names are
 `<data file stem>.<command>[.<mode>].<format>`; analyze goldens carry the
 root-of-unity order as `k<order>` in place of the mode (`analyze_float` for
 `--source float` with the default starts and seed), and their exit codes are
-in `analyze.exit_codes.json`.  Stratify goldens, `<stem>.stratify.<sheet>.<format>`,
-are built from the k = 5 `analyze --format json` report of the same data file.
+in `analyze.exit_codes.json`.  Every `data/*.poly` file is pinned under both
+sources.  Stratify goldens, `<stem>.stratify.<sheet>.<format>`, are built from
+the k = 5 `analyze --format json` report of the same data file, and `stratify`
+on any analyze JSON golden exits as `analyze` did.
 """
 
 import json
@@ -30,14 +32,10 @@ CASES += [(stem, ("resolutions", "--format", fmt), f"{stem}.resolutions.{fmt}")
           for stem in DATA for fmt in ("text", "json", "dot")]
 
 ANALYZE_EXIT = json.loads((GOLDEN / "analyze.exit_codes.json").read_text())
-ANALYZE = [(stem, order, fmt)
-           for stem, order in (("dwork_psi1", 5), ("dwork_psi1", 10),
-                               ("degenerate", 5), ("fermat", 5))
-           for fmt in ("json", "text")]
-# every data/*.poly under --source float at k = 5, and Dwork at k = 10 as well
+# every data/*.poly at k = 5, and Dwork at k = 10 as well, under each source
 POLYS = [p.stem for p in sorted((ROOT / "data").glob("*.poly"))]
-FLOAT = [(stem, 5) for stem in POLYS] + [("dwork_psi1", 10)]
-FLOAT_CASES = [(stem, order, fmt) for stem, order in FLOAT for fmt in ("json", "text")]
+RUNS = [(stem, 5) for stem in POLYS] + [("dwork_psi1", 10)]
+ANALYZE = [(stem, order, fmt) for stem, order in RUNS for fmt in ("json", "text")]
 STRATIFY = [(stem, sheet, fmt) for stem in ("dwork_psi1", "fermat")
             for sheet in ("pos", "neg") for fmt in ("text", "json")]
 
@@ -56,6 +54,14 @@ def test_stdout_matches_golden(capsysbinary, stem, argv, golden):
     assert out == (GOLDEN / golden).read_bytes()
 
 
+def test_every_poly_data_file_has_its_analyze_goldens():
+    missing = [f"{stem}.analyze.k{order}.{fmt}" for stem, order, fmt in ANALYZE
+               if not (GOLDEN / f"{stem}.analyze.k{order}.{fmt}").is_file()]
+    missing += [f"{stem}.analyze.k{order}" for stem, order in RUNS
+                if f"{stem}.analyze.k{order}" not in ANALYZE_EXIT]
+    assert POLYS and not missing, f"data files without analyze goldens: {missing}"
+
+
 @pytest.mark.parametrize("stem,order,fmt", ANALYZE,
                          ids=[f"{s}.analyze.k{k}.{f}" for s, k, f in ANALYZE])
 def test_analyze_matches_golden(capsysbinary, stem, order, fmt):
@@ -67,13 +73,13 @@ def test_analyze_matches_golden(capsysbinary, stem, order, fmt):
 
 
 def test_every_poly_data_file_has_its_float_goldens():
-    missing = [f"{stem}.analyze_float.k{order}.{fmt}" for stem, order, fmt in FLOAT_CASES
+    missing = [f"{stem}.analyze_float.k{order}.{fmt}" for stem, order, fmt in ANALYZE
                if not (GOLDEN / f"{stem}.analyze_float.k{order}.{fmt}").is_file()]
     assert POLYS and not missing, f"data files without float goldens: {missing}"
 
 
-@pytest.mark.parametrize("stem,order,fmt", FLOAT_CASES,
-                         ids=[f"{s}.analyze_float.k{k}.{f}" for s, k, f in FLOAT_CASES])
+@pytest.mark.parametrize("stem,order,fmt", ANALYZE,
+                         ids=[f"{s}.analyze_float.k{k}.{f}" for s, k, f in ANALYZE])
 def test_analyze_float_matches_golden(capsysbinary, stem, order, fmt):
     code = main(["analyze", str(ROOT / "data" / f"{stem}.poly"), "--source", "float",
                  "--zeta-order", str(order), "--format", fmt])
@@ -94,8 +100,8 @@ def test_stratify_matches_golden(capsysbinary, tmp_path, stem, sheet, fmt):
     assert out == (GOLDEN / f"{stem}.stratify.{sheet}.{fmt}").read_bytes()
 
 
-ANALYZE_JSON = [f"{s}.analyze.k{k}.json" for s, k, f in ANALYZE if f == "json"]
-ANALYZE_JSON += [f"{s}.analyze_float.k{k}.json" for s, k in FLOAT]
+ANALYZE_JSON = [f"{s}.{command}.k{k}.json" for command in ("analyze", "analyze_float")
+                for s, k in RUNS]
 
 
 @pytest.mark.parametrize("golden", ANALYZE_JSON)
@@ -108,3 +114,12 @@ def test_analyze_json_round_trips_through_the_reader(golden):
     report = TransversalityReport.from_json_dict(sourceless)
     assert report.source == "file"
     assert TransversalityReport.from_json_dict(report.to_json_dict()) == report
+
+
+@pytest.mark.parametrize("sheet", ["pos", "neg"])
+@pytest.mark.parametrize("golden", sorted(p.name for p in GOLDEN.glob("*.analyze*.json")))
+def test_stratify_exits_as_analyze_did_on_its_report(capsys, golden, sheet):
+    """Both commands turn on the report's one verdict, so they exit alike."""
+    code = main(["stratify", str(GOLDEN / golden), "--sheet", sheet])
+    capsys.readouterr()
+    assert code == ANALYZE_EXIT[golden.removesuffix(".json")]

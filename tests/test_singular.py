@@ -14,7 +14,7 @@ from gsvkit import homotopy, singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvError, GsvInputError
 from gsvkit.poly import Polynomial, parse_polynomial
-from gsvkit.singular import Kind, ansatz_candidates, normalize_ray, verify_transversal
+from gsvkit.singular import ansatz_candidates, normalize_ray, verify_transversal
 
 K5 = CyclotomicField(5)
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -31,9 +31,9 @@ def coords(ray):
 
 
 def classify(g, point):
-    """The class of the one singular ray the user source finds at `point`."""
+    """The corank of the one singular ray the user source finds at `point`."""
     (ray,) = verify_transversal(g, "user", [point]).rays
-    return ray.classification
+    return ray.corank
 
 
 def test_fermat_is_transversal():
@@ -53,8 +53,7 @@ def test_cone_over_fermat_quartic_surface():
     assert report.transversal is False
     assert [coords(r) for r in report.rays] == [("0", "0", "0", "0", "1")]
     ray = report.rays[0]
-    assert ray.classification.kind is Kind.NON_NODE
-    assert ray.classification.corank == 4
+    assert ray.corank == 4
     assert not report.isolated
 
 
@@ -62,7 +61,7 @@ def test_single_node_polynomial():
     rays = verify_transversal(ONE_NODE, "ansatz").rays
     assert len(rays) == 1
     assert coords(rays[0]) == ("0", "0", "0", "0", "1")
-    assert rays[0].classification.kind is Kind.NODE
+    assert rays[0].corank == 0
 
 
 def test_single_node_hessian_oracle():
@@ -85,7 +84,7 @@ def test_classification_is_scaling_invariant():
     scaled = [z ** 2 * K5.element(3) for _ in range(5)]
     (ray,) = verify_transversal(DWORK, "user", [scaled]).rays
     assert ray.representative == (K5.one,) * 5
-    assert ray.classification.kind is Kind.NODE
+    assert ray.corank == 0
 
 
 def test_dwork_ray_structure():
@@ -98,7 +97,7 @@ def test_dwork_ray_structure():
         assert pt[0] == K5.one
         assert all(g.evaluate(pt).is_zero() for g in gradient)
         assert DWORK.evaluate(pt).is_zero()
-        assert ray.classification.kind is Kind.NODE
+        assert ray.corank == 0
 
 
 def test_dwork_exponent_oracle():
@@ -207,7 +206,7 @@ def test_float_homotopy_on_dwork():
     # true node appearing in the exact search
     rays = verify_transversal(DWORK, "float").rays
     assert len(rays) >= 50
-    assert all(r.classification.kind is Kind.NODE for r in rays)
+    assert all(r.corank == 0 for r in rays)
     exact = {coords(r) for r in verify_transversal(DWORK, "ansatz").rays}
     assert {coords(r) for r in rays} <= exact
 
@@ -217,8 +216,7 @@ def test_float_homotopy_certifies_a_slowly_converging_non_node():
     # stops about 1e-3 off the ray; every hit still snaps to it
     g = parse_polynomial((DATA / "degenerate.poly").read_text(), K5)
     rays = verify_transversal(g, "float").rays
-    assert [(coords(r), r.classification) for r in rays] == [
-        (("0", "0", "0", "0", "1"), singular.SingularityClass(Kind.NON_NODE, 4))]
+    assert [(coords(r), r.corank) for r in rays] == [(("0", "0", "0", "0", "1"), 4)]
 
 
 # -- exponent-bin scan against the exact evaluator ---------------------------------
@@ -582,7 +580,7 @@ def test_float_homotopy_on_dwork_at_zeta_order_10():
     # the default search, pinned: 119 of the 125 nodes, all of them on the grid
     g = parse_polynomial((DATA / "dwork_psi1.poly").read_text(), CyclotomicField(10))
     rays = verify_transversal(g, "float").rays
-    assert all(r.classification.kind is Kind.NODE for r in rays)
+    assert all(r.corank == 0 for r in rays)
     exact = {coords(r) for r in verify_transversal(g, "ansatz").rays}
     found = {coords(r) for r in rays}
     assert len(rays) == len(found) == 119 and found <= exact
@@ -596,7 +594,7 @@ def test_offgrid_quintic_ansatz_finds_one_ray():
     g = parse_polynomial((DATA / "offgrid16.poly").read_text(), K5)
     report = verify_transversal(g, "ansatz")
     assert [coords(r) for r in report.rays] == [("0", "0", "1", "1", "1")]
-    assert report.rays[0].classification.kind is Kind.NODE
+    assert report.rays[0].corank == 0
 
 
 # -- mod-p node certificate and its exact fallback ----------------------------------
@@ -686,14 +684,12 @@ def test_node_test_matches_the_exact_rank(g):
     # the mod-p determinant decides nothing the exact rank would not
     for ray in verify_transversal(g, "ansatz").rays:
         rank = minor_rank(chart_hessian(g, ray.representative))
-        assert (ray.classification.kind is Kind.NODE) == (rank == 4)
-        if rank < 4:
-            assert ray.classification.corank == 4 - rank
+        assert ray.corank == 4 - rank
 
 
 def test_nodes_are_certified_mod_p(monkeypatch):
     calls = counting_rank(monkeypatch)
-    assert classify(ONE_NODE, [K5.zero] * 4 + [K5.one]).kind is Kind.NODE
+    assert classify(ONE_NODE, [K5.zero] * 4 + [K5.one]) == 0
     assert calls == []
 
 
@@ -710,10 +706,7 @@ def test_non_node_corank_comes_from_exact_rank(monkeypatch, text):
     calls = counting_rank(monkeypatch)
     for ray in rays:
         pt = ray.representative
-        cls = classify(g, pt)
-        assert cls == ray.classification
-        assert cls.kind is Kind.NON_NODE
-        assert cls.corank == 4 - minor_rank(chart_hessian(g, pt))
+        assert classify(g, pt) == ray.corank == 4 - minor_rank(chart_hessian(g, pt)) > 0
     assert len(calls) == len(rays)
 
 
@@ -761,13 +754,13 @@ def test_off_grid_user_point_without_a_residue_takes_exact_path(monkeypatch):
     point = tuple(map(K5.element, (1, Fraction(1, p), 1, 1, 1)))
     report = verify_transversal(g, "user", [point])
     assert [r.representative for r in report.rays] == [point]
-    assert [r.classification for r in report.rays] == [twin] == [singular.NODE]
+    assert [r.corank for r in report.rays] == [twin] == [0]
     assert len(calls) == 1
 
 
 def test_reports_are_immutable():
     report = verify_transversal(ONE_NODE, "ansatz")
-    for record, name in ((report, "complete"), (report.rays[0], "classification")):
+    for record, name in ((report, "complete"), (report.rays[0], "corank")):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
 

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from gsvkit.cyclo import CyclotomicField
 from gsvkit.errors import (GsvInputError, IncompleteResultError, NonIsolatedError,
                            QuantumRegionError)
-from gsvkit.singular import (NODE, Kind, SingularRay, SingularityClass,
-                             TransversalityReport)
+from gsvkit.singular import SingularRay, TransversalityReport
 from gsvkit.strata import (Chart, StratumKind, build_exocurve, build_ground_state_variety,
                            normalize_sheet, strata_report)
 
@@ -18,8 +17,8 @@ K5 = CyclotomicField(5)
 TRANSVERSAL = TransversalityReport((), "ansatz", True)
 
 
-def nodal_report(n, kind=NODE):
-    rays = tuple(SingularRay((K5.one,) * 5, kind) for _ in range(n))
+def nodal_report(n, corank=0):
+    rays = tuple(SingularRay((K5.one,) * 5, corank) for _ in range(n))
     return TransversalityReport(rays, "test", True)
 
 
@@ -71,7 +70,7 @@ def test_incomplete_report_rejected():
 
 
 def test_non_isolated_report_rejected():
-    report = nodal_report(1, SingularityClass(Kind.NON_NODE, corank=4))
+    report = nodal_report(1, corank=4)
     assert not report.isolated
     for sheet in ("pos", "neg"):
         with pytest.raises(NonIsolatedError):
