@@ -3,13 +3,12 @@
 An element of Q(zeta_k) is stored by its coordinates in the power basis
 1, zeta, ..., zeta^(phi(k)-1), i.e. as a polynomial in zeta reduced modulo
 the k-th cyclotomic polynomial.  k=1 reduces to plain rational arithmetic.
-Everything is exact; the only bridge to floating point is the explicit
-embedding `to_complex`.
+Everything is exact: the complex embedding of the numeric search lives in
+`homotopy`, outside the exact core.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -328,16 +327,6 @@ class Cyclo:
                 return None
             term = c.numerator if den == 1 else c.numerator * pow(den, -1, p)
             total = (total * omega + term) % p
-        return total
-
-    def to_complex(self) -> complex:
-        z = cmath.exp(2j * math.pi / self.field.order)
-        total = 0j
-        power = 1 + 0j
-        for c in self.coeffs:
-            if c:
-                total += float(c) * power
-            power *= z
         return total
 
     def __str__(self) -> str:

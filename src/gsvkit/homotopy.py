@@ -1,17 +1,43 @@
-"""Array helpers of the numeric search behind `singular._float_search`.
+"""The numeric candidate source of `--source float`, and gsvkit's only
+floating-point code.
 
-Imported only under `--source float`, like numpy itself: batched complex
-evaluators of polynomials, a batched least-squares step and the Gauss-Newton
-loop that takes it.
+Imported only under that source, like numpy itself.  `float_candidates`
+compiles the gradient and Hessian once into complex exponent and coefficient
+arrays and runs Gauss-Newton on the starts of all five charts as one batch.
+A hit that snaps to the root-of-unity grid becomes a normalized grid point,
+which `singular.verify_transversal` certifies by the same exact scan as a
+user point; every other hit is only counted, as `unresolved`, so a report
+lists certified rays alone.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import cmath
+import math
+from pathlib import Path
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from .cyclo import Cyclo
+from .errors import GsvError, GsvInputError
 from .poly import Polynomial
+
+# The start count, the seed of its table `float_starts.npy` and the convergence
+# tolerance of the search (see `float_candidates`)
+FLOAT_STARTS, FLOAT_SEED, FLOAT_TOLERANCE = 400, 20260809, 1e-10
+
+
+def _to_complex(c: Cyclo) -> complex:
+    """The image of c under zeta -> exp(2 pi i / k)."""
+    z = cmath.exp(2j * math.pi / c.field.order)
+    total = 0j
+    power = 1 + 0j
+    for a in c.coeffs:
+        if a:
+            total += float(a) * power
+        power *= z
+    return total
 
 
 def complex_evaluator(polys: Sequence[Polynomial]):
@@ -19,7 +45,7 @@ def complex_evaluator(polys: Sequence[Polynomial]):
 
     The returned function maps an (S, n) complex array of points to the
     (S, len(polys)) array of values: the monomials over the union of all
-    exponents, times a complex coefficient matrix built with one `to_complex`
+    exponents, times a complex coefficient matrix built with one `_to_complex`
     per coefficient.  Each coordinate's powers 0..max exponent come from
     repeated multiplication, and a monomial is the product of its gathered
     powers, one variable at a time.
@@ -31,7 +57,7 @@ def complex_evaluator(polys: Sequence[Polynomial]):
     coeffs = np.zeros((len(exps), len(polys)), dtype=complex)
     for col, p in enumerate(polys):
         for e, c in p.terms.items():
-            coeffs[index[e], col] = c.to_complex()
+            coeffs[index[e], col] = _to_complex(c)
 
     def evaluate(points):
         coords = points.T
@@ -128,3 +154,70 @@ def newton_batch(x, chart, gradient, hessian, tol: float):
         active = active[~(np.abs(step).max(axis=1) < 1e-14)]
     ok = np.isfinite(pts).all(axis=1) & (np.abs(gradient(pts)).max(axis=1) < tol)
     return pts, ok
+
+
+def _require_float_range(g: Polynomial) -> None:
+    """Raise GsvInputError naming G's term when the largest multiple of it in
+    the Hessian, c * e_i * (e_j - [i = j]), leaves float range.  For a term of
+    degree 5 that multiple is at least the gradient's largest, c * max e_i, so
+    this checks the gradient too."""
+    for e, c in g.terms.items():
+        top = max(a * (b - (i == j)) for i, a in enumerate(e) for j, b in enumerate(e))
+        try:
+            _to_complex(c * top)
+        except OverflowError:
+            term = Polynomial(g.field, g.variables, {e: c})
+            raise GsvInputError(f"term {term} has a derivative coefficient beyond float "
+                                "range") from None
+
+
+def float_candidates(g: Polynomial) -> Tuple[list, int]:
+    """The normalized grid points that numeric hits snap to, and the number
+    of distinct hits.
+
+    Gauss-Newton on the gradient system in the affine charts: `FLOAT_STARTS
+    // 5` complex starts per chart are read from the package's
+    `float_starts.npy`, the (starts, re/im, 4) float64 standard-normal draw
+    of numpy's default generator seeded with `FLOAT_SEED` (real then
+    imaginary parts, start by start, chart by chart; a test regenerates it
+    bit for bit), and the starts of all five charts are iterated as one
+    batch until max|dG| < `FLOAT_TOLERANCE`.  Each solution, scaled so its
+    largest coordinate is 1, is snapped to the root-of-unity grid when every
+    coordinate lies within 1e-2 of a grid value, and rotated by a power of
+    zeta so its first nonzero coordinate is 1.  A snap is a tuple of the
+    field's own `zero` and `zeta_power(a)` objects; it is not yet certified,
+    and a hit that does not snap is only counted.
+
+    A table of another shape raises GsvError.  A term of G whose multiple in
+    the gradient or Hessian leaves float range raises GsvInputError naming it.
+    """
+    _require_float_range(g)
+    gradient = complex_evaluator(g.gradient())
+    hessian = complex_evaluator([h for row in g.hessian() for h in row])
+    per_chart = FLOAT_STARTS // 5
+    z = np.load(Path(__file__).with_name("float_starts.npy"))
+    if z.shape != (5 * per_chart, 2, 4):
+        raise GsvError(f"float_starts.npy holds starts of shape {z.shape}, not the "
+                       f"{(5 * per_chart, 2, 4)} of FLOAT_STARTS = {FLOAT_STARTS}")
+    pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
+                           gradient, hessian, FLOAT_TOLERANCE)
+    pts = pts[ok]
+    lead = (abs(pts) > 1e-8).argmax(axis=1)
+    pts = pts / np.take_along_axis(pts, lead[:, None], axis=1)
+    first: dict[tuple, int] = {}
+    for i, key in enumerate(np.round(pts, 6).tolist()):
+        first.setdefault(tuple(key), i)
+    pts = pts[list(first.values())]
+
+    # Newton converges only linearly at a non-node and can stop ~1e-3 off the
+    # ray, hence the wide radius; the exact scan still checks every snap
+    field, k = g.field, g.field.order
+    grid = (field.zero, *map(field.zeta_power, range(k)))  # 0, then zeta^a at index 1 + a
+    top = np.take_along_axis(pts, abs(pts).argmax(axis=1)[:, None], axis=1)
+    dists = abs((pts / top)[:, :, None] - np.array([_to_complex(c) for c in grid]))
+    idx = dists.argmin(axis=2)[(dists.min(axis=2) < 1e-2).all(axis=1)]
+    # rotate by zeta^-a, a the phase of the first nonzero coordinate, so that
+    # coordinate is 1 and the snap is a normalized ray of grid objects
+    shift = np.take_along_axis(idx, (idx > 0).argmax(axis=1)[:, None], axis=1)
+    idx = np.where(idx > 0, (idx - shift) % k + 1, 0)
+    return [tuple(map(grid.__getitem__, i)) for i in idx.tolist()], len(pts)

@@ -24,21 +24,16 @@ source does not visit the grid point by point: it solves one zero pattern
 a single monomial has no solutions.  Otherwise a component's verdict depends
 only on its monomials' phase differences, so it is a memoized k^2-bit mask
 over the last two free phases, ANDed over the components for each phase
-prefix of the other free coordinates.  The same test checks user candidates
-and numeric hits, and a ray it proves is classified without a second test.
+prefix of the other free coordinates.  The same test, in one line of
+`verify_transversal`, certifies every external candidate: a user's points
+and the snapped hits of the numeric search in `homotopy`, the only
+floating-point module.  A ray it proves is classified without a second test.
 G = 0 needs no test of its own: G is homogeneous of degree 5, so Euler's
 identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart Hessian
 with a nonzero determinant over F_p (p = 1 mod k, zeta -> an element of
 order k), read from power tables of the coordinates' residues, certifies a
 node; a zero determinant mod p, or a denominator divisible by p, falls back
 to the exact rank.
-
-The numeric source is the only floating-point path.  It compiles the
-gradient and Hessian once into complex exponent and coefficient arrays and
-runs Gauss-Newton on the starts of all five charts as one batch.  A hit
-that snaps to the grid becomes a normalized grid ray and is certified by the
-same scan as any other candidate; every other hit is only counted, as
-`unresolved`, so a report lists certified rays alone.
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ from operator import attrgetter, getitem, itemgetter, mul
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .cyclo import MAX_ORDER, Cyclo, CyclotomicField, residue_prime
-from .errors import GsvError, GsvInputError, IncompleteResultError, NonIsolatedError
+from .errors import GsvInputError, IncompleteResultError, NonIsolatedError
 from .poly import Polynomial, parse_scalar
 
 
@@ -236,9 +231,6 @@ def _require_fields(obj, names, where: str) -> None:
 SOURCES = ("ansatz", "user", "float")
 # The sources whose rays prove no count: only the ansatz search proves one
 _UNCOUNTED = ("user", "float")
-# The numeric search's start count, the seed of its table `float_starts.npy` and
-# its convergence tolerance (see `_float_search`)
-FLOAT_STARTS, FLOAT_SEED, FLOAT_TOLERANCE = 400, 20260809, 1e-10
 
 
 def normalize_ray(point: Sequence[Cyclo]) -> Tuple[Cyclo, ...]:
@@ -527,8 +519,9 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
     certify transversality when possible.
 
     "ansatz" solves the whole root-of-unity grid, "user" tests the nonzero
-    `points` (rows of five field elements), and "float" runs the numeric
-    search of `_float_search`.  Exit states: certified rays found
+    `points` (rows of five field elements), and "float" tests the grid
+    points that `homotopy.float_candidates` snaps its hits to; a hit that
+    does not certify counts as `unresolved`.  Exit states: certified rays found
     (non-transversal), no rays plus a certificate (transversal), or no
     certified ray and no certificate (inconclusive; never silently reported
     as transversal, nor as non-transversal on uncertified numeric hits alone).
@@ -539,94 +532,19 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
     if points and source != "user":
         raise GsvInputError(f"candidate points apply only to source 'user', not {source!r}")
     _require_quintic(g)
-    unresolved = 0
     if source == "ansatz":
-        found = _scan(g).grid_zeros()
-    elif source == "user":
-        pts = (tuple(map(g.field.element, p)) for p in points)
-        found = [p for p in pts if any(p) and _scan(g).vanishes(p)]  # the origin is excised
+        found, unresolved = _scan(g).grid_zeros(), 0
     else:
-        found, unresolved = _float_search(g)
+        if source == "user":
+            pts, hits = (tuple(map(g.field.element, p)) for p in points), None
+        else:
+            from .homotopy import float_candidates
+            pts, hits = float_candidates(g)
+        found = [p for p in pts if any(p) and _scan(g).vanishes(p)]  # the origin is excised
+        unresolved = 0 if hits is None else hits - len(found)
     rays = _finish_rays(g, found)
     # the ansatz grid counts as searched whole
     complete = source not in _UNCOUNTED if rays else _pure_power_gradient(g)
     return TransversalityReport(rays, source, complete, 0 if complete else unresolved,
                                 g.field.order)
 
-
-# -- numeric fallback -------------------------------------------------------------
-
-
-def _require_float_range(g: Polynomial) -> None:
-    """Raise GsvInputError naming G's term when the largest multiple of it in
-    the Hessian, c * e_i * (e_j - [i = j]), leaves float range.  For a term of
-    degree 5 that multiple is at least the gradient's largest, c * max e_i, so
-    this checks the gradient too."""
-    for e, c in g.terms.items():
-        top = max(a * (b - (i == j)) for i, a in enumerate(e) for j, b in enumerate(e))
-        try:
-            (c * top).to_complex()
-        except OverflowError:
-            term = Polynomial(g.field, g.variables, {e: c})
-            raise GsvInputError(f"term {term} has a derivative coefficient beyond float "
-                                "range") from None
-
-
-def _float_search(g: Polynomial) -> Tuple[list, int]:
-    """The normalized grid rays where numeric hits certify, and the number of
-    distinct hits that do not.
-
-    Gauss-Newton on the gradient system in the affine charts: `FLOAT_STARTS
-    // 5` complex starts per chart are read from the package's
-    `float_starts.npy`, the (starts, re/im, 4) float64 standard-normal draw
-    of numpy's default generator seeded with `FLOAT_SEED` (real then
-    imaginary parts, start by start, chart by chart; a test regenerates it
-    bit for bit), and the starts of all five charts are iterated as one
-    batch until max|dG| < `FLOAT_TOLERANCE`.  Each solution, scaled so its
-    largest coordinate is 1, is snapped to the root-of-unity grid when every
-    coordinate lies within 1e-2 of a grid value, rotated by a power of zeta
-    so its first nonzero coordinate is 1, and certified by the exact grid
-    scan.  A hit that does not snap, or whose snap is not singular, is only
-    counted as unresolved.
-
-    A table of another shape raises GsvError.  A term of G whose multiple in
-    the gradient or Hessian leaves float range raises GsvInputError naming it.
-    """
-    from pathlib import Path
-
-    import numpy as np
-
-    from .homotopy import complex_evaluator, newton_batch
-
-    _require_float_range(g)
-    gradient = complex_evaluator(g.gradient())
-    hessian = complex_evaluator([h for row in g.hessian() for h in row])
-    per_chart = FLOAT_STARTS // 5
-    z = np.load(Path(__file__).with_name("float_starts.npy"))
-    if z.shape != (5 * per_chart, 2, 4):
-        raise GsvError(f"float_starts.npy holds starts of shape {z.shape}, not the "
-                       f"{(5 * per_chart, 2, 4)} of FLOAT_STARTS = {FLOAT_STARTS}")
-    pts, ok = newton_batch(z[:, 0] + 1j * z[:, 1], np.arange(5).repeat(per_chart),
-                           gradient, hessian, FLOAT_TOLERANCE)
-    pts = pts[ok]
-    lead = (abs(pts) > 1e-8).argmax(axis=1)
-    pts = pts / np.take_along_axis(pts, lead[:, None], axis=1)
-    first: dict[tuple, int] = {}
-    for i, key in enumerate(np.round(pts, 6).tolist()):
-        first.setdefault(tuple(key), i)
-    pts = pts[list(first.values())]
-
-    # Newton converges only linearly at a non-node and can stop ~1e-3 off the
-    # ray, hence the wide radius; the exact scan still checks every snap
-    scan = _scan(g)
-    grid, k = scan._grid, scan.k  # 0, then zeta^a at index 1 + a
-    top = np.take_along_axis(pts, abs(pts).argmax(axis=1)[:, None], axis=1)
-    dists = abs((pts / top)[:, :, None] - np.array([c.to_complex() for c in grid]))
-    idx = dists.argmin(axis=2)[(dists.min(axis=2) < 1e-2).all(axis=1)]
-    # rotate by zeta^-a, a the phase of the first nonzero coordinate, so that
-    # coordinate is 1 and the snap is a normalized ray of grid objects
-    shift = np.take_along_axis(idx, (idx > 0).argmax(axis=1)[:, None], axis=1)
-    idx = np.where(idx > 0, (idx - shift) % k + 1, 0)
-    certified = list(filter(scan.vanishes, (tuple(map(grid.__getitem__, i))
-                                            for i in idx.tolist())))
-    return certified, len(pts) - len(certified)

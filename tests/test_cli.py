@@ -517,6 +517,29 @@ def test_analyze_float_loads_numpy_but_not_numpy_random(tmp_path):
     assert not [m for m in loaded if m == "numpy.random" or m.startswith("numpy.random.")]
 
 
+def test_pipeline_runs_without_numpy(tmp_path, conifold_file):
+    """The README flow on Dwork (analyze, stratify pos and neg, cohomology,
+    resolutions) in a fresh interpreter where numpy cannot be imported: every
+    call exits 0, and numpy, cmath and gsvkit.homotopy are never loaded."""
+    out, report = ["--format", "json", "--output"], str(tmp_path / "report.json")
+    calls = [["analyze", DWORK, *out, report],
+             ["stratify", report, "--sheet", "pos", *out, str(tmp_path / "pos.json")],
+             ["stratify", report, "--sheet", "neg", *out, str(tmp_path / "neg.json")],
+             ["cohomology", conifold_file, *out, str(tmp_path / "cohomology.json")],
+             ["resolutions", conifold_file, *out, str(tmp_path / "graph.json")]]
+    script = ("import sys\n"
+              "sys.modules['numpy'] = None\n"
+              "from gsvkit.cli import main\n"
+              f"print(*[main(argv) for argv in {calls!r}])\n"
+              "print(*(m for m in sys.modules if m.split('.')[0] in ('numpy', 'cmath')\n"
+              "        or m == 'gsvkit.homotopy'), sys.modules['numpy'])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["0 0 0 0 0", "numpy None"]
+
+
 def test_cohomology_command(capsys, conifold_file):
     code, out, _ = run(capsys, "cohomology", conifold_file)
     assert code == 0

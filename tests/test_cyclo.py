@@ -1,6 +1,5 @@
 """Cyclotomic coefficient arithmetic."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -93,15 +92,6 @@ def test_power_negative_exponent():
     assert (K.element(2) * z) ** 5 == K.element(32)
 
 
-def test_to_complex_embedding():
-    K = CyclotomicField(5)
-    z = K.zeta().to_complex()
-    assert abs(z - complex(math.cos(2 * math.pi / 5), math.sin(2 * math.pi / 5))) < 1e-12
-    a = K.element([frac(1, 2), -2, 0, frac(3, 7)])
-    expected = 0.5 - 2 * z + frac(3, 7) * z ** 3
-    assert abs(a.to_complex() - expected) < 1e-12
-
-
 def test_equality_coerces_rationals():
     K = CyclotomicField(5)
     assert K.element(2) == 2
@@ -157,12 +147,6 @@ def test_ring_axioms(a, b, c):
 def test_inverse_roundtrip(a):
     if not a.is_zero():
         assert a * a.inverse() == a.field.one
-
-
-@given(elements(), elements())
-def test_complex_embedding_is_a_homomorphism(a, b):
-    assert abs((a * b).to_complex() - a.to_complex() * b.to_complex()) < 1e-6
-    assert abs((a + b).to_complex() - (a.to_complex() + b.to_complex())) < 1e-9
 
 
 def integral_elements(order=5):
