@@ -25,7 +25,7 @@ def _graded_lex_key(exp: Exponent):
 
 
 class Polynomial:
-    __slots__ = ("field", "variables", "terms", "_derivatives")
+    __slots__ = ("field", "variables", "terms")
 
     def __init__(self, field: CyclotomicField, variables: Tuple[str, ...],
                  terms: Mapping[Exponent, Scalar] | None = None):
@@ -44,7 +44,6 @@ class Polynomial:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "variables", variables)
         object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_derivatives", {})  # what `_cached` builds
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"Polynomial is immutable: cannot change {name!r}")
@@ -83,22 +82,14 @@ class Polynomial:
                 out[key] = term if prev is None else prev + term
         return Polynomial(self.field, self.variables, out)
 
-    def _cached(self, name: str, build):
-        """`build()`, computed once per polynomial and kept under `name`."""
-        got = self._derivatives.get(name)
-        if got is None:
-            got = self._derivatives[name] = build()
-        return got
-
     def gradient(self) -> Tuple["Polynomial", ...]:
-        """First partials, computed once per polynomial."""
-        return self._cached("gradient", lambda: tuple(
-            self.partial(i) for i in range(len(self.variables))))
+        """First partials."""
+        return tuple(self.partial(i) for i in range(len(self.variables)))
 
     def hessian(self) -> Tuple[Tuple["Polynomial", ...], ...]:
-        """Second partials, computed once per polynomial."""
-        return self._cached("hessian", lambda: tuple(
-            tuple(g.partial(j) for j in range(len(self.variables))) for g in self.gradient()))
+        """Second partials."""
+        return tuple(tuple(g.partial(j) for j in range(len(self.variables)))
+                     for g in self.gradient())
 
     # -- evaluation ------------------------------------------------------------
 

@@ -15,7 +15,7 @@ which `analyze` and `stratify` share, raises unless every ray is a node and
 the ray count is proven.
 
 Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
-dG = 0 verdict comes from one test in one scan, built once per polynomial.
+dG = 0 verdict comes from one test in one scan, built once per search.
 On the root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so
 a gradient component is zero iff its integer coefficients, binned by that
 exponent mod k, vanish against a fixed integer table of zeta^t.  The ansatz
@@ -31,14 +31,16 @@ floating-point module.  A ray it proves is classified without a second test.
 G = 0 needs no test of its own: G is homogeneous of degree 5, so Euler's
 identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart Hessian
 with a nonzero determinant over F_p (p = 1 mod k, zeta -> an element of
-order k), read from power tables of the coordinates' residues, certifies a
-node; a zero determinant mod p, or a denominator divisible by p, falls back
-to the exact rank.
+order k) certifies a node.  The scan reads its entries off the one image of
+G mod p, and their values from power tables of the coordinates' residues.
+A zero determinant mod p, or a coefficient of G whose denominator is
+divisible by p, falls back to the exact rank.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import groupby, product
 from math import lcm, prod
 from operator import attrgetter, getitem, itemgetter, mul
@@ -271,19 +273,21 @@ _ZERO, _OFF_GRID = -1, -2
 
 
 class _GridScan:
-    """Exact test that the gradient of `g` vanishes at candidate points, in
-    integers on the grid.
+    """The exact tests of one search: that the gradient of `g` vanishes at
+    candidate points, in integers on the grid, and that a ray is a node.
 
     At a point whose coordinates are 0 or zeta^a, a monomial c*x^m that
     avoids the zero coordinates equals c*zeta^(sum a_i m_i).  Each gradient
     component, with denominators cleared, thus becomes an integer vector of
     length k binned by exponent mod k; it vanishes iff the vector's image in
     the power basis, through the integer table of zeta^t, is zero.  Any
-    other point is evaluated exactly with Cyclo arithmetic.
+    other point is evaluated exactly with Cyclo arithmetic.  The exact
+    Hessian and the node test's tables mod p are built on first use.
     """
 
     def __init__(self, g: Polynomial):
         field = g.field
+        self.g = g
         self.polys = g.gradient()
         self.n = len(g.variables)
         self.k = field.order
@@ -304,6 +308,38 @@ class _GridScan:
         self._grid = (field.zero, *units)
         self._memo = {id(c): a for a, c in zip((_ZERO, *range(self.k)), self._grid)}
         self._phase_of = {c.coeffs: self._memo[id(c)] for c in self._grid}
+
+    @cached_property
+    def hessian(self):
+        """The exact Hessian of g, read only by the exact-rank fallback."""
+        return self.g.hessian()
+
+    @cached_property
+    def mod_p(self):
+        """p, omega (see `residue_prime`), the powers x^0..x^top mod p of a
+        residue x (None if it has none), those of each grid phase (0 at -1,
+        omega^a at a), and the Hessian's upper triangle by (i, j), each entry
+        a map from exponents to residues, or None if a denominator of G is
+        divisible by p.  The triangle is read off G's image mod p: a term
+        r*x^m gives r*m_i*(m_j - [i = j]) at x^(m - e_i - e_j)."""
+        p, omega = residue_prime(self.k)
+        top = max(map(max, self.g.terms))
+
+        def powers(x):
+            return None if x is None else tuple(pow(x, e, p) for e in range(top + 1))
+
+        tables = {a: powers(0 if a == _ZERO else pow(omega, a, p)) for a in range(_ZERO, self.k)}
+        image = [(m, c.residue(p, omega)) for m, c in self.g.terms.items()]
+        if any(r is None for _, r in image):
+            return p, omega, powers, tables, None
+        upper = {(i, j): {} for i in range(self.n) for j in range(i, self.n)}
+        for m, r in image:
+            for i, j in upper:
+                factor = m[i] * (m[j] - (i == j))
+                if factor:
+                    e = tuple(a - (v == i) - (v == j) for v, a in enumerate(m))
+                    upper[i, j][e] = r * factor % p
+        return p, omega, powers, tables, upper
 
     def _phases(self, point: Sequence[Cyclo]) -> list:
         phases = list(map(self._memo.get, map(id, point)))
@@ -411,40 +447,11 @@ class _GridScan:
         return [tuple(map(self._grid.__getitem__, idx)) for _, idx in hits]
 
 
-def _scan(g: Polynomial) -> _GridScan:
-    """The grid scan of dG, built once per polynomial like its gradient."""
-    return g._cached("scan", lambda: _GridScan(g))
-
-
 def _require_quintic(g: Polynomial):
     if len(g.variables) != 5:
         raise GsvInputError("expected a polynomial in the five variables s0..s4")
     if g.is_zero() or not g.is_homogeneous(5):
         raise GsvInputError("expected a nonzero homogeneous polynomial of degree 5")
-
-
-def _hessian_mod_p(g: Polynomial):
-    """Built once per g: p, omega (see `residue_prime`), the powers x^0..x^top
-    mod p of a residue x (None if it has none), those of each grid phase (0 at
-    -1, omega^a at a), and the Hessian's upper triangle by (i, j), each entry
-    as (exponent, residue) pairs or None if a denominator is divisible by p."""
-    def build():
-        p, omega = residue_prime(g.field.order)
-        hess = g.hessian()
-        top = max(map(max, g.terms), default=0)
-
-        def powers(x):
-            return None if x is None else tuple(pow(x, e, p) for e in range(top + 1))
-
-        def reduce(h: Polynomial):
-            terms = [(e, c.residue(p, omega)) for e, c in h.terms.items()]
-            return None if any(r is None for _, r in terms) else terms
-
-        tables = {a: powers(0 if a == _ZERO else pow(omega, a, p))
-                  for a in range(_ZERO, g.field.order)}
-        return (p, omega, powers, tables, {(i, j): reduce(h) for i, row in enumerate(hess)
-                                           for j, h in enumerate(row[i:], i)})
-    return g._cached("hessian_mod_p", build)
 
 
 def _det4(m) -> int:
@@ -472,37 +479,37 @@ def _rank(rows: Sequence[Sequence]) -> int:
     return rank
 
 
-def _classify(g: Polynomial, pt: Tuple[Cyclo, ...]) -> int:
+def _classify(scan: _GridScan, pt: Tuple[Cyclo, ...]) -> int:
     """The corank of the chart Hessian at the normalized singular ray `pt`:
     0, a node, iff it has rank 4.
 
     The symmetric chart Hessian's 10 entries are read mod p from power
-    tables of the coordinates (see `_hessian_mod_p`).  A nonzero determinant
+    tables of the coordinates (see `_GridScan.mod_p`).  A nonzero determinant
     mod p certifies rank 4, as reduction mod p cannot raise a rank; a zero
     one, or a residue that does not exist, leaves it to the exact rank.
     """
     chart = next(i for i, c in enumerate(pt) if not c.is_zero())
     others = [i for i in range(5) if i != chart]
-    p, omega, powers, tables, upper = _hessian_mod_p(g)
-    tabs = [tables.get(a) or powers(c.residue(p, omega)) for c, a in zip(pt, _scan(g)._phases(pt))]
-    entries = [upper[i, j] for n, i in enumerate(others) for j in others[n:]]
-    if None not in tabs and None not in entries:
+    p, omega, powers, tables, upper = scan.mod_p
+    tabs = [tables.get(a) or powers(c.residue(p, omega)) for c, a in zip(pt, scan._phases(pt))]
+    if upper is not None and None not in tabs:
+        entries = [upper[i, j].items() for n, i in enumerate(others) for j in others[n:]]
         u = [sum(r * prod(map(getitem, tabs, e)) for e, r in terms) % p for terms in entries]
         if _det4([u[0:4], [u[1], *u[4:7]], [u[2], u[5], *u[7:9]], [u[3], u[6], u[8], u[9]]]) % p:
             return 0
-    hess = g.hessian()
+    hess = scan.hessian
     return 4 - _rank([[hess[i][j].evaluate(pt) for j in others] for i in others])
 
 
-def _finish_rays(g: Polynomial, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
+def _finish_rays(scan: _GridScan, points: Iterable[Sequence[Cyclo]]) -> Tuple[SingularRay, ...]:
     """Normalize, sort, dedupe and classify points the scan proved singular."""
-    return tuple(SingularRay(ray, _classify(g, ray))
+    return tuple(SingularRay(ray, _classify(scan, ray))
                  for ray in dict(_by_coords(map(normalize_ray, points))).values())
 
 
-def _pure_power_gradient(g: Polynomial) -> bool:
+def _pure_power_gradient(scan: _GridScan) -> bool:
     """Certificate: if every dG/ds_i is c * s_i^e, joint vanishing forces s = 0."""
-    for i, comp in enumerate(g.gradient()):
+    for i, comp in enumerate(scan.polys):
         if len(comp.terms) != 1:
             return False
         (exp,) = comp.terms
@@ -532,19 +539,20 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
     if points and source != "user":
         raise GsvInputError(f"candidate points apply only to source 'user', not {source!r}")
     _require_quintic(g)
+    scan = _GridScan(g)
     if source == "ansatz":
-        found, unresolved = _scan(g).grid_zeros(), 0
+        found, unresolved = scan.grid_zeros(), 0
     else:
         if source == "user":
             pts, hits = (tuple(map(g.field.element, p)) for p in points), None
         else:
             from .homotopy import float_candidates
             pts, hits = float_candidates(g)
-        found = [p for p in pts if any(p) and _scan(g).vanishes(p)]  # the origin is excised
+        found = [p for p in pts if any(p) and scan.vanishes(p)]  # the origin is excised
         unresolved = 0 if hits is None else hits - len(found)
-    rays = _finish_rays(g, found)
+    rays = _finish_rays(scan, found)
     # the ansatz grid counts as searched whole
-    complete = source not in _UNCOUNTED if rays else _pure_power_gradient(g)
+    complete = source not in _UNCOUNTED if rays else _pure_power_gradient(scan)
     return TransversalityReport(rays, source, complete, 0 if complete else unresolved,
                                 g.field.order)
 

@@ -22,13 +22,19 @@ The rows:
     critical values below (9/16, -1, -1 for A; 9/16, -1, -1 and 4, -9/4, -9/4
     for B) never meet that, so the 16 nodes are all.  `offgrid16` is
     data/offgrid16.poly;
-  - an A2 germ at (0:0:0:0:1) on a Fermat-like quintic, its other points
-    unknown (dim16 = 14 bounds their total tau by 12);
+  - A_k germs, k = 1..4, at (0:0:0:0:1) on a Fermat-like quintic, their
+    other points unknown (for A2, dim16 = 14 bounds their total tau by 12);
   - the cone over the Fermat quartic surface, one point with tau = 4^4;
+  - a quintic whose singular locus is positive-dimensional (`isolated` is
+    False; dim16 = 340), its points not listed;
+  - a dense quintic: the 121 monomials of s4-degree at most 3, so the apex
+    is singular, with a nondegenerate quadratic part there (tau = 1), its
+    other points unknown;
   - a smooth quintic whose gradient is not pure-power.
 """
 
-from itertools import product
+from collections import Counter
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 
@@ -40,6 +46,7 @@ class Row(NamedTuple):
     grid: bool  # complete, and every point lies on the order-5 grid
     dim16: int | None
     defect: int | None
+    isolated: bool = True  # False: the singular locus is positive-dimensional
 
 
 FERMAT = "s0^5+s1^5+s2^5+s3^5+s4^5"
@@ -71,6 +78,27 @@ def _pencil(name: str, a, b, dim16=None, defect=None) -> Row:
     return Row(name, "s0^5+s1^5" + "".join(terms), points, True, False, dim16, defect)
 
 
+def _germ(name: str, extra: str, tau: int, dim16=None) -> Row:
+    """An A_k germ at the apex: in the chart s4 = 1, s0^2 + s1^2 + s2^2 plus
+    the lowest power of s3, which `extra` sets (s3^(k+1), or s3^5 alone)."""
+    text = "s0^5+s1^5+s2^5+s3^5+s4^3*s0^2+s4^3*s1^2+s4^3*s2^2" + extra
+    return Row(name, text, {APEX: tau}, False, False, dim16, None)
+
+
+def _dense() -> Row:
+    """The quintic monomials of s4-degree at most 3, the idx-th of all 126 in
+    `combinations_with_replacement` order with coefficient (37 idx) mod 11 - 5,
+    or 1 where that is 0."""
+    terms = []
+    for idx, factors in enumerate(combinations_with_replacement(range(5), 5)):
+        if factors.count(4) <= 3:
+            coeff = (37 * idx) % 11 - 5 or 1
+            powers = [f"s{v}^{e}" if e > 1 else f"s{v}"
+                      for v, e in sorted(Counter(factors).items())]
+            terms.append(f"{coeff:+}*{'*'.join(powers)}")
+    return Row("dense", "".join(terms), {APEX: 1}, False, False, None, None)
+
+
 ROWS = (
     *map(_dwork, range(5)),
     Row("fermat", FERMAT, {}, True, True, 0, 0),
@@ -78,8 +106,13 @@ ROWS = (
         0, 0),
     _pencil("offgrid16", (1, 2, 3, 4), (1, 2, 3, 4), 16, 1),
     _pencil("pencil_0123_0134", (0, 1, 2, 3), (0, 1, 3, 4)),
-    Row("a2", "s0^5+s1^5+s2^5+s3^5+s4^3*s0^2+s4^3*s1^2+s4^3*s2^2+s4^2*s3^3", {APEX: 2},
-        False, False, 14, None),
+    _germ("a1", "+s4^3*s3^2", 1),
+    _germ("a2", "+s4^2*s3^3", 2, 14),
+    _germ("a3", "+s4*s3^4", 3),
+    _germ("a4", "", 4),
     Row("cone", "s0^5+s1^5+s2^5+s3^5", {APEX: 256}, True, True, 256, None),
+    Row("non_isolated", "s0*s2^4+s1*s3^4+s0^2*s4^3+s1^2*s2^3", {}, False, False, 340, None,
+        False),
+    _dense(),
     Row("smooth_non_pure", f"{FERMAT}+2*s0^3*s1*s2-7*s1^2*s3^2*s4", {}, True, True, 0, 0),
 )

@@ -11,6 +11,7 @@ from unittest import mock
 import pytest
 
 from gsvkit.cli import build_parser, main
+from gsvkit.poly import Polynomial
 
 FERMAT = "s0^5+s1^5+s2^5+s3^5+s4^5"
 DWORK = "s0^5+s1^5+s2^5+s3^5+s4^5-5*s0*s1*s2*s3*s4"
@@ -869,6 +870,55 @@ def test_json_outputs_are_byte_identical(capsys, conifold_file, tmp_path):
         # a user list proves no count, so its search is incomplete (exit 2)
         assert code1 == code2 == (2 if "user" in argv else 0)
         assert out1.encode() == out2.encode()
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(conifold_file, tmp_path):
+    """The README flow on Dwork, each call in a fresh interpreter, once under
+    PYTHONHASHSEED=0 and once under 1: every output is byte-identical.
+    Repeating a call in one process cannot catch an order that follows
+    string hashing."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    trees = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"seed{seed}"
+        out.mkdir()
+        report = str(out / "report.json")
+        calls = [["analyze", DWORK, "--format", "json", "--output", report],
+                 ["stratify", report, "--sheet", "pos", "--format", "json"],
+                 ["stratify", report, "--sheet", "neg", "--format", "json"],
+                 ["cohomology", conifold_file, "--format", "json"],
+                 ["resolutions", conifold_file, "--dot", str(out / "graph.dot")],
+                 ["analyze", DWORK],
+                 ["stratify", report, "--sheet", "pos"]]
+        tree = {}
+        for i, argv in enumerate(calls):
+            done = subprocess.run([sys.executable, "-m", "gsvkit.cli", *argv], capture_output=True,
+                                  env=dict(env, PYTHONHASHSEED=seed))
+            assert done.returncode == 0, done.stderr
+            tree[i] = (done.stdout, done.stderr)
+        trees.append((tree, {path.name: path.read_bytes() for path in out.iterdir()}))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("argv,code,calls", [
+    (["analyze", DWORK], 0, 0),
+    (["analyze", DWORK, "--zeta-order", "10"], 0, 0),
+    (["analyze", str(DATA / "degenerate.poly")], 1, 1),
+], ids=["dwork-k5", "dwork-k10", "degenerate"])
+def test_analyze_builds_the_exact_hessian_only_for_a_non_node(capsys, monkeypatch, argv, code,
+                                                              calls):
+    # a node is certified mod p from the image of G; only the exact-rank
+    # fallback of a non-node builds the exact Hessian, once per search
+    built = []
+    real = Polynomial.hessian
+
+    def hessian(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Polynomial, "hessian", hessian)
+    assert run(capsys, *argv)[0] == code
+    assert len(built) == calls
 
 
 def test_every_parsed_flag_is_read(capsys, conifold_file, tmp_path):

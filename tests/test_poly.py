@@ -207,3 +207,5 @@ def test_polynomial_is_immutable():
                    lambda: delattr(g, "variables")):
         with pytest.raises(AttributeError):
             change()
+    # the slots hold the value alone: nothing derived from it is kept on it
+    assert Polynomial.__slots__ == ("field", "variables", "terms")

@@ -255,7 +255,7 @@ def test_grid_scan_matches_exact_evaluation(g, data):
            (field.element(2),) * 5,
            (field.one, field.element(Fraction(1, 2)), field.one, field.zero, field.zero)]
     candidates = list(grid(field, phases)) + off
-    assert list(filter(singular._scan(g).vanishes, candidates)) == [
+    assert list(filter(singular._GridScan(g).vanishes, candidates)) == [
         pt for pt in candidates if all(d.evaluate(pt).is_zero() for d in g.gradient())]
 
 
@@ -264,10 +264,10 @@ def test_grid_scan_falls_back_off_the_grid():
     off = (K5.element(2),) * 5
     half = (K5.one, K5.element(Fraction(1, 2)), K5.zero, K5.zero, K5.zero)
     on = (K5.one,) * 5
-    assert list(filter(singular._scan(DWORK).vanishes, [off, half, on])) == [off, on]
+    assert list(filter(singular._GridScan(DWORK).vanishes, [off, half, on])) == [off, on]
     for wrong in (on[:4], on + (K5.one,)):
         with pytest.raises(GsvInputError, match="coordinates, expected 5"):
-            singular._scan(DWORK).vanishes(wrong)
+            singular._GridScan(DWORK).vanishes(wrong)
 
 
 def test_grid_scans_take_no_cyclo_evaluation_on_the_grid(monkeypatch):
@@ -275,23 +275,23 @@ def test_grid_scans_take_no_cyclo_evaluation_on_the_grid(monkeypatch):
         raise AssertionError("grid point sent to Polynomial.evaluate")
 
     monkeypatch.setattr(Polynomial, "evaluate", evaluate)
-    nodes = list(filter(singular._scan(DWORK).vanishes, ansatz_candidates(K5)))
+    nodes = list(filter(singular._GridScan(DWORK).vanishes, ansatz_candidates(K5)))
     assert len(nodes) == 125
-    assert singular._scan(DWORK).grid_zeros() == nodes
+    assert singular._GridScan(DWORK).grid_zeros() == nodes
 
 
 # -- pattern-by-pattern solve against the per-point filter ---------------------------
 
 
 def point_filter(g):
-    scan = singular._scan(g)
+    scan = singular._GridScan(g)
     return [pt for pt in ansatz_candidates(g.field) if scan.vanishes(pt)]
 
 
 @settings(max_examples=40, deadline=None)
 @given(sparse_quintics().filter(lambda g: g.field.order <= 8))
 def test_grid_zeros_match_the_per_point_filter(g):
-    assert singular._scan(g).grid_zeros() == point_filter(g)
+    assert singular._GridScan(g).grid_zeros() == point_filter(g)
 
 
 def dwork_psi(c: int, k: int) -> str:
@@ -317,7 +317,7 @@ def dwork_psi(c: int, k: int) -> str:
 def test_grid_zeros_on_named_quintics(text, k, hits):
     field = CyclotomicField(k)
     g = parse_polynomial(text, field)
-    zeros = singular._scan(g).grid_zeros()
+    zeros = singular._GridScan(g).grid_zeros()
     assert len(zeros) == hits
     if k <= 15:
         assert zeros == point_filter(g)
@@ -378,15 +378,59 @@ def test_offgrid_quintic_ansatz_finds_one_ray():
 @pytest.mark.parametrize("row", ROWS, ids=[row.name for row in ROWS])
 def test_oracle_quintics_at_zeta_order_5(row):
     # only what the ansatz search soundly claims: each ray is a known point, a
-    # node iff its tau is 1, and where the whole locus is on the grid, all of it
+    # node iff its tau is 1, and where the whole locus is on the grid, all of
+    # it; on a positive-dimensional locus, no ray is a node
     g = parse_polynomial(row.text, K5)
+    rays = verify_transversal(g, "ansatz").rays
+    if not row.isolated:
+        assert rays and all(ray.corank >= 1 for ray in rays)
+        return
     known = {normalize_ray([parse_scalar(c, K5) for c in point]): tau
              for point, tau in row.points.items()}
-    rays = verify_transversal(g, "ansatz").rays
     assert all(ray.representative in known for ray in rays)
     assert all((ray.corank == 0) == (known[ray.representative] == 1) for ray in rays)
     if row.grid:
         assert {ray.representative for ray in rays} == set(known)
+
+
+@pytest.mark.parametrize("g", [DWORK, CONE_FERMAT], ids=["dwork", "cone"])
+@pytest.mark.parametrize("source", ["ansatz", "user"])
+def test_one_grid_scan_per_search(monkeypatch, g, source):
+    # the search, its node tests and its exact-rank fallback share one scan
+    built = []
+
+    class CountingScan(singular._GridScan):
+        def __init__(self, g):
+            built.append(g)
+            super().__init__(g)
+
+    monkeypatch.setattr(singular, "_GridScan", CountingScan)
+    rays = verify_transversal(g, "ansatz").rays
+    built.clear()
+    points = [ray.representative for ray in rays] if source == "user" else []
+    assert verify_transversal(g, source, points).rays == rays
+    assert built == [g]
+
+
+def reduce(h, p, omega):
+    """The residues of the exact polynomial `h`, term by term, or None if
+    some denominator is divisible by p."""
+    terms = {e: c.residue(p, omega) for e, c in h.terms.items()}
+    return None if None in terms.values() else terms
+
+
+@pytest.mark.parametrize("k", [5, 10])
+@pytest.mark.parametrize("text", [row.text for row in ROWS]
+                         + [path.read_text() for path in sorted(DATA.glob("*.poly"))],
+                         ids=[row.name for row in ROWS]
+                         + [path.name for path in sorted(DATA.glob("*.poly"))])
+def test_hessian_mod_p_is_read_off_the_image_of_g(text, k):
+    # reduction mod p is a ring map, so the entries read off G's image equal
+    # the exact Hessian reduced entry by entry
+    g = parse_polynomial(text, CyclotomicField(k))
+    p, omega, _, _, upper = singular._GridScan(g).mod_p
+    hess = g.hessian()
+    assert upper == {(i, j): reduce(hess[i][j], p, omega) for i in range(5) for j in range(i, 5)}
 
 
 def test_oracle_offgrid16_is_the_data_file():
