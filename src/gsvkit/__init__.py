@@ -14,9 +14,9 @@ from importlib import import_module as _import_module
 _HOME = {name: module for module, names in {
     "cohomology": ("ConifoldData", "GradedSpace", "cohomology_report", "mayer_vietoris"),
     "cyclo": ("Cyclo", "CyclotomicField", "cyclotomic_polynomial"),
-    "errors": ("DegreeUndefinedError", "ExactnessError", "GsvError", "GsvInputError",
-               "IncompleteResultError", "MalformedIncidenceError", "NonIsolatedError",
-               "PolynomialParseError", "QuantumRegionError", "ResourceLimitError"),
+    "errors": ("ExactnessError", "GsvError", "GsvInputError", "IncompleteResultError",
+               "MalformedIncidenceError", "NonIsolatedError", "PolynomialParseError",
+               "QuantumRegionError", "ResourceLimitError"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
     "resolutions": ("TransitionGraph", "build_transition_graph"),
     "singular": ("SingularRay", "TransversalityReport", "ansatz_candidates", "normalize_ray",

@@ -69,9 +69,10 @@ def _read_input(what: str, path: str, as_json: bool = True):
 def _read_polynomial_argument(arg: str) -> str:
     """The text of the file `arg` names, else `arg` as an inline expression.
     An argument no expression can be, with a '.' or a '/' before no integer
-    denominator, names a file, so a missing one exits 1 saying so."""
+    denominator, names a file, so a missing one exits 1 saying so.  An empty
+    argument names no file: `Path("")` is the working directory."""
     try:
-        is_file = Path(arg).exists()
+        is_file = bool(arg) and Path(arg).exists()
     except OSError:  # e.g. an inline expression too long to be a file name
         is_file = False
     if is_file or re.search(r"\.|/(?!\s*\d)", arg):

@@ -131,6 +131,12 @@ class CyclotomicField:
     def zeta_power(self, a: int) -> "Cyclo":
         return self._zeta_powers[a % self.order]
 
+    @cached_property
+    def grid(self) -> tuple["Cyclo", ...]:
+        """The root-of-unity grid, 0 then zeta^a at index 1 + a: the objects
+        every grid point is built from, so a phase can be found by identity."""
+        return (self.zero, *self._zeta_powers)
+
     def element(self, value) -> "Cyclo":
         """Coerce an int, Fraction, or coordinate sequence into the field."""
         if isinstance(value, Cyclo):
@@ -224,9 +230,6 @@ class Cyclo:
             return NotImplemented
         return Cyclo(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return Cyclo(self.field, tuple(-a for a in self.coeffs))
 
@@ -236,8 +239,6 @@ class Cyclo:
             return NotImplemented
         d = self.field.degree
         a, b = self.coeffs, other.coeffs
-        if d == 1:
-            return Cyclo(self.field, (a[0] * b[0],))
         reduction = self.field._reduction
         prod = [Fraction(0)] * (2 * d - 1)
         for i, ai in enumerate(a):
@@ -258,11 +259,9 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse via the extended Euclidean algorithm in Q[x]."""
+        """Multiplicative inverse by the extended Euclidean algorithm in Q[x], the one division."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        if self.field.degree == 1:
-            return Cyclo(self.field, (1 / self.coeffs[0],))
         # invariants: r0 = s0*self (mod minpoly), r1 = s1*self (mod minpoly)
         r0 = list(self.field.minpoly)
         r1 = _poly_trim(list(self.coeffs))
@@ -289,26 +288,14 @@ class Cyclo:
         inv += [Fraction(0)] * (self.field.degree - len(inv))
         return Cyclo(self.field, tuple(inv[: self.field.degree]))
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
     def __pow__(self, exponent: int) -> "Cyclo":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        result = self if exponent else self.field.one
+        for bit in bin(exponent)[3:]:  # square and multiply, below the top bit
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def is_zero(self) -> bool:

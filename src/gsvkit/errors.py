@@ -14,15 +14,9 @@ class IncompleteResultError(GsvError):
 
 
 class PolynomialParseError(GsvInputError):
-    def __init__(self, message, position=None):
+    def __init__(self, message, position):
         self.position = position
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-
-
-class DegreeUndefinedError(GsvInputError):
-    """The zero polynomial has no degree."""
+        super().__init__(f"{message} (at position {position})")
 
 
 class QuantumRegionError(GsvInputError):

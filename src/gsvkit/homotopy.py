@@ -185,8 +185,8 @@ def float_candidates(g: Polynomial) -> Tuple[list, int]:
     largest coordinate is 1, is snapped to the root-of-unity grid when every
     coordinate lies within 1e-2 of a grid value, and rotated by a power of
     zeta so its first nonzero coordinate is 1.  A snap is a tuple of the
-    field's own `zero` and `zeta_power(a)` objects; it is not yet certified,
-    and a hit that does not snap is only counted.
+    objects of `field.grid`; it is not yet certified, and a hit that does
+    not snap is only counted.
 
     A table of another shape raises GsvError.  A term of G whose multiple in
     the gradient or Hessian leaves float range raises GsvInputError naming it.
@@ -211,8 +211,7 @@ def float_candidates(g: Polynomial) -> Tuple[list, int]:
 
     # Newton converges only linearly at a non-node and can stop ~1e-3 off the
     # ray, hence the wide radius; the exact scan still checks every snap
-    field, k = g.field, g.field.order
-    grid = (field.zero, *map(field.zeta_power, range(k)))  # 0, then zeta^a at index 1 + a
+    grid, k = g.field.grid, g.field.order  # grid: 0, then zeta^a at index 1 + a
     top = np.take_along_axis(pts, abs(pts).argmax(axis=1)[:, None], axis=1)
     dists = abs((pts / top)[:, :, None] - np.array([_to_complex(c) for c in grid]))
     idx = dists.argmin(axis=2)[(dists.min(axis=2) < 1e-2).all(axis=1)]

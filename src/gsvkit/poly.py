@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
 from .cyclo import Cyclo, CyclotomicField, Scalar, signed_sum
-from .errors import DegreeUndefinedError, GsvInputError, PolynomialParseError
+from .errors import GsvInputError, PolynomialParseError
 
 DEFAULT_VARIABLES: Tuple[str, ...] = ("s0", "s1", "s2", "s3", "s4")
 
@@ -62,9 +62,8 @@ class Polynomial:
         return not self.terms
 
     def is_homogeneous(self, d: int) -> bool:
-        """True iff every term has total degree d (zero polynomial rejected)."""
-        if not self.terms:
-            raise DegreeUndefinedError("the zero polynomial has no degree")
+        """True iff every term has total degree d; the zero polynomial is
+        homogeneous of every degree."""
         return all(sum(e) == d for e in self.terms)
 
     # -- calculus ------------------------------------------------------------
@@ -99,29 +98,14 @@ class Polynomial:
             raise GsvInputError(
                 f"point has {len(point)} coordinates, expected {len(self.variables)}")
         vals = [self.field.element(x) for x in point]
-        powers: Dict[Tuple[int, int], Cyclo] = {}
-
-        def power(i: int, e: int) -> Cyclo:
-            if e == 1:
-                return vals[i]
-            got = powers.get((i, e))
-            if got is None:
-                got = power(i, e - 1) * vals[i]
-                powers[(i, e)] = got
-            return got
-
         total = self.field.zero
         for exp, coeff in self.terms.items():
-            term = coeff
-            dead = False
-            for i, e in enumerate(exp):
+            if any(e and v.is_zero() for v, e in zip(vals, exp)):
+                continue
+            for v, e in zip(vals, exp):
                 if e:
-                    if vals[i].is_zero():
-                        dead = True
-                        break
-                    term = term * power(i, e)
-            if not dead:
-                total = total + term
+                    coeff = coeff * v ** e
+            total = total + coeff
         return total
 
     # -- printing ---------------------------------------------------------------
@@ -183,27 +167,24 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens, field: CyclotomicField, variables: Tuple[str, ...]):
-        self.tokens = tokens
+    def __init__(self, text: str, field: CyclotomicField, variables: Tuple[str, ...]):
+        self.tokens = _tokenize(text)
+        self.end = len(text)  # the position of the end of the input
         self.i = 0
         self.field = field
         self.variables = variables
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, self.end)
 
     def next(self):
         tok = self.peek()
         self.i += 1
         return tok
 
-    def fail(self, message):
-        pos = self.peek()[2]
-        raise PolynomialParseError(message, pos)
-
     def parse(self) -> Polynomial:
         if not self.tokens:
-            self.fail("empty polynomial")
+            raise PolynomialParseError("empty polynomial", self.end)
         terms: Dict[Exponent, Cyclo] = {}
         sign = 1
         kind, value, _ = self.peek()
@@ -279,7 +260,7 @@ def parse_polynomial(text: str, field: CyclotomicField | None = None,
     """Parse the artifact grammar: rational coefficients, '*'-joined powers,
     'zeta' for the declared root of unity, terms joined by '+'/'-'."""
     field = field or CyclotomicField(5)
-    return _Parser(_tokenize(text), field, tuple(variables)).parse()
+    return _Parser(text, field, tuple(variables)).parse()
 
 
 def parse_scalar(text: str, field: CyclotomicField | None = None, where: str = "") -> Cyclo:

@@ -261,11 +261,9 @@ def _by_coords(points: Iterable[Sequence[Cyclo]]) -> list:
 def ansatz_candidates(field: CyclotomicField) -> Iterable[Tuple[Cyclo, ...]]:
     """Normalized representatives of the root-of-unity ansatz grid."""
     zero = field.zero
-    units = [field.zeta_power(a) for a in range(field.order)]
-    choices = [zero] + units
     for lead in range(5):
         head = (zero,) * lead + (field.one,)
-        for tail in product(choices, repeat=4 - lead):
+        for tail in product(field.grid, repeat=4 - lead):
             yield head + tail
 
 
@@ -291,9 +289,10 @@ class _GridScan:
         self.polys = g.gradient()
         self.n = len(g.variables)
         self.k = field.order
-        units = [field.zeta_power(a) for a in range(self.k)]
-        # Phi_k is monic with integer coefficients, so zeta^t is integral
-        self._columns = [[int(u.coeffs[j]) for u in units] for j in range(field.degree)]
+        # the field's grid: 0, then zeta^a at index 1 + a.  Phi_k is monic
+        # with integer coefficients, so zeta^t is integral
+        self._grid = grid = field.grid
+        self._columns = [[int(u.coeffs[j]) for u in grid[1:]] for j in range(field.degree)]
         self._components = []
         for comp in self.polys:
             scale = lcm(*(c.denominator for coeff in comp.terms.values()
@@ -302,10 +301,9 @@ class _GridScan:
                 [(exp, tuple((j, int(c * scale)) for j, c in enumerate(coeff.coeffs) if c))
                  for exp, coeff in comp.terms.items()])
         self._patterns: dict = {}
-        # phase of the field's own 0 and zeta^a objects, by id; `_grid` keeps
-        # those ids unique.  Other objects are looked up by value and not kept,
-        # so the memo stays bounded however long the scan lives.
-        self._grid = (field.zero, *units)
+        # phase of the grid's own objects, by id; the field keeps those ids
+        # unique.  Other objects are looked up by value and not kept, so the
+        # memo stays bounded however long the scan lives.
         self._memo = {id(c): a for a, c in zip((_ZERO, *range(self.k)), self._grid)}
         self._phase_of = {c.coeffs: self._memo[id(c)] for c in self._grid}
 

@@ -157,6 +157,18 @@ def test_analyze_parse_error_exits_1(capsys):
     assert "unknown variable" in err
 
 
+@pytest.mark.parametrize("arg,message", [
+    # Path("") is the working directory, but an empty argument names no file
+    ("", "PolynomialParseError: empty polynomial (at position 0)"),
+    ("s0^", "PolynomialParseError: expected a non-negative integer exponent (at position 3)"),
+    ("s0^5+", "PolynomialParseError: expected a coefficient or a variable (at position 5)"),
+    ("s0^5-s0^5", "GsvInputError: expected a nonzero homogeneous polynomial of degree 5"),
+])
+def test_analyze_rejects_an_expression_that_is_no_quintic(capsys, arg, message):
+    code, out, err = run(capsys, "analyze", arg)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_analyze_user_source(capsys, tmp_path):
     candidates = tmp_path / "candidates.json"
     candidates.write_text(json.dumps([["1", "1", "1", "1", "1"],
@@ -407,7 +419,8 @@ def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path, where):
 
 @pytest.mark.parametrize("where,message", [
     ("candidates", "--candidates row 1 entry 4: unknown variable q (at position 0)"),
-    ("report", "report ray 1 coordinate 2: expected a non-negative integer exponent"),
+    ("report", "report ray 1 coordinate 2: expected a non-negative integer exponent "
+               "(at position 5)"),
 ])
 def test_unparsable_coordinate_names_its_place(capsys, tmp_path, where, message):
     path = tmp_path / "input.json"

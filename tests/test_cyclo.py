@@ -65,6 +65,14 @@ def test_zeta_power_table_matches_powering():
             assert K.zeta_power(a).coeffs == (K.zeta() ** a).coeffs
 
 
+@pytest.mark.parametrize("k", (1, 2, 5, 10))
+def test_grid_is_zero_then_the_zeta_power_objects(k):
+    K = CyclotomicField(k)
+    assert K.grid is K.grid and len(K.grid) == k + 1
+    assert K.grid[0] is K.zero and K.grid[1] is K.one
+    assert all(K.grid[1 + a] is K.zeta_power(a) for a in range(k))
+
+
 @pytest.mark.parametrize("order", (5.0, True, "5", None))
 def test_field_order_must_be_an_int(order):
     with pytest.raises(GsvInputError, match=f"order must be an integer, got {order!r}"):
@@ -74,13 +82,27 @@ def test_field_order_must_be_an_int(order):
 def test_small_orders_degenerate_to_rationals():
     assert CyclotomicField(1).zeta() == CyclotomicField(1).element(1)
     assert CyclotomicField(2).zeta() == CyclotomicField(2).element(-1)
+    # degree 1: the general multiply and inverse are Fraction arithmetic on
+    # coordinate 0
+    values = [frac(0), frac(1), frac(-3, 2), frac(5, 7), frac(-11), frac(1, 13)]
+    for k in (1, 2):
+        K = CyclotomicField(k)
+        for x in values:
+            if x:
+                assert K.element(x).inverse().coeffs == (1 / x,)
+            for y in values:
+                assert (K.element(x) * K.element(y)).coeffs == (x * y,)
+            for e in range(6):
+                assert (K.element(x) ** e).coeffs == (x ** e,)
 
 
 def test_inverse_and_division():
+    # inverse is the one division
     K = CyclotomicField(5)
     a = K.element([1, 2, 0, -3])
     assert a * a.inverse() == K.one
-    assert (a / a) == K.one
+    assert a.inverse() * a == K.one and a.inverse().inverse() == a
+    assert (K.element(6) * K.element(3).inverse()) == K.element(2)
     with pytest.raises(ZeroDivisionError):
         K.zero.inverse()
 
@@ -141,6 +163,14 @@ def test_ring_axioms(a, b, c):
     assert a * (b * c) == (a * b) * c
     assert a + b == b + a
     assert a - a == a.field.zero
+
+
+@given(elements(), st.integers(0, 9))
+def test_power_is_repeated_multiplication(a, e):
+    product = a.field.one
+    for _ in range(e):
+        product = product * a
+    assert a ** e == product
 
 
 @given(elements())

@@ -233,8 +233,8 @@ def test_float_search_runs_one_newton_batch():
     assert len(batch.call_args.args[0]) == 400 and snaps and len(snaps) == hits
     assert all(map(singular._GridScan(DWORK).vanishes, snaps))
     # snaps are rotated by a power of zeta on the grid indices: normalized
-    # rays of the scan's own 0 and zeta^a objects, with no Cyclo arithmetic
-    grid = {id(c) for c in singular._GridScan(DWORK)._grid}
+    # rays of the field's own grid objects, with no Cyclo arithmetic
+    grid = {id(c) for c in DWORK.field.grid}
     for ray in snaps:
         assert {id(c) for c in ray} <= grid
         assert next(c for c in ray if not c.is_zero()) is K5.one

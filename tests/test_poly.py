@@ -1,13 +1,17 @@
 """Polynomial core: parsing, grading, calculus, exact evaluation."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gsvkit.cyclo import CyclotomicField
-from gsvkit.errors import DegreeUndefinedError, PolynomialParseError
+from gsvkit.errors import GsvInputError, PolynomialParseError
 from gsvkit.poly import DEFAULT_VARIABLES, Polynomial, parse_polynomial, parse_scalar
+from gsvkit.singular import verify_transversal
+
+from oracle_quintics import ROWS
 
 K5 = CyclotomicField(5)
 
@@ -48,10 +52,16 @@ def test_parse_rational_coefficients_and_whitespace():
 def test_parse_syntax_error_positions():
     with pytest.raises(PolynomialParseError, match="position"):
         parse_polynomial("s0^5 + * s1", K5)
-    with pytest.raises(PolynomialParseError):
-        parse_polynomial("", K5)
-    with pytest.raises(PolynomialParseError):
-        parse_polynomial("s0^", K5)
+    # every parse error names a position; the end of the input is len(text)
+    for text, message in [("", "empty polynomial"), ("   ", "empty polynomial"),
+                          ("s0^", "expected a non-negative integer exponent"),
+                          ("s0^5+", "expected a coefficient or a variable"),
+                          ("s0^5 - ", "expected a coefficient or a variable"),
+                          ("2/", "expected an integer denominator")]:
+        with pytest.raises(PolynomialParseError) as info:
+            parse_polynomial(text, K5)
+        assert str(info.value) == f"{message} (at position {len(text)})"
+        assert info.value.position == len(text)
 
 
 def test_is_homogeneous():
@@ -59,8 +69,13 @@ def test_is_homogeneous():
     assert fermat.is_homogeneous(5)
     assert not fermat.is_homogeneous(4)
     assert not parse_polynomial("s0^5 + s1^4", K5).is_homogeneous(5)
-    with pytest.raises(DegreeUndefinedError):
-        Polynomial(K5, DEFAULT_VARIABLES, {}).is_homogeneous(5)
+    # 0 is homogeneous of every degree; the search rejects it by its own check
+    zero = Polynomial(K5, DEFAULT_VARIABLES, {})
+    assert zero.is_homogeneous(5) and zero.is_homogeneous(4)
+    for g in (zero, parse_polynomial("s0^5 - s0^5", K5)):
+        with pytest.raises(GsvInputError) as info:
+            verify_transversal(g)
+        assert str(info.value) == "expected a nonzero homogeneous polynomial of degree 5"
 
 
 def test_gradient_fermat():
@@ -97,6 +112,40 @@ def test_evaluate_at_cyclotomic_point():
     dwork = parse_polynomial(DWORK, K5)
     z = K5.zeta()
     assert dwork.evaluate([K5.one, z, z ** 4, z ** 2, z ** 3]).is_zero()
+
+
+def term_by_term(g, point):
+    """The reference value: each term's coefficient times its coordinates,
+    one multiplication per unit of exponent, summed."""
+    total = g.field.zero
+    for exp, coeff in g.terms.items():
+        for x, e in zip(point, exp):
+            for _ in range(e):
+                coeff = coeff * x
+        total = total + coeff
+    return total
+
+
+EVALUATION_POINTS = [
+    ("0", "1", "zeta", "1/2", "1+zeta"),
+    ("zeta^2", "0", "0", "-1", "zeta^3"),
+    ("1", "zeta", "zeta^2", "zeta^3", "zeta^4"),
+    ("1/2", "1+zeta", "-2/3", "3", "zeta^4-1/5"),
+    ("0", "0", "0", "0", "0"),
+]
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+
+@pytest.mark.parametrize("k", (5, 10))
+@pytest.mark.parametrize("text", [pytest.param(row.text, id=row.name) for row in ROWS] + [
+    pytest.param(path.read_text(), id=path.name) for path in sorted(DATA.glob("*.poly"))])
+def test_evaluate_matches_the_term_by_term_product(text, k):
+    field = CyclotomicField(k)
+    g = parse_polynomial(text.strip(), field)
+    for point in EVALUATION_POINTS:
+        point = [parse_scalar(c, field) for c in point]
+        for p in (g, *g.gradient()):
+            assert p.evaluate(point) == term_by_term(p, point)
 
 
 def test_hessian_examples():

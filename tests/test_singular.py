@@ -239,6 +239,17 @@ def test_grid_helper_is_the_ansatz_grid():
     assert list(grid(K5, range(5))) == list(ansatz_candidates(K5))
 
 
+@pytest.mark.parametrize("k", (5, 10))
+def test_grid_points_are_built_from_the_field_grid(k):
+    # the scan's phase memo is keyed by id: every coordinate of a candidate
+    # and of a grid zero is one of the field's own grid objects
+    field = CyclotomicField(k)
+    ids = set(map(id, field.grid))
+    assert all(ids >= set(map(id, pt)) for pt in ansatz_candidates(field))
+    zeros = singular._GridScan(parse_polynomial(dwork_psi(0, k), field)).grid_zeros()
+    assert len(zeros) == 125 and all(ids >= set(map(id, pt)) for pt in zeros)
+
+
 @settings(max_examples=40, deadline=None)
 @given(sparse_quintics(), st.data())
 def test_grid_scan_matches_exact_evaluation(g, data):
