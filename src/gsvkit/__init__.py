@@ -19,8 +19,7 @@ _HOME = {name: module for module, names in {
                "QuantumRegionError", "ResourceLimitError"),
     "poly": ("DEFAULT_VARIABLES", "Polynomial", "parse_polynomial", "parse_scalar"),
     "resolutions": ("TransitionGraph", "build_transition_graph"),
-    "singular": ("SingularRay", "TransversalityReport", "ansatz_candidates", "normalize_ray",
-                 "verify_transversal"),
+    "singular": ("SingularRay", "TransversalityReport", "normalize_ray", "verify_transversal"),
     "strata": ("Chart", "StratifiedVariety", "Stratum", "StratumKind", "build_exocurve",
                "build_ground_state_variety", "normalize_sheet", "strata_report"),
 }.items() for name in names}

@@ -10,7 +10,8 @@ pair is flagged in the graph metadata.
 from __future__ import annotations
 
 import json
-from itertools import product, repeat
+from itertools import product
+from operator import itemgetter
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from .cohomology import ConifoldData, mayer_vietoris
@@ -45,16 +46,21 @@ def _write_names(fh, count: int, head: str, tail: str) -> None:
         fh.write(head + (tail + head).join(map(str, names)) + tail)
 
 
-def _flop_rows(names: range, big_n: int, lows) -> list:
-    """(source, targets) per code of a block as name texts, the targets in output
-    order: class k = 1..N with bit N-k of the code clear.  A flop adds that bit to
-    the name.  A clear high bit, shared by the block, gives a column of shifted
-    names; lows[low bits] holds the offsets of the other targets in the block."""
-    text, code = list(map(str, names)), names.start - 1
-    high = [map(str, range(names.start + bit, names.stop + bit))
-            for bit in (1 << k for k in reversed(range(_LOW_BITS, big_n))) if not code & bit]
-    return [(name, [*column, *map(text.__getitem__, low)])
-            for name, column, low in zip(text, zip(*high) if high else repeat(()), lows)]
+def _flop_gather(low_n: int, m: int) -> itemgetter:
+    """The gather of a block's flop edge text from its window: the block's
+    opening head + name + mid, the closing tail, a separator tail + head +
+    name + mid per code, then the target names, the block's own and a column
+    per clear high bit, m of them, in output order.  Code p's targets are its
+    column entries, then its own names with one more low bit set, each after
+    p's separator; the opening takes the place of the first separator."""
+    size = 1 << low_n
+    order = []
+    for p in range(size):
+        for q in [*range(2 + 2 * size + p, 2 + (2 + m) * size, size),
+                  *(2 + size + (p | 1 << k) for k in reversed(range(low_n)) if not p >> k & 1)]:
+            order += (2 + p, q)
+    order[0] = 0
+    return itemgetter(*order, 1)
 
 
 def pow2_text(n: int) -> str:
@@ -100,7 +106,8 @@ class TransitionGraph(NamedTuple):
     def write(self, json_file=None, dot_file=None) -> None:
         """Write the graph to whichever text files are given: as sorted-key JSON
         with indent 2 and a newline, and in DOT.  One pass over the blocks of
-        resolution codes builds each block's flop rows once for both files."""
+        resolution codes builds each block's flop target names once for both
+        files."""
         if self.n == 0:
             graph = {"edges": [], "metadata": dict(self.metadata),
                      "vertices": [{"kind": "deformation", "name": "M_flat=V_bar"}]}
@@ -135,13 +142,19 @@ class TransitionGraph(NamedTuple):
                           f'      "note": "{FLOP_NOTE}",\n      "source": "M_nat_',
                           '",\n      "target": "M_nat_', '"\n    }'))
         low_n = min(big_n, _LOW_BITS)
-        lows = [[p | 1 << k for k in reversed(range(low_n)) if not p >> k & 1]
-                for p in range(1 << low_n)]
+        gathers = [_flop_gather(low_n, m) for m in range(big_n - low_n + 1)]
         for names in _blocks(count) if flops else ():
-            rows = _flop_rows(names, big_n, lows)
+            # the targets' names: the block's own, then a column shifted by
+            # each clear high bit, so no name costs a bit test in Python
+            text = list(map(str, names))
+            targets = text + [name for bit in (1 << k for k in reversed(range(low_n, big_n)))
+                              if not (names.start - 1) & bit
+                              for name in map(str, range(names.start + bit, names.stop + bit))]
+            get = gathers[(len(targets) >> low_n) - 1]
             for fh, head, mid, tail in flops:  # head + source + mid + target + tail per edge
-                fh.write("".join([(prefix := head + source + mid) + (tail + prefix).join(targets)
-                                  + tail for source, targets in rows if targets]))
+                sep = tail + head
+                fh.write("".join(get([head + text[0] + mid, tail,
+                                      *[sep + name + mid for name in text], *targets])))
         if dot_file is not None:
             dot_file.write("}\n")
         if json_file is None:

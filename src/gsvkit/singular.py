@@ -258,15 +258,6 @@ def _by_coords(points: Iterable[Sequence[Cyclo]]) -> list:
     return sorted(((tuple(rank[id(c)] for c in p), p) for p in points), key=itemgetter(0))
 
 
-def ansatz_candidates(field: CyclotomicField) -> Iterable[Tuple[Cyclo, ...]]:
-    """Normalized representatives of the root-of-unity ansatz grid."""
-    zero = field.zero
-    for lead in range(5):
-        head = (zero,) * lead + (field.one,)
-        for tail in product(field.grid, repeat=4 - lead):
-            yield head + tail
-
-
 _ZERO, _OFF_GRID = -1, -2
 
 
@@ -379,7 +370,8 @@ class _GridScan:
 
     def grid_zeros(self) -> list[Tuple[Cyclo, ...]]:
         """The normalized ansatz grid points where every polynomial vanishes,
-        in the order of `ansatz_candidates`, solved one zero pattern at a time.
+        ordered by the position of the leading 1, then by the grid indices of
+        the later coordinates, and solved one zero pattern at a time.
 
         A polynomial with one surviving monomial is c*zeta^e != 0, so its
         pattern has no zeros.  Otherwise its verdict depends only on the

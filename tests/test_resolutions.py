@@ -11,6 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gsvkit import cli
 from gsvkit.cohomology import ConifoldData, GradedSpace, mayer_vietoris
 from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
 from gsvkit.resolutions import (DECIMAL_POW2_MAX, DEFO_NOTE, FLOP_NOTE, MAX_CLASSES,
@@ -297,11 +298,13 @@ def test_streamed_output_matches_iterated_graph(data):
 
 
 @pytest.mark.parametrize("n_classes,nodes_per_class",
-                         [(1, 2), (5, 1), (6, 2), (7, 1), (8, 3), (11, 2)])
+                         [(1, 2), (2, 1), (3, 2), (4, 1), (5, 1), (6, 2), (7, 1), (8, 3),
+                          (9, 1), (10, 2), (11, 2), (12, 1)])
 def test_writers_match_iterated_graph_across_blocks(n_classes, nodes_per_class):
-    # N = 1, 5, 6 and 7 are the edges of the writer's 64-entry orientation
-    # table: fewer low bits than a block holds, exactly a block's, and one
-    # high bit.  N = 8 and 11 cross many blocks of resolution codes.
+    # N = 1..5 fill one partial block, N = 6 exactly one, and N = 7 adds one
+    # high bit.  From N = 8 the codes cross many blocks, and a block with m
+    # clear high bits takes the flop gather for m: N = 12 has blocks with
+    # every m = 0..6.
     data = data_with_classes(n_classes, nodes_per_class, b3=57)
     graph = build_transition_graph(data)
     out = io.StringIO()
@@ -342,6 +345,11 @@ def test_writers_write_one_small_block_at_a_time():
     assert dot_file.sizes == files[1]["dot_file"].sizes
 
 
+# sha256 of the JSON and the DOT for N = 14 singleton classes
+N14_DIGESTS = ["06dbcc4870a8fbab88d36f3d8db4f3eb948db09d1696619337ff8467fef3f044",
+               "f7bd484082b1fdfd65b9a7debc2cae26857ab874ad9eb31c19a49163b78d3319"]
+
+
 def test_n14_output_is_pinned():
     # N = 14 singleton classes, the shape the hypercube benchmark feeds the
     # CLI: any change to the JSON or DOT bytes changes these digests.
@@ -354,9 +362,46 @@ def test_n14_output_is_pinned():
         out = io.StringIO()
         graph.write(**{target: out})
         digests.append(hashlib.sha256(out.getvalue().encode()).hexdigest())
-    assert digests == [
-        "06dbcc4870a8fbab88d36f3d8db4f3eb948db09d1696619337ff8467fef3f044",
-        "f7bd484082b1fdfd65b9a7debc2cae26857ab874ad9eb31c19a49163b78d3319"]
+    assert digests == N14_DIGESTS
+
+
+class DigestFile:
+    """A write-only text file that feeds its UTF-8 bytes to sha256 and keeps
+    nothing else, so a large graph is checked without holding its text."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, text):
+        self.sha256.update(text.encode())
+
+    def hexdigest(self):
+        return self.sha256.hexdigest()
+
+
+def test_n16_output_is_pinned():
+    # N = 16 has blocks with up to 10 clear high bits; 148 MB of text in all
+    big_n = 16
+    data = ConifoldData(GradedSpace((1, 0, 1, 204, 1 + big_n, 0, 1)), big_n,
+                        [[k] for k in range(1, big_n + 1)])
+    json_file, dot_file = DigestFile(), DigestFile()
+    build_transition_graph(data).write(json_file, dot_file)
+    assert [json_file.hexdigest(), dot_file.hexdigest()] == [
+        "43803584e08b5c6f31717d629d7e04330cff812b393fe4874d809de65052f671",
+        "f6a1eb4321de2a4876169026349483b19cefdaa39491125c5460fe30ff15735e"]
+
+
+def test_cli_writes_the_pinned_n14_files(tmp_path):
+    # the hypercube benchmark's call: both files from one run, on real text files
+    big_n = 14
+    conifold = tmp_path / "conifold.json"
+    conifold.write_text(json.dumps({"base_dims": [1, 0, 1, 204, 1 + big_n, 0, 1], "n": big_n,
+                                    "classes": [[k] for k in range(1, big_n + 1)]}))
+    json_path, dot_path = tmp_path / "graph.json", tmp_path / "graph.dot"
+    assert cli.main(["resolutions", str(conifold), "--format", "json",
+                     "--output", str(json_path), "--dot", str(dot_path)]) == 0
+    assert [hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in (json_path, dot_path)] == N14_DIGESTS
 
 
 def test_counts_need_no_rows():

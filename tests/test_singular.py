@@ -12,7 +12,7 @@ from gsvkit import singular
 from gsvkit.cyclo import CyclotomicField, residue_prime
 from gsvkit.errors import GsvInputError
 from gsvkit.poly import Polynomial, parse_polynomial, parse_scalar
-from gsvkit.singular import ansatz_candidates, normalize_ray, verify_transversal
+from gsvkit.singular import normalize_ray, verify_transversal
 
 from oracle_quintics import ROWS
 
@@ -28,6 +28,15 @@ ONE_NODE = parse_polynomial(
 
 def coords(ray):
     return tuple(map(str, ray.representative))
+
+
+def ansatz_candidates(field):
+    """The normalized root-of-unity ansatz grid, point by point: the brute-force
+    reference for `_GridScan.grid_zeros`, which must list its zeros in this order."""
+    for lead in range(5):
+        head = (field.zero,) * lead + (field.one,)
+        for tail in product(field.grid, repeat=4 - lead):
+            yield head + tail
 
 
 def classify(g, point):
