@@ -61,7 +61,7 @@ def _read_input(what: str, path: str, as_json: bool = True):
         return json.loads(text) if as_json else text
     except OSError as exc:
         reason = exc.strerror
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # decoding, or an int past the digit limit
         reason = f"not {'JSON' if as_json else 'UTF-8 text'}: {exc}"
     raise GsvInputError(f"cannot read {what} file {path}: {reason}")
 
@@ -82,7 +82,7 @@ def _read_polynomial_argument(arg: str) -> str:
 
 def _read_candidates(args, field: CyclotomicField) -> list:
     """The points of the --candidates file, which only --source user takes."""
-    from .poly import parse_scalar
+    from .singular import read_point
 
     if args.source != "user":
         if args.candidates:
@@ -93,16 +93,8 @@ def _read_candidates(args, field: CyclotomicField) -> list:
     rows = _read_input("--candidates", args.candidates)
     if not isinstance(rows, list):
         raise GsvInputError("--candidates file must hold a JSON list of rows")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list):
-            raise GsvInputError(f"--candidates row {i} is not a list of strings")
-        if len(row) != 5:
-            raise GsvInputError(f"--candidates row {i} has {len(row)} coordinates, expected 5")
-        for j, entry in enumerate(row):
-            if not isinstance(entry, str):
-                raise GsvInputError(f"--candidates row {i} entry {j} is "
-                                    f"{json.dumps(entry)}, not a string")
-    return [[parse_scalar(c, field, f"--candidates row {i} entry {j}") for j, c in enumerate(row)]
+    scalars = {}
+    return [read_point(row, field, f"--candidates row {i}", scalars)
             for i, row in enumerate(rows)]
 
 

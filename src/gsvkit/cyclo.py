@@ -3,6 +3,10 @@
 An element of Q(zeta_k) is stored by its coordinates in the power basis
 1, zeta, ..., zeta^(phi(k)-1), i.e. as a polynomial in zeta reduced modulo
 the k-th cyclotomic polynomial.  k=1 reduces to plain rational arithmetic.
+`_poly_divmod` is the one division in Q[x]: it builds the cyclotomic
+polynomials and the remainders of `inverse`, whose Bezout factors are field
+elements.  `power_basis_terms` renders the terms of a coordinate vector, for
+`str()` and `Polynomial.to_text` alike.
 Everything is exact: the complex embedding of the numeric search lives in
 `homotopy`, outside the exact core.
 """
@@ -12,7 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import GsvInputError
 
@@ -162,6 +166,19 @@ def signed_sum(pieces: Iterable[tuple[str, str]]) -> str:
     return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
+def power_basis_terms(coeffs: Iterable[Fraction], factors: Sequence[str] = ()):
+    """The (sign, body) pairs of the terms c_i*zeta^i of a coordinate vector,
+    each body followed by `factors`; |c_i| is left out when it is 1 and a
+    factor follows.  `signed_sum` joins them."""
+    for i, c in enumerate(coeffs):
+        if c:
+            parts = ["zeta" if i == 1 else f"zeta^{i}"] if i else []
+            parts += factors
+            if abs(c) != 1 or not parts:
+                parts.insert(0, str(abs(c)))
+            yield "-" if c < 0 else "+", "*".join(parts)
+
+
 def _poly_trim(coeffs: list[Fraction]) -> list[Fraction]:
     while coeffs and not coeffs[-1]:
         coeffs.pop()
@@ -259,34 +276,22 @@ class Cyclo:
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
-        """Multiplicative inverse by the extended Euclidean algorithm in Q[x], the one division."""
+        """Multiplicative inverse by the extended Euclidean algorithm, the one
+        division: the remainders are Q[x] lists, the Bezout factors field
+        elements (every quotient has degree below phi(k))."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        # invariants: r0 = s0*self (mod minpoly), r1 = s1*self (mod minpoly)
-        r0 = list(self.field.minpoly)
-        r1 = _poly_trim(list(self.coeffs))
-        s0: list[Fraction] = []
-        s1: list[Fraction] = [Fraction(1)]
+        field = self.field
+        # invariants: r0 = s0*self and r1 = s1*self in the field
+        r0, r1 = list(field.minpoly), _poly_trim(list(self.coeffs))
+        s0, s1 = field.zero, field.one
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        prod[i + j] += qi * sj
-            new_s = [Fraction(0)] * max(len(s0), len(prod))
-            for i, c in enumerate(s0):
-                new_s[i] += c
-            for i, c in enumerate(prod):
-                new_s[i] -= c
-            s0, s1 = s1, _poly_trim(new_s)
+            s0, s1 = s1, s0 - field.element(q) * s1
         if not r1:
             raise ArithmeticError("element shares a factor with the minimal polynomial")
-        scale = 1 / r1[0]
-        inv = [c * scale for c in s1]
-        inv += [Fraction(0)] * (self.field.degree - len(inv))
-        return Cyclo(self.field, tuple(inv[: self.field.degree]))
+        return s1 * (1 / r1[0])
 
     def __pow__(self, exponent: int) -> "Cyclo":
         if exponent < 0:
@@ -317,18 +322,7 @@ class Cyclo:
         return total
 
     def __str__(self) -> str:
-        pieces = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            mag = -c if c < 0 else c
-            if i == 0:
-                body = str(mag)
-            else:
-                z = "zeta" if i == 1 else f"zeta^{i}"
-                body = z if mag == 1 else f"{mag}*{z}"
-            pieces.append(("-" if c < 0 else "+", body))
-        return signed_sum(pieces)
+        return signed_sum(power_basis_terms(self.coeffs))
 
     def __repr__(self) -> str:
         return f"Cyclo({self.field!r}, {self})"

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import Dict, Mapping, Sequence, Tuple
 
-from .cyclo import Cyclo, CyclotomicField, Scalar, signed_sum
+from .cyclo import Cyclo, CyclotomicField, Scalar, power_basis_terms, signed_sum
 from .errors import GsvInputError, PolynomialParseError
 
 DEFAULT_VARIABLES: Tuple[str, ...] = ("s0", "s1", "s2", "s3", "s4")
@@ -114,20 +114,9 @@ class Polynomial:
         """Canonical form: graded-lex term order, zeta powers split out."""
         pieces = []
         for exp in sorted(self.terms, key=_graded_lex_key, reverse=True):
-            coeff = self.terms[exp]
-            for zpow, rat in enumerate(coeff.coeffs):
-                if not rat:
-                    continue
-                factors = []
-                mag = -rat if rat < 0 else rat
-                if zpow:
-                    factors.append("zeta" if zpow == 1 else f"zeta^{zpow}")
-                for name, e in zip(self.variables, exp):
-                    if e:
-                        factors.append(name if e == 1 else f"{name}^{e}")
-                if mag != 1 or not factors:
-                    factors.insert(0, str(mag))
-                pieces.append(("-" if rat < 0 else "+", "*".join(factors)))
+            powers = [name if e == 1 else f"{name}^{e}"
+                      for name, e in zip(self.variables, exp) if e]
+            pieces += power_basis_terms(self.terms[exp].coeffs, powers)
         return signed_sum(pieces)
 
     def __str__(self) -> str:

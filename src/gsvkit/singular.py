@@ -156,25 +156,15 @@ class TransversalityReport(NamedTuple):
         rays, seen = [], {}
         for i, entry in enumerate(entries):
             _require_fields(entry, ("coords", "class"), f"report ray {i}")
-            coords = entry["coords"]
-            if not (isinstance(coords, list) and all(isinstance(c, str) for c in coords)):
-                raise GsvInputError(f"report ray {i} field 'coords' must be a list of "
-                                    f"strings, got {json.dumps(coords)}")
-            if len(coords) != 5:
-                raise GsvInputError(f"report ray {i} has {len(coords)} coordinates, "
-                                    f"expected 5")
+            ray = read_point(entry["coords"], field, f"report ray {i}", scalars)
             if entry["class"] not in ("node", "non_node"):
                 raise GsvInputError(f"report ray {i} field 'class' must be one of "
                                     f"node, non_node, got {json.dumps(entry['class'])}")
-            for j, c in enumerate(coords):
-                if c not in scalars:
-                    scalars[c] = parse_scalar(c, field, f"report ray {i} coordinate {j}")
             corank, non_node = entry.get("corank"), entry["class"] == "non_node"
             if not (type(corank) is int and 1 <= corank <= 4 if non_node else corank is None):
                 allowed = "an integer from 1 to 4" if non_node else "null"
                 raise GsvInputError(f"report ray {i} field 'corank' must be {allowed} for "
                                     f"class {entry['class']}, got {json.dumps(corank)}")
-            ray = tuple(map(scalars.__getitem__, coords))
             lead = next(filter(None, ray), None)  # the first nonzero coordinate
             if lead != field.one:
                 what = "the origin" if lead is None else f"not normalized: it starts with {lead}"
@@ -217,6 +207,24 @@ class TransversalityReport(NamedTuple):
             tag = f"non_node (corank {ray.corank})" if ray.corank else "node"
             lines.append("  (" + ", ".join(coords) + f")  {tag}")
         return "\n".join(lines)
+
+
+def read_point(coords, field: CyclotomicField, where: str, scalars: dict) -> Tuple[Cyclo, ...]:
+    """The point of a JSON list of 5 coordinate strings, parsed in `field`.
+    `scalars` caches the parsed strings, one cache per file.  A malformed
+    list raises GsvInputError and a malformed string PolynomialParseError,
+    each naming `where` (`--candidates row i`, `report ray i`)."""
+    if not isinstance(coords, list):
+        raise GsvInputError(f"{where} coordinates must be a list of strings, "
+                            f"got {json.dumps(coords)}")
+    if len(coords) != 5:
+        raise GsvInputError(f"{where} has {len(coords)} coordinates, expected 5")
+    for j, c in enumerate(coords):
+        if not isinstance(c, str):
+            raise GsvInputError(f"{where} coordinate {j} is {json.dumps(c)}, not a string")
+        if c not in scalars:
+            scalars[c] = parse_scalar(c, field, f"{where} coordinate {j}")
+    return tuple(map(scalars.__getitem__, coords))
 
 
 def _require_fields(obj, names, where: str) -> None:

@@ -181,8 +181,9 @@ def test_analyze_user_source(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("rows,message", [
-    ([["1", "1", "1", "1", 1]], "row 0 entry 4 is 1, not a string"),
-    ([["1", "1", "1", "1", "1"], "1,1,1,1,1"], "row 1 is not a list of strings"),
+    ([["1", "1", "1", "1", 1]], "--candidates row 0 coordinate 4 is 1, not a string"),
+    ([["1", "1", "1", "1", "1"], "1,1,1,1,1"],
+     "--candidates row 1 coordinates must be a list of strings, got \"1,1,1,1,1\""),
     ([["1", "1", "1", "1", "1"], ["1", "1", "1", "1"]],
      "--candidates row 1 has 4 coordinates, expected 5"),
     ([["1", "1", "1", "1", "1", "1"]], "--candidates row 0 has 6 coordinates, expected 5"),
@@ -298,10 +299,10 @@ def test_stratify_report_missing_field_exits_1(capsys, tmp_path, missing):
      "report ray 0 must be a JSON object, got int"),
     ({"transversal": False, "isolated": True, "complete": True,
       "rays": [dict(RAY, coords="1")]},
-     "report ray 0 field 'coords' must be a list of strings, got \"1\""),
+     "report ray 0 coordinates must be a list of strings, got \"1\""),
     ({"transversal": False, "isolated": True, "complete": True,
       "rays": [dict(RAY, coords=[1, 1, 1, 1, 0])]},
-     "report ray 0 field 'coords' must be a list of strings"),
+     "report ray 0 coordinate 0 is 1, not a string"),
     ({"transversal": "yes", "isolated": True, "complete": True, "rays": []},
      "report flag transversal must be true, false or null, got \"yes\""),
     ({"transversal": False, "isolated": "no", "complete": True, "rays": [RAY]},
@@ -393,6 +394,9 @@ def test_stratify_rejects_malformed_shapes(capsys, tmp_path, report, message):
 
 
 LONG_LITERAL = "1" * 5000  # past the interpreter's 4300-digit int conversion limit
+DIGIT_LIMIT = pytest.mark.skipif(
+    not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < len(LONG_LITERAL),
+    reason="no int string conversion limit below 5000 digits")
 
 
 @pytest.mark.parametrize("where", ["polynomial", "candidates", "report"])
@@ -411,14 +415,14 @@ def test_overlong_integer_literal_is_a_parse_error(capsys, tmp_path, where):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    place = {"polynomial": "", "candidates": "--candidates row 0 entry 4: ",
+    place = {"polynomial": "", "candidates": "--candidates row 0 coordinate 4: ",
              "report": "report ray 0 coordinate 4: "}[where]
     assert (f"PolynomialParseError: {place}integer literal of 5000 digits is too long "
             "(at position 0)") in err
 
 
 @pytest.mark.parametrize("where,message", [
-    ("candidates", "--candidates row 1 entry 4: unknown variable q (at position 0)"),
+    ("candidates", "--candidates row 1 coordinate 4: unknown variable q (at position 0)"),
     ("report", "report ray 1 coordinate 2: expected a non-negative integer exponent "
                "(at position 5)"),
 ])
@@ -773,16 +777,24 @@ def test_missing_file_exits_1(capsys):
     (("resolutions", "{missing}"), "ConifoldData", "No such file or directory"),
     (("resolutions", "{dir}"), "ConifoldData", "Is a directory"),
     (("resolutions", "{text}"), "ConifoldData", "not JSON: Expecting value"),
+    pytest.param(("analyze", DWORK, "--source", "user", "--candidates", "{long}"),
+                 "--candidates", "not JSON: Exceeds the limit", marks=DIGIT_LIMIT),
+    pytest.param(("stratify", "{long}", "--sheet", "pos"), "report",
+                 "not JSON: Exceeds the limit", marks=DIGIT_LIMIT),
+    pytest.param(("cohomology", "{long}"), "ConifoldData", "not JSON: Exceeds the limit",
+                 marks=DIGIT_LIMIT),
 ], ids=["polynomial-dir", "polynomial-binary", "candidates-missing", "candidates-dir",
         "candidates-text", "report-missing", "report-dir", "report-text",
         "cohomology-missing", "cohomology-dir", "cohomology-text", "cohomology-deep",
         "resolutions-missing",
-        "resolutions-dir", "resolutions-text"])
+        "resolutions-dir", "resolutions-text", "candidates-long-int", "report-long-int",
+        "cohomology-long-int"])
 def test_unreadable_input_names_argument_and_path(capsys, tmp_path, argv, what, reason):
     paths = {"dir": tmp_path, "missing": tmp_path / "missing.json",
              "text": tmp_path / "fermat.poly", "binary": tmp_path / "binary.poly",
-             "deep": tmp_path / "deep.json"}
+             "deep": tmp_path / "deep.json", "long": tmp_path / "long.json"}
     paths["text"].write_text(FERMAT + "\n")
+    paths["long"].write_text(f"[{LONG_LITERAL}]")  # JSON that Python's int() refuses
     paths["deep"].write_text("[" * 100_000 + "]" * 100_000)  # JSON nested too deeply
     paths["binary"].write_bytes(b"s0^5\xff\n")
     (path,) = (str(paths[arg[1:-1]]) for arg in argv if arg[1:-1] in paths)

@@ -169,17 +169,21 @@ def test_hessian_examples():
 # -- randomized properties ------------------------------------------------------
 
 exponents = st.tuples(*[st.integers(0, 4) for _ in range(5)])
-coeff_vecs = st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=8),
-                      min_size=4, max_size=4)
+coefficients = st.fractions(min_value=-6, max_value=6, max_denominator=8)
+coeff_vecs = st.lists(coefficients, min_size=4, max_size=4)
+
+
+def elements(field):
+    return st.lists(coefficients, min_size=field.degree, max_size=field.degree).map(field.element)
 
 
 @st.composite
-def polynomials(draw, min_terms=1, max_terms=6):
+def polynomials(draw, min_terms=1, max_terms=6, field=K5):
     n = draw(st.integers(min_terms, max_terms))
     terms = {}
     for _ in range(n):
-        terms[draw(exponents)] = K5.element(draw(coeff_vecs))
-    return Polynomial(K5, DEFAULT_VARIABLES, terms)
+        terms[draw(exponents)] = draw(elements(field))
+    return Polynomial(field, DEFAULT_VARIABLES, terms)
 
 
 @st.composite
@@ -211,9 +215,18 @@ def test_euler_identity(g, point):
     assert lhs == g.evaluate(vals) * 5
 
 
-@given(polynomials())
+fields = st.sampled_from((1, 2, 5, 10)).map(CyclotomicField)  # degree 1 at k = 1, 2
+
+
+@given(fields.flatmap(lambda field: polynomials(field=field)))
 def test_parse_print_roundtrip(g):
-    assert parse_polynomial(g.to_text(), K5) == g
+    assert parse_polynomial(g.to_text(), g.field) == g
+
+
+@given(fields.flatmap(elements))
+def test_scalar_text_is_constant_polynomial_text(c):
+    # Cyclo.__str__ and Polynomial.to_text render terms with one generator
+    assert str(c) == Polynomial(c.field, (), {(): c}).to_text()
 
 
 @given(polynomials(max_terms=4))
