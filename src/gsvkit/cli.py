@@ -150,7 +150,8 @@ def cmd_resolutions(args) -> int:
             (_open_for_writing("--dot", args.dot) if args.dot else nullcontext()) as dot:
         if args.format == "dot":
             graph.write(dot_file=out)
-        graph.write(json_file=out if args.format == "json" else None, dot_file=dot)
+        if args.format == "json" or dot is not None:
+            graph.write(json_file=out if args.format == "json" else None, dot_file=dot)
         if args.format != "text":
             return 0
         counts = graph.edge_counts()

@@ -5,7 +5,11 @@ An element of Q(zeta_k) is stored by its coordinates in the power basis
 the k-th cyclotomic polynomial.  k=1 reduces to plain rational arithmetic.
 `_poly_divmod` is the one division in Q[x]: it builds the cyclotomic
 polynomials and the remainders of `inverse`, whose Bezout factors are field
-elements.  `power_basis_terms` renders the terms of a coordinate vector, for
+elements.  The field's `grid`, 0 then zeta^0 .. zeta^(k-1), is the one table
+of zeta powers: each power is the last one shifted, its top coefficient
+folded back through Phi_k.  It serves `zeta`, `zeta_power` and the
+reduction of products, where zeta^i is `grid[1 + i % k]`.
+`power_basis_terms` renders the terms of a coordinate vector, for
 `str()` and `Polynomial.to_text` alike.
 Everything is exact: the complex embedding of the numeric search lives in
 `homotopy`, outside the exact core.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 from .errors import GsvInputError
@@ -33,8 +37,6 @@ def cyclotomic_polynomial(k: int) -> tuple[Fraction, ...]:
     """Coefficients of the k-th cyclotomic polynomial, low degree first."""
     if k < 1:
         raise ValueError("order must be a positive integer")
-    if k == 1:
-        return (Fraction(-1), Fraction(1))
     poly: list[Fraction] = [Fraction(0)] * (k + 1)
     poly[0], poly[k] = Fraction(-1), Fraction(1)
     for d in range(1, k):
@@ -83,20 +85,19 @@ class CyclotomicField:
         minpoly = cyclotomic_polynomial(order)
         self.degree = len(minpoly) - 1
         self.minpoly = minpoly
-        # zeta^(degree + i) expanded in the power basis, i = 0 .. degree-2;
-        # a product of two reduced elements never needs higher powers.
+        # zeta^a from zeta^(a-1): shift up one place, then fold the top
+        # coefficient back through zeta^degree = -(minpoly without its top).
+        # Phi_k is monic with integer coefficients, so every power is integral
         head = tuple(-c for c in minpoly[:-1])
-        rows: list[tuple[Fraction, ...]] = []
-        cur = head
-        for _ in range(self.degree - 1):
-            rows.append(cur)
-            shifted = (Fraction(0),) + cur[:-1]
-            cur = tuple(s + cur[-1] * h for s, h in zip(shifted, head))
-        self._reduction = tuple(rows)
-        self._zero = Cyclo(self, (Fraction(0),) * self.degree)
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self._one = Cyclo(self, tuple(one))
+        cur = (Fraction(1),) + (Fraction(0),) * (self.degree - 1)
+        powers = []
+        for _ in range(order):
+            powers.append(Cyclo(self, cur))
+            top, shifted = cur[-1], (Fraction(0), *cur[:-1])
+            cur = tuple(s + top * h for s, h in zip(shifted, head)) if top else shifted
+        # the root-of-unity grid, 0 then zeta^a at index 1 + a: the objects
+        # every grid point is built from, so a phase can be found by identity
+        self.grid = (Cyclo(self, (Fraction(0),) * self.degree), *powers)
 
     def __eq__(self, other):
         return isinstance(other, CyclotomicField) and other.order == self.order
@@ -109,37 +110,18 @@ class CyclotomicField:
 
     @property
     def zero(self) -> "Cyclo":
-        return self._zero
+        return self.grid[0]
 
     @property
     def one(self) -> "Cyclo":
-        return self._one
+        return self.grid[1]
 
     def zeta(self) -> "Cyclo":
         """A fixed primitive k-th root of unity."""
-        if self.degree == 1:
-            return self.element(1 if self.order == 1 else -1)
-        vec = [Fraction(0)] * self.degree
-        vec[1] = Fraction(1)
-        return Cyclo(self, tuple(vec))
-
-    @cached_property
-    def _zeta_powers(self) -> tuple["Cyclo", ...]:
-        """zeta^0 .. zeta^(k-1), built once per field."""
-        z = self.zeta()
-        powers = [self.one]
-        for _ in range(self.order - 1):
-            powers.append(powers[-1] * z)
-        return tuple(powers)
+        return self.zeta_power(1)
 
     def zeta_power(self, a: int) -> "Cyclo":
-        return self._zeta_powers[a % self.order]
-
-    @cached_property
-    def grid(self) -> tuple["Cyclo", ...]:
-        """The root-of-unity grid, 0 then zeta^a at index 1 + a: the objects
-        every grid point is built from, so a phase can be found by identity."""
-        return (self.zero, *self._zeta_powers)
+        return self.grid[1 + a % self.order]
 
     def element(self, value) -> "Cyclo":
         """Coerce an int, Fraction, or coordinate sequence into the field."""
@@ -254,9 +236,9 @@ class Cyclo:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self.field.degree
+        field = self.field
+        d, k, grid = field.degree, field.order, field.grid
         a, b = self.coeffs, other.coeffs
-        reduction = self.field._reduction
         prod = [Fraction(0)] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
@@ -267,7 +249,7 @@ class Cyclo:
         for i in range(d, 2 * d - 1):
             c = prod[i]
             if c:
-                row = reduction[i - d]
+                row = grid[1 + i % k].coeffs  # zeta^i
                 for j in range(d):
                     if row[j]:
                         out[j] += c * row[j]

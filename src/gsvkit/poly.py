@@ -69,17 +69,11 @@ class Polynomial:
     # -- calculus ------------------------------------------------------------
 
     def partial(self, index: int) -> "Polynomial":
-        out: Dict[Exponent, Cyclo] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[index]
-            if e:
-                new = list(exp)
-                new[index] = e - 1
-                key = tuple(new)
-                term = coeff * e
-                prev = out.get(key)
-                out[key] = term if prev is None else prev + term
-        return Polynomial(self.field, self.variables, out)
+        """d/dx_index; distinct exponents stay distinct, so each term is
+        written once."""
+        return Polynomial(self.field, self.variables, {
+            (*exp[:index], exp[index] - 1, *exp[index + 1:]): coeff * exp[index]
+            for exp, coeff in self.terms.items() if exp[index]})
 
     def gradient(self) -> Tuple["Polynomial", ...]:
         """First partials."""

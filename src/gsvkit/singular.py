@@ -15,26 +15,29 @@ which `analyze` and `stratify` share, raises unless every ray is a node and
 the ray count is proven.
 
 Both stages avoid Cyclo arithmetic where it is not needed.  Every exact
-dG = 0 verdict comes from one test in one scan, built once per search.
-On the root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so
-a gradient component is zero iff its integer coefficients, binned by that
-exponent mod k, vanish against a fixed integer table of zeta^t.  The ansatz
-source does not visit the grid point by point: it solves one zero pattern
-(which coordinates are 0) at a time.  A pattern where some component keeps
-a single monomial has no solutions.  Otherwise a component's verdict depends
-only on its monomials' phase differences, so it is a memoized k^2-bit mask
-over the last two free phases, ANDed over the components for each phase
-prefix of the other free coordinates.  The same test, in one line of
-`verify_transversal`, certifies every external candidate: a user's points
-and the snapped hits of the numeric search in `homotopy`, the only
-floating-point module.  A ray it proves is classified without a second test.
-G = 0 needs no test of its own: G is homogeneous of degree 5, so Euler's
-identity 5G = sum s_i dG/ds_i gives G = 0 wherever dG = 0.  A chart Hessian
-with a nonzero determinant over F_p (p = 1 mod k, zeta -> an element of
-order k) certifies a node.  The scan reads its entries off the one image of
-G mod p, and their values from power tables of the coordinates' residues.
-A zero determinant mod p, or a coefficient of G whose denominator is
-divisible by p, falls back to the exact rank.
+dG = 0 verdict comes from one test in one scan, built once per search.  On
+the root-of-unity grid a monomial c*x^m equals c*zeta^(sum a_i m_i), so a
+gradient component is zero iff its integer coefficients, binned by that
+exponent mod k, vanish against a fixed integer table of zeta^t.  The scan
+tables its open zero patterns (which coordinates are nonzero): those where
+no component keeps a single monomial c*x^m, which is nonzero on the whole
+pattern.  With none open, dG = 0 only at the origin: the transversality
+certificate of every source.  The ansatz source does not visit the grid
+point by point: it solves one open pattern at a time, where a component's
+verdict depends only on its monomials' phase differences, so it is a
+memoized k^2-bit mask over the last two free phases, ANDed over the
+components for each phase prefix of the other free coordinates.  The same
+table, in one line of `verify_transversal`, tests every external candidate
+but the excised origin: a user's points and the snapped hits of the numeric
+search in `homotopy`, the only floating-point module.  A ray it proves is
+classified without a second test.  G = 0 needs no test of its own: G is
+homogeneous of degree 5, so Euler's identity 5G = sum s_i dG/ds_i gives
+G = 0 wherever dG = 0.  A chart Hessian with a nonzero determinant over F_p
+(p = 1 mod k, zeta -> an element of order k) certifies a node.  The scan
+reads its entries off the one image of G mod p, and their values from power
+tables of the coordinates' residues.  A zero determinant mod p, or a
+coefficient of G whose denominator is divisible by p, falls back to the
+exact rank.
 """
 
 from __future__ import annotations
@@ -292,14 +295,22 @@ class _GridScan:
         # with integer coefficients, so zeta^t is integral
         self._grid = grid = field.grid
         self._columns = [[int(u.coeffs[j]) for u in grid[1:]] for j in range(field.degree)]
-        self._components = []
+        components = []
         for comp in self.polys:
             scale = lcm(*(c.denominator for coeff in comp.terms.values()
                           for c in coeff.coeffs))
-            self._components.append(
+            components.append(
                 [(exp, tuple((j, int(c * scale)) for j, c in enumerate(coeff.coeffs) if c))
                  for exp, coeff in comp.terms.items()])
-        self._patterns: dict = {}
+        # each nonempty pattern where no component keeps a single monomial
+        # -> per component, its survivors' exponents and coefficients
+        self.open_patterns = {}
+        for nonzero in product((False, True), repeat=self.n):
+            live = [tuple(zip(*kept)) for kept in (
+                [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
+                for terms in components) if kept]
+            if any(nonzero) and all(len(exps) > 1 for exps, _ in live):
+                self.open_patterns[nonzero] = live
         # phase of the grid's own objects, by id; the field keeps those ids
         # unique.  Other objects are looked up by value and not kept, so the
         # memo stays bounded however long the scan lives.
@@ -345,18 +356,6 @@ class _GridScan:
                       for c, a in zip(point, phases)]
         return phases
 
-    def _pattern(self, nonzero: Tuple[bool, ...]):
-        """Per polynomial, the exponents and coefficients of the monomials
-        that survive on this zero pattern; polynomials with none vanish
-        identically and are dropped."""
-        live = self._patterns.get(nonzero)
-        if live is None:
-            live = self._patterns[nonzero] = [
-                tuple(zip(*kept)) for kept in (
-                    [t for t in terms if all(nz or not e for nz, e in zip(nonzero, t[0]))]
-                    for terms in self._components) if kept]
-        return live
-
     def _is_zero(self, coeffs, exps) -> bool:
         """Whether sum_t coeffs[t] * zeta^exps[t] is 0: the integers binned by
         exponent mod k, times the table of zeta^t."""
@@ -368,21 +367,23 @@ class _GridScan:
         return not any(sum(map(mul, bins, col)) for col in self._columns)
 
     def vanishes(self, point: Sequence[Cyclo]) -> bool:
+        """Whether dG = 0 at `point`, never the origin, whose pattern is not open."""
         phases = self._phases(point)
         if _OFF_GRID in phases or len(phases) != self.n:
             # evaluate also rejects a wrong length
             return all(d.evaluate(point).is_zero() for d in self.polys)
+        live = self.open_patterns.get(tuple(map(_ZERO.__ne__, phases)))
         # zero coordinates carry phase -1 but exponent 0 in every survivor
-        return all(self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
-                   for exps, coeffs in self._pattern(tuple(map(_ZERO.__ne__, phases))))
+        return live is not None and all(
+            self._is_zero(coeffs, [sum(map(mul, phases, e)) for e in exps])
+            for exps, coeffs in live)
 
     def grid_zeros(self) -> list[Tuple[Cyclo, ...]]:
         """The normalized ansatz grid points where every polynomial vanishes,
         ordered by the position of the leading 1, then by the grid indices of
-        the later coordinates, and solved one zero pattern at a time.
+        the later coordinates, and solved one open zero pattern at a time.
 
-        A polynomial with one surviving monomial is c*zeta^e != 0, so its
-        pattern has no zeros.  Otherwise its verdict depends only on the
+        On an open pattern a polynomial's verdict depends only on the
         phase differences L_t - L_1 mod k of its monomials, which are
         base + y*ystep + x*xstep in the last two free phases: per base, a
         k^2-bit mask (bit y*k + x) whose row y is the memoized k-bit mask of
@@ -392,12 +393,7 @@ class _GridScan:
         """
         k, n = self.k, self.n
         hits = []
-        for nonzero in product((False, True), repeat=n):
-            if True not in nonzero:
-                continue
-            live = self._pattern(nonzero)
-            if any(len(exps) == 1 for exps, _ in live):
-                continue
+        for nonzero, live in self.open_patterns.items():
             lead = nonzero.index(True)
             free = [i for i in range(lead + 1, n) if nonzero[i]]
             # a missing y or x is the lead, whose phase is 0
@@ -505,19 +501,6 @@ def _finish_rays(scan: _GridScan, points: Iterable[Sequence[Cyclo]]) -> Tuple[Si
                  for ray in dict(_by_coords(map(normalize_ray, points))).values())
 
 
-def _pure_power_gradient(scan: _GridScan) -> bool:
-    """Certificate: if every dG/ds_i is c * s_i^e, joint vanishing forces s = 0."""
-    for i, comp in enumerate(scan.polys):
-        if len(comp.terms) != 1:
-            return False
-        (exp,) = comp.terms
-        if any(e and j != i for j, e in enumerate(exp)):
-            return False
-        if exp[i] == 0:
-            return False
-    return True
-
-
 def verify_transversal(g: Polynomial, source: str = "ansatz",
                        points: Iterable[Sequence] = ()) -> TransversalityReport:
     """Search the candidates of the named source for singular rays and
@@ -526,10 +509,12 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
     "ansatz" solves the whole root-of-unity grid, "user" tests the nonzero
     `points` (rows of five field elements), and "float" tests the grid
     points that `homotopy.float_candidates` snaps its hits to; a hit that
-    does not certify counts as `unresolved`.  Exit states: certified rays found
-    (non-transversal), no rays plus a certificate (transversal), or no
-    certified ray and no certificate (inconclusive; never silently reported
-    as transversal, nor as non-transversal on uncertified numeric hits alone).
+    does not certify counts as `unresolved`; the origin is excised first, so
+    the scan is asked only about nonzero points.  Exit states: certified rays
+    found (non-transversal), no rays plus a certificate, the scan's lack of an
+    open zero pattern (transversal), or no certified ray and no certificate
+    (inconclusive; never silently reported as transversal, nor as
+    non-transversal on uncertified numeric hits alone).
     """
     if source not in SOURCES:
         raise GsvInputError(f"unknown candidate source {source!r}")
@@ -550,7 +535,7 @@ def verify_transversal(g: Polynomial, source: str = "ansatz",
         unresolved = 0 if hits is None else hits - len(found)
     rays = _finish_rays(scan, found)
     # the ansatz grid counts as searched whole
-    complete = source not in _UNCOUNTED if rays else _pure_power_gradient(scan)
+    complete = source not in _UNCOUNTED if rays else not scan.open_patterns
     return TransversalityReport(rays, source, complete, 0 if complete else unresolved,
                                 g.field.order)
 

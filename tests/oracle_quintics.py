@@ -30,7 +30,12 @@ The rows:
   - a dense quintic: the 121 monomials of s4-degree at most 3, so the apex
     is singular, with a nondegenerate quadratic part there (tau = 1), its
     other points unknown;
-  - a smooth quintic whose gradient is not pure-power.
+  - a smooth quintic whose gradient is not pure-power;
+  - two smooth quintics whose gradient is not pure-power but whose every
+    nonempty zero pattern keeps a single monomial in some component: the
+    Berglund-Huebsch chain s0^4*s1 + s1^5 + s2^4*s3 + s3^5 + s4^5, and
+    Fermat with s4^5 traded for s0*s4^4.  A smooth quintic's Jacobian ring
+    has Hilbert series ((1 - t^4)/(1 - t))^5, so dim16 = 0 and defect = 0.
 """
 
 from collections import Counter
@@ -115,4 +120,6 @@ ROWS = (
         False),
     _dense(),
     Row("smooth_non_pure", f"{FERMAT}+2*s0^3*s1*s2-7*s1^2*s3^2*s4", {}, True, True, 0, 0),
+    Row("chain", "s0^4*s1+s1^5+s2^4*s3+s3^5+s4^5", {}, True, True, 0, 0),
+    Row("fermat_s0_s4", "s0^5+s1^5+s2^5+s3^5+s0*s4^4", {}, True, True, 0, 0),
 )

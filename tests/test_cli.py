@@ -17,6 +17,7 @@ FERMAT = "s0^5+s1^5+s2^5+s3^5+s4^5"
 DWORK = "s0^5+s1^5+s2^5+s3^5+s4^5-5*s0*s1*s2*s3*s4"
 DEGENERATE = "s0^5+s1^5+s2^5+s3^5"
 INCONCLUSIVE = "s0^5+s1^5+s2^5+s3^5+s4^5+s0^2*s1^3"
+CHAIN = "s0^4*s1+s1^5+s2^4*s3+s3^5+s4^5"
 
 
 @pytest.fixture
@@ -74,6 +75,21 @@ def test_analyze_inconclusive_exits_2(capsys):
     assert code == 2
     assert "inconclusive" in out
     assert "incomplete" in err
+
+
+@pytest.mark.parametrize("source", ["ansatz", "user"])
+def test_analyze_certifies_a_chain_quintic(capsys, tmp_path, source):
+    # its gradient is not pure-power, but every nonempty zero pattern keeps a
+    # single monomial in some component, so dG = 0 only at the origin
+    flags = []
+    if source == "user":
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]")
+        flags = ["--source", "user", "--candidates", str(empty)]
+    code, out, err = run(capsys, "analyze", CHAIN, *flags)
+    assert (code, err) == (0, "")
+    assert out.startswith("transversal: G = dG = 0 only at the origin\n")
+    assert "complete: True" in out
 
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -666,6 +682,27 @@ def test_resolutions_dot_format(capsys, conifold_file):
     assert code == 0
     assert out.startswith("graph transitions {")
     assert '[label="exoflop"]' in out
+
+
+@pytest.mark.parametrize("argv,gathers", [([], 0), (["--format", "dot"], 1),
+                                          (["--format", "json"], 1)],
+                         ids=["text", "dot", "json"])
+def test_resolutions_builds_flop_gathers_only_for_a_file(capsys, conifold_file, monkeypatch,
+                                                         argv, gathers):
+    # the text format writes no graph file, so it builds no flop gather; with
+    # 2 classes each graph file takes one
+    from gsvkit import resolutions
+
+    built = []
+    real = resolutions._flop_gather
+
+    def flop_gather(low_n, m):
+        built.append(m)
+        return real(low_n, m)
+
+    monkeypatch.setattr(resolutions, "_flop_gather", flop_gather)
+    code, _, _ = run(capsys, "resolutions", conifold_file, *argv)
+    assert code == 0 and len(built) == gathers
 
 
 def _singleton_conifold(path, n_classes):

@@ -1,11 +1,13 @@
 """Cyclotomic coefficient arithmetic."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from gsvkit.cyclo import Cyclo, CyclotomicField, cyclotomic_polynomial, residue_prime
+from gsvkit.cyclo import (Cyclo, CyclotomicField, _poly_divmod, cyclotomic_polynomial,
+                          residue_prime)
 from gsvkit.errors import GsvInputError
 
 
@@ -63,6 +65,32 @@ def test_zeta_power_table_matches_powering():
         K = CyclotomicField(k)
         for a in range(-2 * k, 2 * k + 1):
             assert K.zeta_power(a).coeffs == (K.zeta() ** a).coeffs
+
+
+def mod_phi(poly, k):
+    """The coordinates in Q(zeta_k) of a Q[x] polynomial: its remainder by
+    Phi_k, padded to phi(k)."""
+    phi = cyclotomic_polynomial(k)
+    _, rem = _poly_divmod(poly, phi)
+    return tuple(rem) + (Fraction(0),) * (len(phi) - 1 - len(rem))
+
+
+@pytest.mark.parametrize("k", range(1, 31))
+def test_grid_and_products_match_division_by_phi(k):
+    # a reference that does not go through the grid: zeta^a is the remainder
+    # of x^a by Phi_k, and a product that of the schoolbook product
+    K = CyclotomicField(k)
+    for a in range(k):
+        assert K.grid[1 + a].coeffs == mod_phi([Fraction(0)] * a + [Fraction(1)], k)
+    rng = random.Random(k)
+    for _ in range(8):
+        x, y = ([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(K.degree)]
+                for _ in range(2))
+        schoolbook = [Fraction(0)] * (2 * K.degree - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                schoolbook[i + j] += xi * yj
+        assert (K.element(x) * K.element(y)).coeffs == mod_phi(schoolbook, k)
 
 
 @pytest.mark.parametrize("k", (1, 2, 5, 10))

@@ -413,6 +413,32 @@ def test_oracle_quintics_at_zeta_order_5(row):
         assert {ray.representative for ray in rays} == set(known)
 
 
+# the quintics the zero-pattern certificate proves smooth; a data file is
+# named by its file name
+CERTIFIED = {"fermat", "chain", "fermat_s0_s4", "fermat.poly"}
+
+
+@pytest.mark.parametrize("text,points,certified", [
+    *(pytest.param(row.text, row.points, row.name in CERTIFIED, id=row.name) for row in ROWS),
+    *(pytest.param(path.read_text(), None, path.name in CERTIFIED, id=path.name)
+      for path in sorted(DATA.glob("*.poly")))])
+def test_zero_pattern_certificate_holds_exactly_on_the_rows_it_proves(text, points, certified):
+    # no open zero pattern certifies that dG = 0 only at the origin: it holds
+    # on Fermat and the two rows added for it, never on a row with a known
+    # singular point, and every source reports it as transversal and complete
+    g = parse_polynomial(text, K5)
+    if points is None:  # a data file: its oracle row is the one with the same G
+        (points,) = [row.points for row in ROWS if parse_polynomial(row.text, K5) == g]
+    assert (not singular._GridScan(g).open_patterns) is certified
+    assert not (certified and points)
+    if certified:
+        for source in ("ansatz", "user"):
+            report = verify_transversal(g, source)
+            assert report.transversal is True and report.complete and not report.rays
+    else:
+        assert verify_transversal(g, "user").transversal is None
+
+
 @pytest.mark.parametrize("g", [DWORK, CONE_FERMAT], ids=["dwork", "cone"])
 @pytest.mark.parametrize("source", ["ansatz", "user"])
 def test_one_grid_scan_per_search(monkeypatch, g, source):
