@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from .errors import GsvError, GsvInputError, IncompleteResultError
 
@@ -32,24 +33,53 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _open_for_writing(flag: str, path: str):
-    try:
-        return open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise GsvInputError(f"cannot write {flag} file {path}: {exc.strerror}") from exc
+class _Output:
+    """The file `path` opened for writing as the file of `flag`, or stdout
+    when `path` is None.  An OSError from opening, writing, or closing it
+    (flushing, for stdout) exits 1 naming the flag and the path, or stdout."""
 
+    def __init__(self, flag: str = "", path: Optional[str] = None):
+        self.path = path
+        self.target = "stdout" if path is None else f"{flag} file {path}"
+        self.file = sys.stdout
+        if path is not None:
+            try:
+                self.file = open(path, "w", encoding="utf-8")
+            except OSError as exc:
+                raise self._failed(exc) from exc
 
-def _open_output(args):
-    """The --output file opened for writing, or stdout left open."""
-    if getattr(args, "output", None):
-        return _open_for_writing("--output", args.output)
-    return nullcontext(sys.stdout)
+    def _failed(self, exc: OSError) -> GsvInputError:
+        if self.path is None:
+            # The interpreter flushes stdout again at exit, where a second
+            # failure would exit 120: what is left goes to the null device.
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+        return GsvInputError(f"cannot write {self.target}: {exc.strerror or exc}")
+
+    def write(self, text: str) -> None:
+        try:
+            self.file.write(text)
+        except OSError as exc:
+            raise self._failed(exc) from exc
+
+    def __enter__(self) -> "_Output":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            if self.path is None:
+                self.file.flush()
+            else:
+                self.file.close()
+        except OSError as exc:
+            raise self._failed(exc) from exc
 
 
 def _emit(args, text, json_obj) -> None:
     """Write what --format asks for, built by calling `text` or `json_obj`."""
     payload = _json_text(json_obj()) if args.format == "json" else text() + "\n"
-    with _open_output(args) as fh:
+    with _Output("--output", args.output) as fh:
         fh.write(payload)
 
 
@@ -146,8 +176,8 @@ def cmd_resolutions(args) -> int:
         raise GsvInputError(f"--output and --dot both name {args.output}")
     # Both files are opened before either is written, so a path that cannot be
     # opened exits 1 before any graph bytes are written.
-    with _open_output(args) as out, \
-            (_open_for_writing("--dot", args.dot) if args.dot else nullcontext()) as dot:
+    with _Output("--output", args.output) as out, \
+            (_Output("--dot", args.dot) if args.dot else nullcontext()) as dot:
         if args.format == "dot":
             graph.write(dot_file=out)
         if args.format == "json" or dot is not None:
@@ -166,8 +196,17 @@ def cmd_resolutions(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as any bad input does:
+    exit 2 is kept for an incomplete or inconclusive result."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gsvkit",
         description="ground-state variety toolkit: stratification, exocurve "
                     "cohomology, and small-resolution transition graphs")
@@ -209,14 +248,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # stdout is flushed on the way out, also after --help or an error, so
+        # a write to it that fails exits 1 here, not 120 at interpreter exit
+        with _Output():
+            args = build_parser().parse_args(argv)
+            return args.func(args)
     except IncompleteResultError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (GsvError, OSError, KeyError, ValueError) as exc:  # OSError: failed writes
+    except (GsvError, OSError, KeyError, ValueError) as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1
 

@@ -32,6 +32,11 @@ FLOP_NOTE = "single-class orientation flip; hypercube extension for N > 1"
 # or M_nat_<int>, so none needs JSON or DOT escaping and names go in plain quotes.
 _LOW_BITS = 6
 _BLOCK = 1 << _LOW_BITS
+# The flop pass keeps the names of a block it met as a column at most this many
+# codes ahead, 64 blocks, until it reaches that block.  A name within that reach
+# is turned to text once, not once for its own block and once per column it is
+# in, and at most 64 lists of 64 names are held, whatever N.
+_AHEAD = 64 * _BLOCK
 
 
 def _blocks(count: int):
@@ -143,13 +148,20 @@ class TransitionGraph(NamedTuple):
                           '",\n      "target": "M_nat_', '"\n    }'))
         low_n = min(big_n, _LOW_BITS)
         gathers = [_flop_gather(low_n, m) for m in range(big_n - low_n + 1)]
+        ahead = {}  # first code of a block at most _AHEAD codes on -> its names' text
         for names in _blocks(count) if flops else ():
             # the targets' names: the block's own, then a column shifted by
             # each clear high bit, so no name costs a bit test in Python
-            text = list(map(str, names))
-            targets = text + [name for bit in (1 << k for k in reversed(range(low_n, big_n)))
-                              if not (names.start - 1) & bit
-                              for name in map(str, range(names.start + bit, names.stop + bit))]
+            lo = names.start - 1
+            text = ahead.pop(lo, None) or list(map(str, names))
+            targets = text.copy()
+            for bit in (1 << k for k in reversed(range(low_n, big_n))):
+                if not lo & bit:
+                    column = (ahead.get(lo + bit)
+                              or list(map(str, range(names.start + bit, names.stop + bit))))
+                    if bit <= _AHEAD:
+                        ahead[lo + bit] = column
+                    targets += column
             get = gathers[(len(targets) >> low_n) - 1]
             for fh, head, mid, tail in flops:  # head + source + mid + target + tail per edge
                 sep = tail + head
@@ -161,15 +173,17 @@ class TransitionGraph(NamedTuple):
             return
         json_file.write("\n  ]" + vertices)
         # A code's orientation is its N bits: the high ones are its block's,
-        # the low ones index a table of every low-bit pattern's text.
+        # the low ones index a table of every low-bit pattern's text.  A
+        # block's rows are one join of four pieces per row, head + name +
+        # high + low, whose name and high slots are refilled per block.
         sep = ",\n        "
-        head = (f',\n    {{\n      "h2": {dims[2]},\n      "kind": "resolution",\n'
-                '      "name": "M_nat_')
-        low = [sep.join(bits) + "\n      ]\n    }" for bits in product("01", repeat=low_n)]
+        rows = [f',\n    {{\n      "h2": {dims[2]},\n      "kind": "resolution",\n'
+                '      "name": "M_nat_', "", "", ""] * (1 << low_n)
+        rows[3::4] = [sep.join(bits) + "\n      ]\n    }" for bits in product("01", repeat=low_n)]
         for names, high in zip(_blocks(count), product("01", repeat=max(big_n - _LOW_BITS, 0))):
-            mid = '",\n      "orientation": [\n        ' + sep.join((*high, ""))
-            json_file.write("".join([head + name + mid + bits
-                                     for name, bits in zip(map(str, names), low)]))
+            rows[1::4] = map(str, names)
+            rows[2::4] = ['",\n      "orientation": [\n        ' + sep.join((*high, ""))] * len(names)
+            json_file.write("".join(rows))
         json_file.write("\n  ]" + end + "\n")
 
 

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, formats, determinism."""
 
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -778,6 +779,52 @@ def test_resolutions_unwritable_path_writes_no_graph(capsys, conifold_file, tmp_
     assert all(not p.exists() or p.read_text() == "" for p in paths.values())
 
 
+DEV_FULL = "/dev/full"  # a device on which every write fails with ENOSPC
+CONIFOLD_N6 = str(DATA / "conifold_n9_N6.json")  # its JSON graph is larger than a buffer
+
+
+@pytest.mark.skipif(not os.path.exists(DEV_FULL), reason="no /dev/full on this system")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv,target", [
+    (["cohomology", CONIFOLD_N6, "--output", DEV_FULL], "--output file /dev/full"),
+    (["resolutions", CONIFOLD_N6, "--format", "json", "--output", DEV_FULL],
+     "--output file /dev/full"),
+    (["resolutions", CONIFOLD_N6, "--dot", DEV_FULL], "--dot file /dev/full"),
+    (["cohomology", CONIFOLD_N6], "stdout"),
+    (["resolutions", CONIFOLD_N6, "--format", "json"], "stdout"),
+    (["analyze", INCONCLUSIVE], "stdout"),  # exit 2 had the report been written
+], ids=["output-close", "output-write", "dot", "stdout-flush", "stdout-write", "stdout-exit-2"])
+def test_a_failed_write_names_its_target_and_exits_1(argv, target, unbuffered):
+    # A small report fails when its file is closed or stdout flushed, a large
+    # graph in a write; without PYTHONUNBUFFERED stdout holds what failed until
+    # the interpreter's own flush at exit, which must not fail again.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(src), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    with open(DEV_FULL, "w") as stdout:
+        done = subprocess.run([sys.executable, "-m", "gsvkit.cli", *argv], env=env,
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (
+        1, f"error: GsvInputError: cannot write {target}: {os.strerror(errno.ENOSPC)}\n")
+
+
+def test_usage_errors_exit_1_and_help_exits_0(capsys, conifold_file):
+    # exit 2 means an incomplete or inconclusive result, so a mistyped flag
+    # exits 1 like any other bad input, with argparse's usage text
+    for argv in (["resolutions", conifold_file, "--bogus"], [], ["cohomology"],
+                 ["analyze", DWORK, "--zeta-order", "five"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: gsvkit ")
+        assert lines[-1].startswith("gsvkit") and ": error: " in lines[-1]
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: gsvkit ")
+
+
 def test_resolutions_rejects_one_file_for_both_outputs(capsys, conifold_file, tmp_path,
                                                        monkeypatch):
     # Two open handles on one file would interleave the JSON and DOT bytes.
@@ -858,7 +905,7 @@ def test_zeta_order_only_where_it_is_read(capsys, conifold_file):
     for command, *rest in (["cohomology"], ["resolutions"], ["stratify", "--sheet", "pos"]):
         with pytest.raises(SystemExit) as exit_info:
             main([command, conifold_file, *rest, "--zeta-order", "5"])
-        assert exit_info.value.code == 2
+        assert exit_info.value.code == 1
         assert "unrecognized arguments: --zeta-order 5" in capsys.readouterr().err
 
 
@@ -897,7 +944,7 @@ def test_parser_defaults(capsys):
 def test_analyze_rejects_jobs(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", DWORK, "--jobs", "3"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert "unrecognized arguments: --jobs 3" in capsys.readouterr().err
 
 
@@ -907,7 +954,7 @@ def test_analyze_rejects_exhaustive(capsys, tmp_path):
     with pytest.raises(SystemExit) as exit_info:
         main(["analyze", DWORK, "--source", "user", "--candidates", str(candidates),
               "--exhaustive"])
-    assert exit_info.value.code == 2
+    assert exit_info.value.code == 1
     assert "unrecognized arguments: --exhaustive" in capsys.readouterr().err
 
 

@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
 
@@ -343,6 +344,20 @@ def test_writers_write_one_small_block_at_a_time():
     # one call writing both files writes each as a call for it alone does
     assert json_file.sizes == files[0]["json_file"].sizes
     assert dot_file.sizes == files[1]["dot_file"].sizes
+
+
+def test_writer_memory_stays_flat_in_n():
+    # The names of all 2^15 resolutions alone take about 2 MB.  The writer
+    # holds a block's text, the flop gathers and at most 64 blocks' names
+    # that the flop pass met ahead of it as columns.
+    graph = build_transition_graph(data_with_classes(15))
+    tracemalloc.start()
+    try:
+        graph.write(json_file=WriteOnlyFile(), dot_file=WriteOnlyFile())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1024 * 1024
 
 
 # sha256 of the JSON and the DOT for N = 14 singleton classes
