@@ -204,6 +204,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        # argparse drops an OSError from this write, so `--help` to a full
+        # stdout would exit 0: its text goes through _Output, which exits 1.
+        if message and file is sys.stdout:
+            _Output().write(message)
+        else:
+            super()._print_message(message, file)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(

@@ -45,10 +45,33 @@ def _blocks(count: int):
     return (range(lo + 1, min(lo + _BLOCK, count) + 1) for lo in range(0, count, _BLOCK))
 
 
+# A name's number n = 100 p + r is written as str(p) and then r in two digits,
+# or r alone when p = 0, so a run of up to 100 numbers costs one str().
+_SHORT = [str(r) for r in range(100)]
+_PAIRS = [f"{r:02d}" for r in range(100)]
+
+
+def _hundreds(start: int, stop: int):
+    """Per run of the numbers start..stop-1 that share n // 100, in order, a
+    prefix and the list of suffixes: n is written prefix + its suffix."""
+    while start < stop:
+        p, r = divmod(start, 100)
+        end = min(r + stop - start, 100)
+        yield (str(p), _PAIRS[r:end]) if p else ("", _SHORT[r:end])
+        start += end - r
+
+
+def _names(numbers: range) -> list:
+    """The text of each number in the range: str(n), built by _hundreds."""
+    return [pre + suf for pre, sufs in _hundreds(numbers.start, numbers.stop) for suf in sufs]
+
+
 def _write_names(fh, count: int, head: str, tail: str) -> None:
-    """Write head + name + tail for each resolution name, a block at a time."""
-    for names in _blocks(count):
-        fh.write(head + (tail + head).join(map(str, names)) + tail)
+    """Write head + name + tail for each resolution name, a run of names that
+    share their hundreds at a time."""
+    sep = tail + head
+    for pre, sufs in _hundreds(1, count + 1):
+        fh.write(head + pre + (sep + pre).join(sufs) + tail)
 
 
 def _flop_gather(low_n: int, m: int) -> itemgetter:
@@ -153,12 +176,12 @@ class TransitionGraph(NamedTuple):
             # the targets' names: the block's own, then a column shifted by
             # each clear high bit, so no name costs a bit test in Python
             lo = names.start - 1
-            text = ahead.pop(lo, None) or list(map(str, names))
+            text = ahead.pop(lo, None) or _names(names)
             targets = text.copy()
             for bit in (1 << k for k in reversed(range(low_n, big_n))):
                 if not lo & bit:
                     column = (ahead.get(lo + bit)
-                              or list(map(str, range(names.start + bit, names.stop + bit))))
+                              or _names(range(names.start + bit, names.stop + bit)))
                     if bit <= _AHEAD:
                         ahead[lo + bit] = column
                     targets += column
@@ -181,7 +204,7 @@ class TransitionGraph(NamedTuple):
                 '      "name": "M_nat_', "", "", ""] * (1 << low_n)
         rows[3::4] = [sep.join(bits) + "\n      ]\n    }" for bits in product("01", repeat=low_n)]
         for names, high in zip(_blocks(count), product("01", repeat=max(big_n - _LOW_BITS, 0))):
-            rows[1::4] = map(str, names)
+            rows[1::4] = _names(names)
             rows[2::4] = ['",\n      "orientation": [\n        ' + sep.join((*high, ""))] * len(names)
             json_file.write("".join(rows))
         json_file.write("\n  ]" + end + "\n")

@@ -793,7 +793,9 @@ CONIFOLD_N6 = str(DATA / "conifold_n9_N6.json")  # its JSON graph is larger than
     (["cohomology", CONIFOLD_N6], "stdout"),
     (["resolutions", CONIFOLD_N6, "--format", "json"], "stdout"),
     (["analyze", INCONCLUSIVE], "stdout"),  # exit 2 had the report been written
-], ids=["output-close", "output-write", "dot", "stdout-flush", "stdout-write", "stdout-exit-2"])
+    (["--help"], "stdout"),  # exit 0 had the help been written
+], ids=["output-close", "output-write", "dot", "stdout-flush", "stdout-write", "stdout-exit-2",
+        "help"])
 def test_a_failed_write_names_its_target_and_exits_1(argv, target, unbuffered):
     # A small report fails when its file is closed or stdout flushed, a large
     # graph in a write; without PYTHONUNBUFFERED stdout holds what failed until

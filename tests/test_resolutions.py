@@ -1,5 +1,6 @@
 """Small resolution enumeration and the transition graph."""
 
+import builtins
 import hashlib
 import io
 import itertools
@@ -16,7 +17,7 @@ from gsvkit import cli
 from gsvkit.cohomology import ConifoldData, GradedSpace, mayer_vietoris
 from gsvkit.errors import MalformedIncidenceError, ResourceLimitError
 from gsvkit.resolutions import (DECIMAL_POW2_MAX, DEFO_NOTE, FLOP_NOTE, MAX_CLASSES,
-                                build_transition_graph)
+                                _hundreds, _names, build_transition_graph)
 
 
 def data_with_classes(n_classes, nodes_per_class=1, b3=10):
@@ -358,6 +359,45 @@ def test_writer_memory_stays_flat_in_n():
     finally:
         tracemalloc.stop()
     assert peak < 1024 * 1024
+
+
+def _name_ranges():
+    """Ranges that start, stop at or cross 99/100, 9,999/10,000 and 2^N +- 1
+    for N <= 20, with empty ranges and ranges of one number."""
+    edges = {1, 99, 100, 101, 9_999, 10_000, 10_001}
+    edges |= {2 ** n + d for n in range(MAX_CLASSES + 1) for d in (-1, 0, 1)}
+    for edge in sorted(edges):
+        for start in (edge - 150, edge - 64, edge - 1, edge, edge + 1):
+            for stop in (edge - 1, edge, edge + 1, edge + 64, edge + 250):
+                if 0 <= start <= stop:
+                    yield range(start, stop)
+
+
+def test_names_are_str_of_their_numbers():
+    for numbers in _name_ranges():
+        expected = list(map(str, numbers))
+        assert _names(numbers) == expected
+        runs = list(_hundreds(numbers.start, numbers.stop))
+        assert [pre + suf for pre, sufs in runs for suf in sufs] == expected
+        # one run per hundred the range meets, each with at most 100 names
+        assert len(runs) == len({n // 100 for n in numbers})
+        assert all(0 < len(sufs) <= 100 for _, sufs in runs)
+
+
+def test_writer_calls_str_once_per_run_of_names(monkeypatch):
+    # Names are built from the 100-entry tables and one str() of their
+    # hundreds, not one str() per name in each of the five name passes.
+    big_n = 14
+    graph = build_transition_graph(data_with_classes(big_n))
+    calls = []
+
+    def counted_str(*args):
+        calls.append(args)
+        return builtins.str(*args)
+
+    monkeypatch.setattr("gsvkit.resolutions.str", counted_str, raising=False)
+    graph.write(json_file=WriteOnlyFile(), dot_file=WriteOnlyFile())
+    assert 0 < len(calls) <= 2 ** big_n // 8
 
 
 # sha256 of the JSON and the DOT for N = 14 singleton classes
