@@ -16,7 +16,6 @@ import os
 import re
 import sys
 from contextlib import nullcontext
-from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from .errors import GsvError, GsvInputError, IncompleteResultError
@@ -87,7 +86,8 @@ def _read_input(what: str, path: str, as_json: bool = True):
     """The contents of an input file, parsed as JSON unless `as_json` is false.
     A file that cannot be read or parsed exits 1 naming `what` and the path."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
         return json.loads(text) if as_json else text
     except OSError as exc:
         reason = exc.strerror
@@ -99,13 +99,10 @@ def _read_input(what: str, path: str, as_json: bool = True):
 def _read_polynomial_argument(arg: str) -> str:
     """The text of the file `arg` names, else `arg` as an inline expression.
     An argument no expression can be, with a '.' or a '/' before no integer
-    denominator, names a file, so a missing one exits 1 saying so.  An empty
-    argument names no file: `Path("")` is the working directory."""
-    try:
-        is_file = bool(arg) and Path(arg).exists()
-    except OSError:  # e.g. an inline expression too long to be a file name
-        is_file = False
-    if is_file or re.search(r"\.|/(?!\s*\d)", arg):
+    denominator, names a file, so a missing one exits 1 saying so.
+    `os.path.exists` is false, not an error, for "" and for a name too long
+    to be a path."""
+    if os.path.exists(arg) or re.search(r"\.|/(?!\s*\d)", arg):
         return _read_input("polynomial", arg, as_json=False).strip()
     return arg
 
@@ -172,7 +169,8 @@ def cmd_resolutions(args) -> int:
 
     data = _load_conifold(args.data)
     graph = build_transition_graph(data)  # checks MAX_CLASSES before any file is opened
-    if args.dot and args.output and Path(args.dot).resolve() == Path(args.output).resolve():
+    # realpath raises no OSError: a symlink loop fails below, when it is opened
+    if args.dot and args.output and os.path.realpath(args.dot) == os.path.realpath(args.output):
         raise GsvInputError(f"--output and --dot both name {args.output}")
     # Both files are opened before either is written, so a path that cannot be
     # opened exits 1 before any graph bytes are written.

@@ -40,10 +40,8 @@ def cyclotomic_polynomial(k: int) -> tuple[Fraction, ...]:
     poly: list[Fraction] = [Fraction(0)] * (k + 1)
     poly[0], poly[k] = Fraction(-1), Fraction(1)
     for d in range(1, k):
-        if k % d == 0:
-            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            if rem:
-                raise ArithmeticError("polynomial division left a remainder")
+        if k % d == 0:  # exact: x^k - 1 is the product of Phi_d over d | k
+            poly = _poly_divmod(poly, cyclotomic_polynomial(d))[0]
     return tuple(poly)
 
 
@@ -271,8 +269,7 @@ class Cyclo:
             q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
             s0, s1 = s1, s0 - field.element(q) * s1
-        if not r1:
-            raise ArithmeticError("element shares a factor with the minimal polynomial")
+        # r1 is a nonzero constant: Phi_k is irreducible and self has lower degree
         return s1 * (1 / r1[0])
 
     def __pow__(self, exponent: int) -> "Cyclo":

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from pathlib import Path
+import os
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -195,7 +195,7 @@ def float_candidates(g: Polynomial) -> Tuple[list, int]:
     gradient = complex_evaluator(g.gradient())
     hessian = complex_evaluator([h for row in g.hessian() for h in row])
     per_chart = FLOAT_STARTS // 5
-    z = np.load(Path(__file__).with_name("float_starts.npy"))
+    z = np.load(os.path.join(os.path.dirname(__file__), "float_starts.npy"))
     if z.shape != (5 * per_chart, 2, 4):
         raise GsvError(f"float_starts.npy holds starts of shape {z.shape}, not the "
                        f"{(5 * per_chart, 2, 4)} of FLOAT_STARTS = {FLOAT_STARTS}")

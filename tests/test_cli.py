@@ -186,6 +186,12 @@ def test_analyze_rejects_an_expression_that_is_no_quintic(capsys, arg, message):
     assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_analyze_source_user_requires_candidates(capsys):
+    code, out, err = run(capsys, "analyze", FERMAT, "--source", "user")
+    assert (code, out, err) == (
+        1, "", "error: GsvInputError: --source user requires --candidates FILE\n")
+
+
 def test_analyze_user_source(capsys, tmp_path):
     candidates = tmp_path / "candidates.json"
     candidates.write_text(json.dumps([["1", "1", "1", "1", "1"],
@@ -204,6 +210,7 @@ def test_analyze_user_source(capsys, tmp_path):
     ([["1", "1", "1", "1", "1"], ["1", "1", "1", "1"]],
      "--candidates row 1 has 4 coordinates, expected 5"),
     ([["1", "1", "1", "1", "1", "1"]], "--candidates row 0 has 6 coordinates, expected 5"),
+    ({"0": ["1", "1", "1", "1", "1"]}, "--candidates file must hold a JSON list of rows"),
 ])
 def test_analyze_rejects_malformed_candidates(capsys, tmp_path, rows, message):
     candidates = tmp_path / "candidates.json"
@@ -483,8 +490,11 @@ def test_stratify_reads_the_report_field_order(capsys, tmp_path):
     ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
       "base_hodge": {"0,0": 1, "1,1": 7, " 1,1": 1, "2,2": 1, "3,3": 1}},
      "base_hodge keys '1,1' and ' 1,1' both name the Hodge number (1,1)"),
+    ({"base_dims": [1, 0, 1, 0, 1, 0, 1], "n": 0, "classes": [],
+      "base_hodge": {"0,0": 1, "1,1": 2, "2,1": -1, "3,3": 1}},
+     "Hodge numbers must be non-negative"),
 ], ids=["top-int", "top-list", "hodge-key", "hodge-list", "dims-int", "unknown-field",
-        "no-n", "hodge-key-repeated"])
+        "no-n", "hodge-key-repeated", "hodge-negative"])
 def test_conifold_data_rejects_malformed_shapes(capsys, tmp_path, command, data, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -767,16 +777,23 @@ def test_resolutions_bound_checked_before_output(capsys, tmp_path):
     assert not graph_json.exists() and not graph_dot.exists()
 
 
-@pytest.mark.parametrize("flag", ["--output", "--dot"])
-def test_resolutions_unwritable_path_writes_no_graph(capsys, conifold_file, tmp_path, flag):
-    paths = {"--output": tmp_path / "graph.json", "--dot": tmp_path / "graph.dot"}
-    paths[flag] = tmp_path / "missing" / "graph"
+@pytest.mark.parametrize("flag,bad,reason", [
+    ("--output", "missing/graph", "No such file or directory"),
+    ("--dot", "missing/graph", "No such file or directory"),
+    ("--output", "loop", "Too many levels of symbolic links"),
+    ("--dot", "loop", "Too many levels of symbolic links"),
+], ids=["--output", "--dot", "--output-symlink-loop", "--dot-symlink-loop"])
+def test_resolutions_unwritable_path_writes_no_graph(capsys, conifold_file, tmp_path, flag,
+                                                     bad, reason):
+    (tmp_path / "loop").symlink_to(tmp_path / "pool")
+    (tmp_path / "pool").symlink_to(tmp_path / "loop")
+    paths = {"--output": str(tmp_path / "graph.json"), "--dot": str(tmp_path / "graph.dot")}
+    paths[flag] = str(tmp_path / bad)
     code, out, err = run(capsys, "resolutions", conifold_file, "--format", "json",
-                         "--output", str(paths["--output"]), "--dot", str(paths["--dot"]))
-    assert code == 1
-    assert out == ""
-    assert f"GsvInputError: cannot write {flag} file {paths[flag]}: " in err
-    assert all(not p.exists() or p.read_text() == "" for p in paths.values())
+                         "--output", paths["--output"], "--dot", paths["--dot"])
+    assert (code, out) == (1, "")
+    assert err == f"error: GsvInputError: cannot write {flag} file {paths[flag]}: {reason}\n"
+    assert all(not os.path.exists(p) or os.path.getsize(p) == 0 for p in paths.values())
 
 
 DEV_FULL = "/dev/full"  # a device on which every write fails with ENOSPC
@@ -846,6 +863,7 @@ def test_missing_file_exits_1(capsys):
 
 @pytest.mark.parametrize("argv,what,reason", [
     (("analyze", "{dir}"), "polynomial", "Is a directory"),
+    (("analyze", "{slash}"), "polynomial", "Not a directory"),
     (("analyze", "{binary}"), "polynomial", "not UTF-8 text"),
     (("analyze", DWORK, "--source", "user", "--candidates", "{missing}"),
      "--candidates", "No such file or directory"),
@@ -869,8 +887,9 @@ def test_missing_file_exits_1(capsys):
                  "not JSON: Exceeds the limit", marks=DIGIT_LIMIT),
     pytest.param(("cohomology", "{long}"), "ConifoldData", "not JSON: Exceeds the limit",
                  marks=DIGIT_LIMIT),
-], ids=["polynomial-dir", "polynomial-binary", "candidates-missing", "candidates-dir",
-        "candidates-text", "report-missing", "report-dir", "report-text",
+], ids=["polynomial-dir", "polynomial-trailing-slash", "polynomial-binary",
+        "candidates-missing", "candidates-dir", "candidates-text",
+        "report-missing", "report-dir", "report-text",
         "cohomology-missing", "cohomology-dir", "cohomology-text", "cohomology-deep",
         "resolutions-missing",
         "resolutions-dir", "resolutions-text", "candidates-long-int", "report-long-int",
@@ -878,7 +897,8 @@ def test_missing_file_exits_1(capsys):
 def test_unreadable_input_names_argument_and_path(capsys, tmp_path, argv, what, reason):
     paths = {"dir": tmp_path, "missing": tmp_path / "missing.json",
              "text": tmp_path / "fermat.poly", "binary": tmp_path / "binary.poly",
-             "deep": tmp_path / "deep.json", "long": tmp_path / "long.json"}
+             "deep": tmp_path / "deep.json", "long": tmp_path / "long.json",
+             "slash": f"{tmp_path / 'fermat.poly'}/"}  # a file read as a directory
     paths["text"].write_text(FERMAT + "\n")
     paths["long"].write_text(f"[{LONG_LITERAL}]")  # JSON that Python's int() refuses
     paths["deep"].write_text("[" * 100_000 + "]" * 100_000)  # JSON nested too deeply

@@ -107,6 +107,17 @@ def test_field_order_must_be_an_int(order):
         CyclotomicField(order)
 
 
+def test_misused_api_raises_value_error():
+    k5, k10 = CyclotomicField(5), CyclotomicField(10)
+    for call, message in [
+            (lambda: cyclotomic_polynomial(0), "order must be a positive integer"),
+            (lambda: k5.element(k10.one), "element belongs to a different cyclotomic field"),
+            (lambda: k5.element([1, 0, 0, 0, 1]), r"coordinate vector longer than phi\(5\) = 4"),
+            (lambda: k5.one + k10.zeta(), "mixed cyclotomic fields")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_small_orders_degenerate_to_rationals():
     assert CyclotomicField(1).zeta() == CyclotomicField(1).element(1)
     assert CyclotomicField(2).zeta() == CyclotomicField(2).element(-1)

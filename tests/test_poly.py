@@ -52,16 +52,30 @@ def test_parse_rational_coefficients_and_whitespace():
 def test_parse_syntax_error_positions():
     with pytest.raises(PolynomialParseError, match="position"):
         parse_polynomial("s0^5 + * s1", K5)
-    # every parse error names a position; the end of the input is len(text)
-    for text, message in [("", "empty polynomial"), ("   ", "empty polynomial"),
-                          ("s0^", "expected a non-negative integer exponent"),
-                          ("s0^5+", "expected a coefficient or a variable"),
-                          ("s0^5 - ", "expected a coefficient or a variable"),
-                          ("2/", "expected an integer denominator")]:
+    # every parse error names its position; the end of the input is len(text)
+    for text, message, position in [
+            ("", "empty polynomial", 0), ("   ", "empty polynomial", 3),
+            ("s0^", "expected a non-negative integer exponent", 3),
+            ("s0^5+", "expected a coefficient or a variable", 5),
+            ("s0^5 - ", "expected a coefficient or a variable", 7),
+            ("2/", "expected an integer denominator", 2),
+            ("s0^5 $ s1^5", "unexpected character '$'", 5),
+            ("s0^5 s1^5", "expected '+' or '-', found 's1'", 5),
+            ("s0^5 + 1/0*s1^5", "zero denominator", 9)]:
         with pytest.raises(PolynomialParseError) as info:
             parse_polynomial(text, K5)
-        assert str(info.value) == f"{message} (at position {len(text)})"
-        assert info.value.position == len(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+
+@pytest.mark.parametrize("exp,message", [
+    ((5, 0, 0, 0), "exponent vector (5, 0, 0, 0) does not match 5 variables"),
+    ((6, -1, 0, 0, 0), "negative exponent in (6, -1, 0, 0, 0)"),
+])
+def test_polynomial_rejects_a_malformed_exponent(exp, message):
+    with pytest.raises(GsvInputError) as info:
+        Polynomial(K5, DEFAULT_VARIABLES, {exp: 1})
+    assert str(info.value) == message
 
 
 def test_is_homogeneous():

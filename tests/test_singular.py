@@ -186,6 +186,15 @@ def test_normalize_ray():
     z = K5.zeta()
     ray = normalize_ray([K5.zero, z ** 3, K5.one])
     assert ray[0].is_zero() and ray[1] == K5.one and ray[2] == z ** -3
+    with pytest.raises(GsvInputError, match="^the origin does not define a ray$"):
+        normalize_ray([K5.zero] * 5)
+
+
+def test_search_rejects_a_polynomial_in_four_variables():
+    g = parse_polynomial("s0^5+s1^5+s2^5+s3^5", K5, variables=("s0", "s1", "s2", "s3"))
+    with pytest.raises(GsvInputError,
+                       match="^expected a polynomial in the five variables s0..s4$"):
+        verify_transversal(g)
 
 
 K5_ELEMENTS = st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2),

@@ -158,6 +158,8 @@ def test_sheet_parsing():
     for wall in (0, 0.0, Fraction(0)):
         with pytest.raises(QuantumRegionError):
             normalize_sheet(wall)
+    with pytest.raises(GsvInputError, match="^unknown sheet 'up'$"):
+        normalize_sheet("up")
     for bad in (float("nan"), None, [1], 1j, True, False):
         with pytest.raises(GsvInputError, match="sheet must be a real moment level"):
             normalize_sheet(bad)
